@@ -69,7 +69,7 @@ from .hologram import (
     make_octahedral_hologram,
     octahedron_vertexes,
 )
-from .vision import ExtractionParams, background_image, extract_feature, project, render_frame
+from .vision import background_image, extract_feature, project, render_frame
 
 
 def _parse_vec3(text: str) -> Vec3:
@@ -81,6 +81,18 @@ def _parse_vec3(text: str) -> Vec3:
         return Vec3(*(float(p) for p in parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected numeric x,y,z but got {text!r}") from exc
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer but got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_targets(text: str) -> list[Vec3]:
@@ -240,11 +252,10 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
 
 def cmd_vision(args, config: SimulatorConfig) -> int:
     out = _out_dir(args)
-    params = ExtractionParams.from_vision(config.vision)
     if args.mode == "extract":
         frame = load_frame_pgm(args.frame)
         background = load_pgm(args.background)
-        obs = extract_feature(frame, background, args.diameter_px, args.seed, params)
+        obs = extract_feature(frame, background, args.diameter_px, config.vision)
         record = _observation_record(obs, camera=None, frame_name=Path(args.frame).name, t=None)
         (out / "observation.json").write_text(json.dumps(record, sort_keys=True) + "\n")
         print(json.dumps(record, sort_keys=True))
@@ -283,7 +294,7 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
             save_frame_pgm(out / name, frame)
             outputs.append(name)
             expected = state.diameter_um * cam.pixel_scale
-            obs = extract_feature(frame, bg, expected, int(rng.integers(2**63)), params)
+            obs = extract_feature(frame, bg, expected, config.vision)
             records.append(_observation_record(obs, camera=label, frame_name=name, t=t))
     with (out / "observations.jsonl").open("w") as fh:
         for record in records:
@@ -577,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     bench = sub.add_parser("bench", help="time the synthesis routes")
-    bench.add_argument("--repeats", type=int, default=21)
+    bench.add_argument("--repeats", type=_positive_int, default=21)
     bench.add_argument("--ib-iterations", type=int, default=200)
     add_common(bench)
     bench.set_defaults(func=cmd_bench)

@@ -10,6 +10,7 @@ rejected with the offending field named.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -75,10 +76,6 @@ class VisionConfig:
     particle_level: float = 40.0
     binarize_offset: float = 10.0
     min_foreground_fraction: float = 0.3
-    ransac_iterations: int = 200
-    ransac_inlier_band_px: float = 1.5
-    ransac_early_exit_fraction: float = 0.9
-    min_contour_px: int = 10
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -92,23 +89,6 @@ class VisionConfig:
         if not (0.0 <= self.particle_level <= 255.0):
             raise ConfigurationError(
                 f"vision.particle_level must be within [0, 255], got {self.particle_level}"
-            )
-        if self.ransac_iterations < 1:
-            raise ConfigurationError(
-                f"vision.ransac_iterations must be >= 1, got {self.ransac_iterations}"
-            )
-        if self.ransac_inlier_band_px <= 0:
-            raise ConfigurationError(
-                f"vision.ransac_inlier_band_px must be > 0, got {self.ransac_inlier_band_px}"
-            )
-        if not (0.0 < self.ransac_early_exit_fraction <= 1.0):
-            raise ConfigurationError(
-                "vision.ransac_early_exit_fraction must be in (0, 1],"
-                f" got {self.ransac_early_exit_fraction}"
-            )
-        if self.min_contour_px < 5:
-            raise ConfigurationError(
-                f"vision.min_contour_px must be >= 5, got {self.min_contour_px}"
             )
 
     @classmethod
@@ -219,6 +199,13 @@ def _coerce(cls: type, value: Any, path: str) -> Any:
             raise ConfigurationError(f"{path} must be an integer, got {value!r}")
         return value
     if cls is float:
+        # YAML 1.1 reads exponents without a dot or sign, such as 2.3e6, as strings
+        if isinstance(value, str):
+            try:
+                if math.isfinite(number := float(value)):
+                    return number
+            except ValueError:
+                pass
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"{path} must be a number, got {value!r}")
         return float(value)
@@ -273,8 +260,8 @@ def config_from_dict(raw: dict) -> SimulatorConfig:
     return SimulatorConfig(**sections)
 
 
-def load_config(path: str | os.PathLike) -> SimulatorConfig:
-    """Load a YAML configuration file; an empty file yields the defaults."""
+def _read_raw(path: str | os.PathLike) -> dict:
+    """Parse a YAML configuration file into a raw dict; empty yields {}."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -285,8 +272,15 @@ def load_config(path: str | os.PathLike) -> SimulatorConfig:
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"malformed configuration file {p}: {exc}") from exc
     if raw is None:
-        raw = {}
-    return config_from_dict(raw)
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"configuration root must be a mapping in {p}")
+    return raw
+
+
+def load_config(path: str | os.PathLike) -> SimulatorConfig:
+    """Load a YAML configuration file; an empty file yields the defaults."""
+    return config_from_dict(_read_raw(path))
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -344,19 +338,7 @@ def resolve_config(path: str | None, overrides: list[str] | None = None) -> Simu
     """
     if path is None:
         path = os.environ.get(ENV_CONFIG_VAR) or None
-    raw: dict = {}
-    if path is not None:
-        p = Path(path)
-        try:
-            loaded = yaml.safe_load(p.read_text())
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read configuration file {p}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"malformed configuration file {p}: {exc}") from exc
-        if loaded is not None:
-            if not isinstance(loaded, dict):
-                raise ConfigurationError(f"configuration root must be a mapping in {p}")
-            raw = loaded
+    raw = _read_raw(path) if path is not None else {}
     if overrides:
         raw = apply_overrides(raw, overrides)
     return config_from_dict(raw)

@@ -9,10 +9,10 @@ instant, and verify containment against ground truth. The trap itself is
 abstracted as a hold: once the particle is inside the containment radius
 while the field is on, its velocity is zeroed.
 
-Determinism: every random draw (render noise, extraction RANSAC, pixel
-jitter, dropouts) comes from streams spawned off the scenario seed, and
-consumption per tick is fixed regardless of outcomes, so a scenario
-always reproduces byte-identical reports.
+Determinism: every random draw (render noise, pixel jitter, dropouts)
+comes from streams spawned off the scenario seed, and consumption per
+tick is fixed regardless of outcomes, so a scenario always reproduces
+byte-identical reports. Feature extraction draws no random numbers.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .hologram import (
     trap_anchor,
 )
 from .prediction import TrackSample, confirm_track, predict_position
-from .vision import CameraModel, ExtractionParams, background_image, extract_feature, render_frame
+from .vision import CameraModel, background_image, extract_feature, render_frame
 
 
 class LoopState(Enum):
@@ -263,15 +263,15 @@ def run_trap_loop(scenario: SimScenario, world: TrapWorld) -> TrapReport:
     fps = timing.camera_fps
     budget = world.control.frame_budget
     tol = world.containment_tolerance()
-    extraction = ExtractionParams.from_vision(world.vision)
     bg_h = background_image(world.camera_h)
     bg_v = background_image(world.camera_v)
     expected_h = scenario.particle.diameter_um * world.camera_h.pixel_scale
     expected_v = scenario.particle.diameter_um * world.camera_v.pixel_scale
 
+    # streams[1] is unused; the render, jitter and dropout streams keep
+    # their indices so each seed's draws stay fixed.
     streams = np.random.SeedSequence(scenario.seed).spawn(5)
     render_seeds = np.random.default_rng(streams[0])
-    ransac_seeds = np.random.default_rng(streams[1])
     jitter_rng = np.random.default_rng(streams[2])
     dropout_rng = np.random.default_rng(streams[3])
 
@@ -344,20 +344,18 @@ def run_trap_loop(scenario: SimScenario, world: TrapWorld) -> TrapReport:
             # Fixed per-tick stream consumption keeps runs reproducible.
             seed_h = int(render_seeds.integers(2**63))
             seed_v = int(render_seeds.integers(2**63))
-            rseed_h = int(ransac_seeds.integers(2**63))
-            rseed_v = int(ransac_seeds.integers(2**63))
             jitter = jitter_rng.normal(0.0, scenario.pixel_noise_sigma, size=4)
             drop_h = bool(dropout_rng.uniform() < scenario.dropout_prob)
             drop_v = bool(dropout_rng.uniform() < scenario.dropout_prob)
 
             if not drop_h:
                 frame_h = render_frame(world.camera_h, particle, t, seed_h)
-                obs = extract_feature(frame_h, bg_h, expected_h, rseed_h, extraction)
+                obs = extract_feature(frame_h, bg_h, expected_h, world.vision)
                 if obs.valid:
                     observed_h = (obs.u + jitter[0], obs.v + jitter[1])
             if not drop_v:
                 frame_v = render_frame(world.camera_v, particle, t, seed_v)
-                obs = extract_feature(frame_v, bg_v, expected_v, rseed_v, extraction)
+                obs = extract_feature(frame_v, bg_v, expected_v, world.vision)
                 if obs.valid:
                     observed_v = (obs.u + jitter[2], obs.v + jitter[3])
 

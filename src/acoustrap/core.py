@@ -314,23 +314,22 @@ class WorkspaceConfig:
         return self.tank_center + 0.5 * self.tank_extent
 
     def contains(self, point: Vec3, margin: float = 0.0) -> bool:
-        lo, hi = self.min_corner, self.max_corner
-        return (
-            lo.x + margin <= point.x <= hi.x - margin
-            and lo.y + margin <= point.y <= hi.y - margin
-            and lo.z + margin <= point.z <= hi.z - margin
-        )
+        return _within_box(point, self.min_corner, self.max_corner, margin)
 
     def tank_contains(self, point: Vec3, margin: float = 0.0) -> bool:
-        lo, hi = self.tank_min, self.tank_max
-        return (
-            lo.x + margin <= point.x <= hi.x - margin
-            and lo.y + margin <= point.y <= hi.y - margin
-            and lo.z + margin <= point.z <= hi.z - margin
-        )
+        return _within_box(point, self.tank_min, self.tank_max, margin)
 
     def tank_contains_points(self, points: np.ndarray) -> bool:
         """True when every row of ``points`` (N, 3) lies inside the tank."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         lo, hi = self.tank_min.as_array(), self.tank_max.as_array()
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
+
+
+def _within_box(point: Vec3, lo: Vec3, hi: Vec3, margin: float) -> bool:
+    """True when ``point`` lies inside the box [lo, hi] shrunk by ``margin``."""
+    return (
+        lo.x + margin <= point.x <= hi.x - margin
+        and lo.y + margin <= point.y <= hi.y - margin
+        and lo.z + margin <= point.z <= hi.z - margin
+    )

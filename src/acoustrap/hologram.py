@@ -76,10 +76,6 @@ class PhaseHologram:
     def shape(self) -> tuple[int, int]:
         return self.phases.shape
 
-    def normalized(self) -> "PhaseHologram":
-        """Re-wrap; a no-op for any valid hologram."""
-        return PhaseHologram.from_radians(self.phases)
-
 
 @dataclass(frozen=True)
 class FocusTrap:

@@ -9,9 +9,9 @@ Gaussian sensor noise.
 
 Extraction follows the bench pipeline: background subtraction, adaptive
 binarization against a local mean, a sliding-window search for the
-densest foreground patch, morphological closing, border following around
-the largest blob, and a seeded five-point RANSAC ellipse fit refined on
-its inliers.
+densest foreground patch and morphological closing. The centre and axes
+then come from the intensity-weighted first and second moments of the
+largest blob; extraction draws no random numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .config import Background
+from .config import Background, VisionConfig
 from .core import ParticleState, Vec3
 from .errors import ConfigurationError
 
@@ -178,29 +178,6 @@ def render_frame(
     return ImageFrame(pixels, t, clipped)
 
 
-@dataclass(frozen=True)
-class ExtractionParams:
-    """Knobs of the feature extraction pipeline."""
-
-    binarize_offset: float = 10.0
-    min_foreground_fraction: float = 0.3
-    ransac_iterations: int = 200
-    ransac_inlier_band_px: float = 1.5
-    ransac_early_exit_fraction: float = 0.9
-    min_contour_px: int = 10
-
-    @classmethod
-    def from_vision(cls, cfg) -> "ExtractionParams":
-        return cls(
-            binarize_offset=cfg.binarize_offset,
-            min_foreground_fraction=cfg.min_foreground_fraction,
-            ransac_iterations=cfg.ransac_iterations,
-            ransac_inlier_band_px=cfg.ransac_inlier_band_px,
-            ransac_early_exit_fraction=cfg.ransac_early_exit_fraction,
-            min_contour_px=cfg.min_contour_px,
-        )
-
-
 def _odd(n: int) -> int:
     n = max(int(n), 3)
     return n if n % 2 == 1 else n + 1
@@ -212,11 +189,16 @@ def _binarize(diff: np.ndarray, expected_diameter_px: float, offset: float) -> n
     return diff > local_mean + offset
 
 
+def _area_floor(expected_diameter_px: float, min_fraction: float) -> float:
+    """Fewest foreground pixels a particle may cover: min_fraction of the
+    expected disc area, and at least one pixel."""
+    return max(min_fraction * math.pi * (expected_diameter_px / 2.0) ** 2, 1.0)
+
+
 def _best_window(
     fg: np.ndarray, expected_diameter_px: float, min_fraction: float
 ) -> tuple[int, int, int] | None:
-    """Densest sliding window; None when no window clears the pixel-count
-    floor (min_fraction of the expected disc area)."""
+    """Densest sliding window; None when no window clears the area floor."""
     h, w = fg.shape
     size = min(max(int(round(1.5 * expected_diameter_px)), 3), h, w)
     stride = max(int(round(expected_diameter_px / 2.0)), 1)
@@ -235,157 +217,26 @@ def _best_window(
         sat[ri + size, ci + size] - sat[ri, ci + size] - sat[ri + size, ci] + sat[ri, ci]
     )
     best = np.unravel_index(int(np.argmax(counts)), counts.shape)
-    min_count = min_fraction * math.pi * (expected_diameter_px / 2.0) ** 2
-    if counts[best] < max(min_count, 1.0):
+    if counts[best] < _area_floor(expected_diameter_px, min_fraction):
         return None
     return rows[best[0]], cols[best[1]], size
-
-
-# Moore neighborhood in clockwise order starting due north.
-def _neighbors_cw(r: int, c: int) -> list[tuple[int, int]]:
-    return [
-        (r - 1, c), (r - 1, c + 1), (r, c + 1), (r + 1, c + 1),
-        (r + 1, c), (r + 1, c - 1), (r, c - 1), (r - 1, c - 1),
-    ]
-
-
-def _trace_boundary(mask: np.ndarray) -> np.ndarray:
-    """Outer boundary of the foreground as ordered (row, col) pixels.
-
-    Moore-neighbor border following started at the topmost-leftmost
-    pixel; stops when the start is re-entered from the starting backtrack.
-    """
-    padded = np.pad(mask, 1, constant_values=False)
-    fg = np.argwhere(padded)
-    if fg.size == 0:
-        return np.empty((0, 2), dtype=int)
-    start = (int(fg[0][0]), int(fg[0][1]))
-    start_back = (start[0], start[1] - 1)  # scan order guarantees west is empty
-    contour = [start]
-    p, back = start, start_back
-    guard = 4 * int(mask.sum()) + 16
-    for _ in range(guard):
-        nbrs = _neighbors_cw(*p)
-        i0 = nbrs.index(back)
-        nxt = None
-        for k in range(1, 9):
-            cand = nbrs[(i0 + k) % 8]
-            if padded[cand]:
-                nxt = cand
-                back = nbrs[(i0 + k - 1) % 8]
-                break
-        if nxt is None:
-            break  # single isolated pixel
-        if nxt == start and back == start_back:
-            break
-        contour.append(nxt)
-        p = nxt
-    return np.array(contour, dtype=int) - 1  # undo padding offset
-
-
-def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = pts.mean(axis=0)
-    spread = np.mean(np.linalg.norm(pts - mu, axis=1))
-    s = math.sqrt(2.0) / max(spread, 1e-9)
-    T = np.array([[s, 0.0, -s * mu[0]], [0.0, s, -s * mu[1]], [0.0, 0.0, 1.0]])
-    return (pts - mu) * s, T
-
-
-def _conic_from_points(pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=1)
-    _, _, vt = np.linalg.svd(design)
-    return vt[-1]
-
-
-def _is_ellipse(theta: np.ndarray) -> bool:
-    a, b, c = theta[0], theta[1], theta[2]
-    return 4.0 * a * c - b * b > 1e-12
-
-
-def _conic_matrix(theta: np.ndarray) -> np.ndarray:
-    a, b, c, d, e, f = theta
-    return np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
-
-
-def _sampson_distance(conic: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    val = (
-        conic[0, 0] * x * x
-        + 2 * conic[0, 1] * x * y
-        + conic[1, 1] * y * y
-        + 2 * conic[0, 2] * x
-        + 2 * conic[1, 2] * y
-        + conic[2, 2]
-    )
-    gx = 2 * (conic[0, 0] * x + conic[0, 1] * y + conic[0, 2])
-    gy = 2 * (conic[0, 1] * x + conic[1, 1] * y + conic[1, 2])
-    return np.abs(val) / np.maximum(np.hypot(gx, gy), 1e-12)
-
-
-def _center_axes(conic: np.ndarray) -> tuple[np.ndarray, tuple[float, float]] | None:
-    m = conic[:2, :2]
-    try:
-        center = np.linalg.solve(m, -conic[:2, 2])
-    except np.linalg.LinAlgError:
-        return None
-    shifted_const = float(conic[2, 2] + conic[0, 2] * center[0] + conic[1, 2] * center[1])
-    evals = np.linalg.eigvalsh(m)
-    ratios = -shifted_const / evals
-    if np.any(~np.isfinite(ratios)) or np.any(ratios <= 0):
-        return None
-    semi = np.sqrt(ratios)
-    return center, (float(semi.max() * 2), float(semi.min() * 2))
-
-
-def _fit_ellipse_ransac(
-    pts: np.ndarray, rng: np.random.Generator, params: ExtractionParams
-) -> tuple[np.ndarray, tuple[float, float]] | None:
-    n = pts.shape[0]
-    if n < 5:
-        return None
-    pts_n, T = _normalize_points(pts)
-    band = params.ransac_inlier_band_px
-    best_count, best_conic, best_mask = 0, None, None
-    for _ in range(params.ransac_iterations):
-        idx = rng.choice(n, size=5, replace=False)
-        theta = _conic_from_points(pts_n[idx])
-        if not _is_ellipse(theta):
-            continue
-        conic = T.T @ _conic_matrix(theta) @ T
-        dist = _sampson_distance(conic, pts)
-        mask = dist <= band
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_conic, best_mask = count, conic, mask
-        if best_count >= params.ransac_early_exit_fraction * n:
-            break
-    if best_conic is None or best_count < 5:
-        return None
-    theta = _conic_from_points(pts_n[best_mask])
-    if _is_ellipse(theta):
-        refined = T.T @ _conic_matrix(theta) @ T
-        result = _center_axes(refined)
-        if result is not None:
-            return result
-    return _center_axes(best_conic)
 
 
 def extract_feature(
     frame: ImageFrame,
     background,
     expected_diameter_px: float,
-    seed: int,
-    params: ExtractionParams | None = None,
+    config: VisionConfig = VisionConfig(),
 ) -> FeatureObservation:
     """Locate the particle in a frame against a known background.
 
     ``background`` may be an ImageFrame or a raw gray-level array of the
-    same shape. Returns an invalid observation (never raises) when any
-    stage fails to find a usable candidate.
+    same shape. The centre is the background-difference-weighted mean of
+    the largest closed blob, and the axes are four standard deviations
+    along the principal directions of its weighted covariance (the
+    diameter, for a uniform disc). Returns an invalid observation (never
+    raises) when any stage fails to find a usable candidate.
     """
-    if params is None:
-        params = ExtractionParams()
     if expected_diameter_px <= 3:
         raise ConfigurationError(
             f"expected_diameter_px must exceed 3, got {expected_diameter_px}"
@@ -398,9 +249,9 @@ def extract_feature(
             f"background shape {bg.shape} does not match frame {img.shape}"
         )
     diff = np.abs(img - bg).astype(float)
-    fg = _binarize(diff, expected_diameter_px, params.binarize_offset)
+    fg = _binarize(diff, expected_diameter_px, config.binarize_offset)
 
-    window = _best_window(fg, expected_diameter_px, params.min_foreground_fraction)
+    window = _best_window(fg, expected_diameter_px, config.min_foreground_fraction)
     if window is None:
         return _invalid("no_candidate_window")
     r0, c0, size = window
@@ -415,21 +266,17 @@ def extract_feature(
     if count == 0:
         return _invalid("empty_after_morphology")
     sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=np.arange(1, count + 1))
-    blob = labels == (int(np.argmax(sizes)) + 1)
+    rows, cols = np.nonzero(labels == (int(np.argmax(sizes)) + 1))
+    weights = diff[rows + cr0, cols + cc0]
+    mass = float(weights.sum())
+    # a blob with no contrast against the background carries no position
+    if rows.size < _area_floor(expected_diameter_px, config.min_foreground_fraction) or mass <= 0:
+        return _invalid("blob_too_small")
 
-    contour = _trace_boundary(blob)
-    if contour.shape[0] < params.min_contour_px:
-        return _invalid("contour_too_short")
-    pts = contour[:, ::-1].astype(float)
-    pts[:, 0] += cc0
-    pts[:, 1] += cr0
-
-    rng = np.random.default_rng(seed)
-    fit = _fit_ellipse_ransac(pts, rng, params)
-    if fit is None:
-        return _invalid("ellipse_fit_failed")
-    center, (major, minor) = fit
-    u, v = float(center[0]), float(center[1])
-    if not (0 <= u < w and 0 <= v < h and math.isfinite(u) and math.isfinite(v)):
-        return _invalid("center_out_of_bounds")
-    return FeatureObservation(u, v, major, minor, True, None)
+    u = float(weights @ cols) / mass
+    v = float(weights @ rows) / mass
+    offsets = np.stack([cols - u, rows - v])
+    cov = (offsets * weights) @ offsets.T / mass
+    minor_var, major_var = np.linalg.eigvalsh(cov)
+    major, minor = 4.0 * math.sqrt(major_var), 4.0 * math.sqrt(max(minor_var, 0.0))
+    return FeatureObservation(u + cc0, v + cr0, major, minor, True, None)

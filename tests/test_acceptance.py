@@ -42,7 +42,6 @@ from acoustrap.hologram import (
 )
 from acoustrap.prediction import TrackSample, predict_position
 from acoustrap.vision import (
-    ExtractionParams,
     background_image,
     extract_feature,
     project,
@@ -274,7 +273,6 @@ def test_criterion_08_deviation_scale(noisy_batch, verdict):
 
 def test_criterion_09_feature_extraction(config, cameras, verdict):
     cam_h, _ = cameras
-    params = ExtractionParams.from_vision(config.vision)
     background = background_image(cam_h)
     d_px = 400.0 * cam_h.pixel_scale
 
@@ -284,7 +282,7 @@ def test_criterion_09_feature_extraction(config, cameras, verdict):
             pos = Vec3(25.0 + dx * 0.1, 25.0 + dy * 0.1, 40.0 + dx * 0.05)
             state = ParticleState(position=pos)
             frame = render_frame(cam_h, state, 0.0, seed=0)
-            obs = extract_feature(frame, background, d_px, seed=0, params=params)
+            obs = extract_feature(frame, background, d_px, config.vision)
             assert obs.valid
             u, v = project(cam_h, pos)
             worst = max(worst, float(np.hypot(obs.u - u, obs.v - v)))
@@ -302,7 +300,7 @@ def test_criterion_09_feature_extraction(config, cameras, verdict):
         )
         state = ParticleState(position=pos)
         frame = render_frame(noisy_cam, state, 0.0, seed=k)
-        obs = extract_feature(frame, background, d_px, seed=k, params=params)
+        obs = extract_feature(frame, background, d_px, config.vision)
         if not obs.valid:
             continue
         u, v = project(noisy_cam, pos)

@@ -83,6 +83,11 @@ class TestHologramCommand:
             run_cli("hologram", "focus", "--at", "25,25", "--out-dir", str(tmp_path))
         assert exc.value.code == 2
 
+    def test_non_finite_point_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("hologram", "focus", "--at", "25,25,nan", "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+
 
 class TestFieldCommand:
     @pytest.fixture()
@@ -285,6 +290,16 @@ class TestSimulateCommand:
         )
         assert rc == 2
 
+    def test_exponent_override_is_accepted(self, tmp_path):
+        out = tmp_path / "exp"
+        rc = run_cli(
+            "hologram", "focus", "--at", "25,25,40", "--set", "array.frequency=2.3e6",
+            "--out-dir", str(out),
+        )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["array"]["frequency"] == 2.3e6
+
 
 class TestBenchCommand:
     def test_bench_report(self, tmp_path, capsys):
@@ -301,6 +316,12 @@ class TestBenchCommand:
         assert doc["octahedral_within_transfer_window"] is True
         assert doc["octahedral_within_refresh_cadence"] is True
         assert "synthesis route" in capsys.readouterr().out
+
+
+    def test_zero_repeats_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--repeats", "0", "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
 
 
 class TestEntryPoint:

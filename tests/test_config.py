@@ -79,6 +79,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="field.piston_directivity"):
             config_from_dict({"field": {"piston_directivity": 1}})
 
+    def test_exponent_strings_parse_as_numbers(self, tmp_path):
+        # YAML 1.1 reads 2.3e6 (no dot, no exponent sign) as a string
+        p = tmp_path / "cfg.yaml"
+        p.write_text("array:\n  frequency: 2.3e6\n")
+        assert load_config(p).array.frequency == 2.3e6
+        cfg = resolve_config(None, ["array.frequency=2.3e6", "medium.sound_speed=1.5e3"])
+        assert cfg.array.frequency == 2.3e6
+        assert cfg.medium.sound_speed == 1500.0
+        for bad in ("fast", "inf", "nan"):
+            with pytest.raises(ConfigurationError, match="array.frequency must be a number"):
+                config_from_dict({"array": {"frequency": bad}})
+
     def test_vec3_fields_parse_lists_only(self):
         cfg = config_from_dict({"workspace": {"center": [25, 25, 41]}})
         assert cfg.workspace.center == Vec3(25.0, 25.0, 41.0)
@@ -145,6 +157,26 @@ class TestLoadAndOverrides:
         b.write_text("control:\n  fall_speed: 2.0\n")
         monkeypatch.setenv(ENV_CONFIG_VAR, str(a))
         assert resolve_config(str(b)).control.fall_speed == 2.0
+
+    def test_resolve_matches_load(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("trap:\n  octahedron_diameter: 3.0\ncontrol:\n  fall_speed: 7.5\n")
+        assert resolve_config(str(p)) == load_config(p)
+        assert load_config(p).trap.octahedron_diameter == 3.0
+
+    def test_non_mapping_root_is_configuration_error(self, tmp_path):
+        p = tmp_path / "list.yaml"
+        p.write_text("- 1\n- 2\n")
+        with pytest.raises(ConfigurationError, match="must be a mapping"):
+            load_config(p)
+        with pytest.raises(ConfigurationError, match="must be a mapping"):
+            resolve_config(str(p))
+
+    def test_removed_extraction_keys_are_unknown(self):
+        for key in ("ransac_iterations", "ransac_inlier_band_px",
+                    "ransac_early_exit_fraction", "min_contour_px"):
+            with pytest.raises(ConfigurationError, match=f"unknown configuration key vision.{key}"):
+                config_from_dict({"vision": {key: 1}})
 
     def test_defaults_when_nothing_given(self, monkeypatch):
         monkeypatch.delenv(ENV_CONFIG_VAR, raising=False)

@@ -8,7 +8,7 @@ from acoustrap.config import Background, SimulatorConfig, VisionConfig
 from acoustrap.core import ParticleState, Vec3
 from acoustrap.errors import ConfigurationError
 from acoustrap.vision import (
-    ExtractionParams,
+    ImageFrame,
     background_image,
     extract_feature,
     project,
@@ -17,7 +17,6 @@ from acoustrap.vision import (
 
 CFG = SimulatorConfig()
 CAM_H, CAM_V = build_camera_pair(CFG.vision)
-PARAMS = ExtractionParams.from_vision(CFG.vision)
 CENTER = Vec3(25.0, 25.0, 40.0)
 STATE = ParticleState(position=CENTER)
 D_PX = STATE.diameter_um * CAM_H.pixel_scale
@@ -96,7 +95,7 @@ class TestExtractFeature:
         for dx, dy in [(-0.21, 0.13), (0.0, 0.0), (0.17, -0.29), (0.08, 0.31)]:
             pos = CENTER + Vec3(dx, dy, dx / 2)
             frame = render_frame(CAM_H, ParticleState(position=pos), 0.0, seed=0)
-            obs = extract_feature(frame, bg, D_PX, seed=0, params=PARAMS)
+            obs = extract_feature(frame, bg, D_PX, CFG.vision)
             assert obs.valid, obs.reason
             u, v = project(CAM_H, pos)
             worst = max(worst, float(np.hypot(obs.u - u, obs.v - v)))
@@ -104,7 +103,7 @@ class TestExtractFeature:
 
     def test_axes_match_disc_diameter(self, bg):
         frame = render_frame(CAM_H, STATE, 0.0, seed=3)
-        obs = extract_feature(frame, bg, D_PX, seed=3, params=PARAMS)
+        obs = extract_feature(frame, bg, D_PX, CFG.vision)
         assert obs.valid
         assert obs.major_px == pytest.approx(D_PX, rel=0.10)
         assert obs.minor_px == pytest.approx(D_PX, rel=0.10)
@@ -113,28 +112,34 @@ class TestExtractFeature:
     def test_deterministic_given_seed(self, bg):
         cam = dataclasses.replace(CAM_H, noise_sigma=5.0)
         frame = render_frame(cam, STATE, 0.0, seed=9)
-        a = extract_feature(frame, bg, D_PX, seed=9, params=PARAMS)
-        b = extract_feature(frame, bg, D_PX, seed=9, params=PARAMS)
+        a = extract_feature(frame, bg, D_PX, CFG.vision)
+        b = extract_feature(frame, bg, D_PX, CFG.vision)
         assert (a.u, a.v, a.major_px, a.minor_px) == (b.u, b.v, b.major_px, b.minor_px)
 
     def test_blank_frame_reports_no_candidate(self, bg):
-        from acoustrap.vision import ImageFrame
-
         blank = ImageFrame(bg.astype(np.uint8), 0.0, False)
-        obs = extract_feature(blank, bg, D_PX, seed=0, params=PARAMS)
+        obs = extract_feature(blank, bg, D_PX, CFG.vision)
         assert not obs.valid
         assert obs.reason == "no_candidate_window"
         assert np.isnan(obs.u) and np.isnan(obs.v)
 
+    def test_zero_contrast_blob_is_invalid(self, bg):
+        # a negative offset binarizes the whole blank frame as foreground
+        blank = ImageFrame(bg.astype(np.uint8), 0.0, False)
+        loose = dataclasses.replace(CFG.vision, binarize_offset=-5.0)
+        obs = extract_feature(blank, bg, D_PX, loose)
+        assert not obs.valid
+        assert obs.reason == "blob_too_small"
+
     def test_tiny_expected_diameter_rejected(self, bg):
         frame = render_frame(CAM_H, STATE, 0.0, seed=0)
         with pytest.raises(ConfigurationError):
-            extract_feature(frame, bg, 3.0, seed=0, params=PARAMS)
+            extract_feature(frame, bg, 3.0, CFG.vision)
 
     def test_shape_mismatch_rejected(self, bg):
         frame = render_frame(CAM_H, STATE, 0.0, seed=0)
         with pytest.raises(ConfigurationError):
-            extract_feature(frame, bg[:-1, :], D_PX, seed=0, params=PARAMS)
+            extract_feature(frame, bg[:-1, :], D_PX, CFG.vision)
 
     def test_survives_gradient_background_and_noise(self):
         cam = dataclasses.replace(
@@ -146,7 +151,30 @@ class TestExtractFeature:
         for k in range(5):
             pos = CENTER + Vec3(0.11 * k - 0.2, 0.07 * k, 0.0)
             frame = render_frame(cam, ParticleState(position=pos), 0.0, seed=100 + k)
-            obs = extract_feature(frame, bg, D_PX, seed=100 + k, params=PARAMS)
+            obs = extract_feature(frame, bg, D_PX, CFG.vision)
             assert obs.valid, obs.reason
             u, v = project(cam, pos)
             assert np.hypot(obs.u - u, obs.v - v) <= 2.0
+
+    def test_tilted_ellipse_axes_and_order(self):
+        # 28 x 16 px ellipse tilted by 30 degrees, anti-aliased by 8x8
+        # supersampling of each pixel's coverage
+        major, minor, tilt = 28.0, 16.0, np.deg2rad(30.0)
+        u0, v0 = 63.37, 58.81
+        sub = (np.arange(8) + 0.5) / 8 - 0.5
+        fine = (np.arange(128)[:, None] + sub[None, :]).ravel()
+        du = fine[None, :] - u0
+        dv = fine[:, None] - v0
+        a = du * np.cos(tilt) + dv * np.sin(tilt)
+        b = -du * np.sin(tilt) + dv * np.cos(tilt)
+        inside = (a / (major / 2)) ** 2 + (b / (minor / 2)) ** 2 <= 1.0
+        coverage = inside.reshape(128, 8, 128, 8).mean(axis=(1, 3))
+        bg = np.full((128, 128), 180.0)
+        pixels = np.rint(bg * (1.0 - coverage) + 40.0 * coverage).astype(np.uint8)
+
+        obs = extract_feature(ImageFrame(pixels, 0.0), bg, np.sqrt(major * minor), CFG.vision)
+        assert obs.valid, obs.reason
+        assert obs.major_px >= obs.minor_px
+        assert obs.major_px == pytest.approx(major, rel=0.05)
+        assert obs.minor_px == pytest.approx(minor, rel=0.05)
+        assert np.hypot(obs.u - u0, obs.v - v0) <= 0.2
