@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dropout", type=float, default=0.0, help="per-camera dropout probability")
     sim.add_argument("--contrast", choices=["positive", "negative"], default="positive")
     sim.add_argument("--diameter-um", type=float, default=400.0)
-    sim.add_argument("--jobs", type=int, default=1, help="worker processes for batches")
+    sim.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for batches")
     add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -217,31 +218,19 @@ def _coerce(cls: type, value: Any, path: str) -> Any:
 
 
 def _build_dataclass(cls: type, data: dict, prefix: str):
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name for f in fields(cls)}
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ConfigurationError(f"unknown configuration key {prefix}.{key}")
-        ftype = known[key].type
-        target: Any
-        if ftype in ("float", "float | None"):
-            target = float
-        elif ftype == "int":
-            target = int
-        elif ftype == "bool":
-            target = bool
-        elif ftype == "str":
-            target = str
-        elif ftype == "Vec3":
-            target = Vec3
-        elif ftype == "Background":
-            target = Background
-        else:
-            target = object
-        if value is None and "None" in str(ftype):
-            kwargs[key] = None
-        else:
-            kwargs[key] = _coerce(target, value, f"{prefix}.{key}")
+        target = hints[key]
+        if get_origin(target) in (Union, types.UnionType):  # the only unions are "X | None"
+            if value is None:
+                kwargs[key] = None
+                continue
+            target = next(m for m in get_args(target) if m is not type(None))
+        kwargs[key] = _coerce(target, value, f"{prefix}.{key}")
     return cls(**kwargs)
 
 

@@ -35,6 +35,7 @@ from .core import (
     TransducerArray,
     Vec3,
     WorkspaceConfig,
+    usable_cpus,
     wavelength,
 )
 from .errors import AcoustrapError, ConfigurationError, GeometryError
@@ -533,16 +534,28 @@ class BatchResult:
 
 
 def run_batch(scenarios: Sequence[SimScenario], world: TrapWorld, jobs: int = 1) -> BatchResult:
-    """Run scenarios (optionally across processes); order is preserved."""
+    """Run scenarios on up to ``jobs`` worker processes; order is preserved.
+
+    The pool never outnumbers the scenarios or the CPUs this process may use.
+    """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     scenarios = list(scenarios)
-    if jobs > 1 and len(scenarios) > 1:
+    workers = _pool_size(jobs, len(scenarios), usable_cpus())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_one, [(s, world) for s in scenarios], chunksize=1))
     else:
         reports = [run_trap_loop(s, world) for s in scenarios]
     return BatchResult(reports)
+
+
+def _pool_size(jobs: int, tasks: int, cpus: int) -> int:
+    """Worker processes for ``tasks`` scenarios: ``jobs`` clamped to the
+    task and CPU counts."""
+    return min(jobs, tasks, cpus)
 
 
 def _run_one(args: tuple[SimScenario, TrapWorld]) -> TrapReport:

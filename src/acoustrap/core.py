@@ -12,6 +12,7 @@ column index ``j`` along ``+y``, and the water volume occupies ``z > 0``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +21,14 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError
 
 TWO_PI = 2.0 * math.pi
+
+
+def usable_cpus() -> int:
+    """Number of CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -319,10 +328,11 @@ class WorkspaceConfig:
     def tank_contains(self, point: Vec3, margin: float = 0.0) -> bool:
         return _within_box(point, self.tank_min, self.tank_max, margin)
 
-    def tank_contains_points(self, points: np.ndarray) -> bool:
-        """True when every row of ``points`` (N, 3) lies inside the tank."""
+    def tank_contains_points(self, points: np.ndarray, margin: float = 0.0) -> bool:
+        """True when every row of ``points`` (N, 3) lies inside the tank
+        shrunk by ``margin``."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        lo, hi = self.tank_min.as_array(), self.tank_max.as_array()
+        lo, hi = self.tank_min.as_array() + margin, self.tank_max.as_array() - margin
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
 
 

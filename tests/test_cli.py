@@ -318,6 +318,13 @@ class TestBenchCommand:
         assert "synthesis route" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--batch", "2", "--jobs", jobs, "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+
     def test_zero_repeats_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("bench", "--repeats", "0", "--out-dir", str(tmp_path))

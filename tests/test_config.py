@@ -1,9 +1,14 @@
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acoustrap.config import (
     ENV_CONFIG_VAR,
     FULL_IMAGE_SIZE,
     Background,
+    ControlConfig,
+    FieldConfig,
     SimulatorConfig,
     TrapConfig,
     VisionConfig,
@@ -13,8 +18,76 @@ from acoustrap.config import (
     load_config,
     resolve_config,
 )
-from acoustrap.core import DEFAULT_OCTAHEDRON_DIAMETER, Vec3
+from acoustrap.core import (
+    DEFAULT_OCTAHEDRON_DIAMETER,
+    MediumConfig,
+    TimingConfig,
+    TransducerArray,
+    Vec3,
+    WorkspaceConfig,
+)
 from acoustrap.errors import ConfigurationError
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Valid configurations: every section varies within its accepted ranges;
+# the workspace centre moves a few mm so the workspace stays in the tank.
+CONFIGS = st.builds(
+    SimulatorConfig,
+    medium=st.builds(MediumConfig, sound_speed=_num(100, 5000), density=_num(100, 5000)),
+    array=st.builds(
+        TransducerArray,
+        rows=st.integers(1, 64),
+        cols=st.integers(1, 64),
+        pitch=_num(0.1, 5.0),
+        frequency=_num(1e4, 1e7),
+        origin=st.builds(Vec3, _num(-10, 10), _num(-10, 10), _num(-10, 10)),
+        emission_amplitude=_num(0.01, 10.0),
+    ),
+    timing=st.builds(
+        TimingConfig,
+        t_dip=_num(0, 1),
+        t_trans=_num(0, 1),
+        camera_fps=_num(1, 200),
+        poh_update_fps=_num(1, 200),
+    ),
+    workspace=st.builds(
+        WorkspaceConfig, center=st.builds(Vec3, _num(20, 30), _num(20, 30), _num(35, 45))
+    ),
+    vision=st.builds(
+        VisionConfig,
+        scale=_num(0.05, 1.0),
+        image_width=st.integers(8, 4096),
+        image_height=st.integers(8, 4096),
+        noise_sigma=_num(0, 20),
+        background=st.builds(
+            Background,
+            kind=st.sampled_from(["flat", "gradient"]),
+            level=_num(0, 255),
+            du=_num(-50, 50),
+            dv=_num(-50, 50),
+        ),
+        particle_level=_num(0, 255),
+        binarize_offset=_num(0, 50),
+        min_foreground_fraction=_num(0, 1),
+    ),
+    field=st.builds(FieldConfig, piston_directivity=st.booleans()),
+    trap=st.builds(
+        TrapConfig,
+        octahedron_diameter=_num(0, 10),
+        containment_tol=st.none() | _num(0.01, 5),
+    ),
+    control=st.builds(
+        ControlConfig,
+        fall_speed=_num(0, 100),
+        frame_budget=st.integers(1, 1000),
+        confirm_tol=_num(0.01, 5),
+        hold_ticks=st.integers(1, 20),
+    ),
+)
 
 
 class TestDefaults:
@@ -90,6 +163,12 @@ class TestValidation:
         for bad in ("fast", "inf", "nan"):
             with pytest.raises(ConfigurationError, match="array.frequency must be a number"):
                 config_from_dict({"array": {"frequency": bad}})
+
+    def test_optional_float_accepts_none_and_numeric_string(self):
+        assert config_from_dict({"trap": {"containment_tol": None}}).trap.containment_tol is None
+        assert config_from_dict({"trap": {"containment_tol": "2.5e-1"}}).trap.containment_tol == 0.25
+        with pytest.raises(ConfigurationError, match="trap.containment_tol must be a number"):
+            config_from_dict({"trap": {"containment_tol": "tight"}})
 
     def test_vec3_fields_parse_lists_only(self):
         cfg = config_from_dict({"workspace": {"center": [25, 25, 41]}})
@@ -194,3 +273,9 @@ class TestSnapshot:
 
     def test_snapshot_roundtrips_through_builder(self, config):
         assert config_from_dict(config_to_dict(config)) == config
+
+    @given(CONFIGS)
+    def test_any_valid_config_roundtrips(self, cfg):
+        snap = config_to_dict(cfg)
+        assert config_from_dict(snap) == cfg
+        assert config_from_dict(yaml.safe_load(yaml.safe_dump(snap))) == cfg

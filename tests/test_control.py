@@ -8,6 +8,7 @@ from acoustrap.control import (
     LoopState,
     SimScenario,
     TrapWorld,
+    _pool_size,
     _step_state,
     containment,
     make_batch_scenarios,
@@ -271,6 +272,19 @@ class TestBatches:
         seq = run_batch(scenarios, world, jobs=1)
         par = run_batch(scenarios, world, jobs=2)
         assert [r.to_json() for r in seq.reports] == [r.to_json() for r in par.reports]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, config, world, jobs):
+        scenarios = make_batch_scenarios(config.workspace, 2, base_seed=1)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_batch(scenarios, world, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs,tasks,cpus,expected",
+        [(1, 10, 8, 1), (3, 10, 8, 3), (64, 10, 8, 8), (64, 2, 8, 2), (4, 40, 2, 2)],
+    )
+    def test_pool_size_clamped_to_tasks_and_cpus(self, jobs, tasks, cpus, expected):
+        assert _pool_size(jobs, tasks, cpus) == expected
 
     def test_result_statistics(self, config, world):
         scenarios = make_batch_scenarios(config.workspace, 3, base_seed=12)

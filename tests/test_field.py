@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from acoustrap import field
 from acoustrap.core import (
     DEFAULT_OCTAHEDRON_DIAMETER,
     TWO_PI,
@@ -25,6 +28,7 @@ from acoustrap.field import (
     pressure_at,
     pressure_at_points,
     trap_quality,
+    _field,
 )
 from acoustrap.hologram import PhaseHologram, make_focus_hologram, make_octahedral_hologram
 
@@ -32,6 +36,34 @@ MED = MediumConfig()
 ARR = TransducerArray()
 LAM = wavelength(MED, ARR)
 CENTER = Vec3(25.0, 25.0, 40.0)
+
+
+def direct_pressure(array, hologram, points, medium, directivity=False, active_mask=None):
+    """Slow reference: the float64 sum of element terms, one point at a time."""
+    lam = wavelength(medium, array)
+    k = 2.0 * math.pi / lam
+    centres = array.element_centers()
+    phi = hologram.phases.reshape(-1)
+    if active_mask is not None:
+        centres, phi = centres[active_mask], phi[active_mask]
+    out = np.empty(len(points), dtype=complex)
+    for n, p in enumerate(points):
+        delta = p - centres
+        d = np.sqrt(np.sum(delta**2, axis=1))
+        terms = array.emission_amplitude * np.exp(1j * (phi - k * d)) / d
+        if directivity:
+            terms *= np.sinc(array.pitch * delta[:, 0] / (lam * d))
+            terms *= np.sinc(array.pitch * delta[:, 1] / (lam * d))
+        out[n] = terms.sum()
+    return out
+
+
+def probe_points(seed, n=200):
+    """Points spread over the water volume and clustered around CENTER."""
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform([0.0, 0.0, 1.0], [50.0, 50.0, 60.0], size=(n // 2, 3))
+    near = CENTER.as_array() + rng.normal(0.0, 0.5, size=(n - n // 2, 3))
+    return np.vstack([spread, near])
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +144,64 @@ class TestPressureModel:
             plain = abs(pressure_at(ARR, focus_holo, point, MED))
             piston = abs(pressure_at(ARR, focus_holo, point, MED, directivity=True))
             assert piston <= plain + 1e-12
+
+
+class TestKernel:
+    @pytest.mark.parametrize("directivity", [False, True])
+    def test_matches_direct_sum(self, octa_holo, directivity):
+        pts = probe_points(11)
+        got = pressure_at_points(ARR, octa_holo, pts, MED, directivity=directivity)
+        ref = direct_pressure(ARR, octa_holo, pts, MED, directivity=directivity)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_active_mask_matches_direct_sum(self, focus_holo):
+        pts = probe_points(12)
+        mask = np.random.default_rng(13).random(ARR.element_count) < 0.3
+        got = pressure_at_points(ARR, focus_holo, pts, MED, active_mask=mask)
+        ref = direct_pressure(ARR, focus_holo, pts, MED, active_mask=mask)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("directivity", [False, True])
+    def test_gradient_matches_central_differences(self, octa_holo, directivity):
+        # the last two points lie above element centres, where the piston
+        # factor's sinc argument is 0 for a row or column of elements
+        pts = np.vstack([probe_points(14, n=40), [[0.5, 0.5, 5.0], [25.5, 24.5, 40.0]]])
+        p, grad = _field(ARR, octa_holo, pts, MED, directivity=directivity, gradient=True)
+        assert np.array_equal(p, pressure_at_points(ARR, octa_holo, pts, MED, directivity=directivity))
+        h = 1e-5
+        central = np.stack(
+            [
+                (
+                    pressure_at_points(ARR, octa_holo, pts + h * e, MED, directivity=directivity)
+                    - pressure_at_points(ARR, octa_holo, pts - h * e, MED, directivity=directivity)
+                )
+                / (2 * h)
+                for e in np.eye(3)
+            ],
+            axis=1,
+        )
+        # truncation error (k h)^2 / 6 is about 1.5e-9 of the gradient
+        err = np.linalg.norm(grad - central, axis=1) / np.linalg.norm(central, axis=1)
+        assert err.max() < 1e-6
+
+    def test_worker_count_leaves_results_bit_identical(self, octa_holo, monkeypatch):
+        pts = probe_points(15, n=700)  # three chunks
+        results = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(field, "usable_cpus", lambda: cpus)
+            for directivity in (False, True):
+                results.append(_field(ARR, octa_holo, pts, MED, directivity=directivity, gradient=True))
+        for (p1, g1), (p3, g3) in zip(results[:2], results[2:]):
+            assert np.array_equal(p1, p3)
+            assert np.array_equal(g1, g3)
+
+    def test_singularity_in_worker_thread_reaches_caller(self, focus_holo, monkeypatch):
+        monkeypatch.setattr(field, "usable_cpus", lambda: 2)
+        pts = probe_points(16, n=600)
+        pts[-1] = [0.5, 0.5, 0.0]  # an element centre, in the last chunk
+        with pytest.raises(SingularityError, match="coincides") as excinfo:
+            pressure_at_points(ARR, focus_holo, pts, MED)
+        assert excinfo.type is SingularityError
 
 
 class TestFieldSlice:
@@ -246,6 +336,18 @@ class TestGorkovPotential:
             gorkov_potential_at_points(
                 ARR, focus_holo, near_floor, MED, particle, workspace=ws
             )
+
+    def test_wall_margin_is_the_particle_radius(self, focus_holo):
+        particle = ParticleState(position=CENTER, diameter_um=300.0)
+        ws = WorkspaceConfig()
+        with pytest.raises(GeometryError, match="particle radius"):
+            gorkov_potential_at_points(
+                ARR, focus_holo, np.array([[25.0, 25.0, 0.1]]), MED, particle, workspace=ws
+            )
+        u = gorkov_potential_at_points(
+            ARR, focus_holo, np.array([[25.0, 25.0, 0.2]]), MED, particle, workspace=ws
+        )
+        assert np.all(np.isfinite(u))
 
     def test_volume_scales_potential_not_argmin(self, focus_holo):
         small = ParticleState(position=CENTER, diameter_um=100.0, contrast=Contrast.NEGATIVE)

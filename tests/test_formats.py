@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from acoustrap.core import Contrast, MediumConfig, ParticleState, TransducerArray, Vec3
 from acoustrap.errors import ConfigurationError
@@ -19,7 +22,7 @@ from acoustrap.formats import (
     slice_magnitude_pgm,
     write_manifest,
 )
-from acoustrap.hologram import make_focus_hologram
+from acoustrap.hologram import PhaseHologram, make_focus_hologram
 from acoustrap.vision import render_frame
 
 
@@ -36,6 +39,22 @@ class TestHologramCsv:
         assert back.phases.shape == (50, 50)
         # 9 significant digits keep phases to ~1e-8 rad
         assert np.max(np.abs(back.phases - hologram.phases)) < 1e-7
+
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 8), st.integers(1, 8)),
+            elements=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+        )
+    )
+    def test_any_phases_round_trip(self, tmp_path_factory, phases):
+        path = tmp_path_factory.mktemp("holo") / "holo.csv"
+        save_hologram_csv(path, PhaseHologram(phases))
+        back = load_hologram_csv(path).phases
+        assert back.shape == phases.shape
+        # 9 significant digits; a phase just below 2*pi may come back wrapped to ~0
+        gap = np.abs(back - phases)
+        assert np.all(np.minimum(gap, 2.0 * np.pi - gap) < 1e-8)
 
     def test_deterministic_bytes(self, tmp_path, hologram):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
