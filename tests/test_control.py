@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from acoustrap.calibration import ReferencePoint, ReferenceSet, default_calibration
-from acoustrap.config import ControlConfig, SimulatorConfig, WorkspaceConfig
+from acoustrap.config import ControlConfig, SimulatorConfig, VisionConfig, WorkspaceConfig
 from acoustrap.control import (
     LoopState,
     SimScenario,
@@ -327,3 +328,72 @@ class TestBatches:
         assert sum(v > 0 for v in inversions) <= 1
         assert max(inversions) <= 0.02
         assert rates[0] > rates[-1]
+
+
+# sha256 of the newline-joined ``to_json()`` lines of ``_golden_reports``,
+# recorded before the closed loop was restructured; any change to a report
+# byte (state names, ordering, float values, serializer) changes it.
+GOLDEN_DIGEST = "08d4f1003c50cee28bd3e6977b8e9aa67c9d899689d9d71c730b3221a67e4bbd"
+
+
+def _golden_reports() -> list:
+    jac, refs = default_calibration()
+    reports = []
+    for vision in (VisionConfig(), VisionConfig(noise_sigma=5.0)):
+        config = SimulatorConfig(vision=vision)
+        world = TrapWorld.from_config(config)
+        for contrast in (Contrast.POSITIVE, Contrast.NEGATIVE):
+            scenarios = make_batch_scenarios(
+                config.workspace,
+                6,
+                base_seed=2024,
+                pixel_noise_sigma=1.0,
+                dropout_prob=0.1,
+                contrast=contrast,
+                timing=config.timing,
+            )
+            reports += [run_trap_loop(s, world) for s in scenarios]
+
+    # the five TestFailureModes scenarios, one per failure reason
+    world = TrapWorld.from_config(SimulatorConfig())
+    upward = ParticleState(Vec3(25, 25, 54), Vec3(0, 0, 30.0), 400.0, Contrast.POSITIVE)
+    reports.append(run_trap_loop(SimScenario(particle=upward, seed=3), world))
+    missed = SimScenario(
+        particle=falling_particle(Vec3(25, 25, 52)), seed=5, target_override=Vec3(25, 31, 40)
+    )
+    reports.append(run_trap_loop(missed, world))
+    outside = SimScenario(
+        particle=falling_particle(), seed=5, target_override=Vec3(25.0, 25.0, 70.0)
+    )
+    reports.append(run_trap_loop(outside, world))
+    short = TrapWorld.from_config(SimulatorConfig(control=ControlConfig(frame_budget=5)))
+    reports.append(run_trap_loop(SimScenario(particle=falling_particle(), seed=7), short))
+    low_refs = ReferenceSet(
+        points=(
+            ReferencePoint(
+                world=Vec3(25.0, 25.0, 1.2), pixel_h=(1328.1, 716.4), pixel_v=(854.2, 951.4)
+            ),
+        )
+    )
+    low = SimulatorConfig(
+        workspace=WorkspaceConfig(center=Vec3(25, 25, 1.2), extent=Vec3(10, 10, 2.0))
+    )
+    still = ParticleState(Vec3(25, 25, 1.2), Vec3(0, 0, 0.0), 400.0, Contrast.POSITIVE)
+    low_world = TrapWorld.from_config(low, jac, low_refs)
+    reports.append(run_trap_loop(SimScenario(particle=still, seed=11), low_world))
+    return reports
+
+
+def test_reports_match_golden_digest():
+    reports = _golden_reports()
+    reasons = {r.failure_reason for r in reports}
+    assert reasons >= {
+        None,
+        "detection_starvation",
+        "left_fov",
+        "target_outside_workspace",
+        "frame_budget_exhausted",
+        "trap_geometry",
+    }
+    blob = "\n".join(r.to_json() for r in reports).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGEST
