@@ -22,7 +22,7 @@ import numpy as np
 from .config import VisionConfig
 from .core import MediumConfig, TransducerArray, Vec3
 from .errors import CalibrationError, ConfigurationError
-from .field import pressure_at_points
+from .field import check_grid_size, pressure_at_points
 from .hologram import make_focus_hologram
 from .vision import CameraModel, project
 
@@ -189,8 +189,9 @@ def acquire_reference(
     projects that point through both cameras, optionally with pixel
     noise. Warns when the peak lands on the scan boundary.
     """
-    if scan_step <= 0 or scan_extent <= 0:
+    if not (scan_step > 0 and scan_extent > 0):  # also rejects NaN
         raise ConfigurationError("scan extent and step must be > 0")
+    check_grid_size((scan_extent,) * 3, scan_step, "calibration scan grid")
     holo = make_focus_hologram(array, commanded_focus, medium)
     offsets = np.arange(-scan_extent / 2, scan_extent / 2 + scan_step / 2, scan_step)
     gx, gy, gz = np.meshgrid(offsets, offsets, offsets, indexing="ij")

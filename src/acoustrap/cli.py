@@ -33,6 +33,7 @@ from .calibration import (
 from .config import (
     ENV_CONFIG_VAR,
     SimulatorConfig,
+    _coerce,
     config_to_dict,
     resolve_config,
 )
@@ -42,6 +43,7 @@ from .control import (
     make_batch_scenarios,
     run_batch,
     run_trap_loop,
+    step_particle,
 )
 from .core import Contrast, ParticleState, Vec3, wavelength
 from .errors import (
@@ -93,6 +95,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _parse_lattice(text: str) -> tuple[int, int, int]:
+    try:
+        counts = tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected integer nx,ny,nz but got {text!r}") from exc
+    if len(counts) != 3 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"expected nx,ny,nz counts >= 1 but got {text!r}")
+    return counts
 
 
 def _parse_targets(text: str) -> list[Vec3]:
@@ -198,10 +210,7 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     cameras = build_camera_pair(config.vision)
-    counts = tuple(int(c) for c in args.lattice.split(","))
-    if len(counts) != 3:
-        raise ConfigurationError(f"lattice must be nx,ny,nz but got {args.lattice!r}")
-    commanded = lattice_points(config.workspace.center, counts, args.spacing)
+    commanded = lattice_points(config.workspace.center, args.lattice, args.spacing)
 
     refs = []
     for point in commanded:
@@ -223,7 +232,7 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
 
     cam_h, cam_v = cameras
     pairs = []
-    span = args.spacing * max(counts)
+    span = args.spacing * max(args.lattice)
     center = config.workspace.center
     for _ in range(args.moves):
         a = Vec3(
@@ -280,15 +289,9 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         bg_name = f"background_{label}.pgm"
         save_pgm(out / bg_name, np.clip(np.rint(bg), 0, 255).astype(np.uint8))
         outputs.append(bg_name)
-        state = particle
         for k in range(args.frames):
             t = k / config.timing.camera_fps
-            state = ParticleState(
-                particle.position + t * particle.velocity,
-                particle.velocity,
-                particle.diameter_um,
-                particle.contrast,
-            )
+            state = step_particle(particle, t)
             frame = render_frame(cam, state, t, int(rng.integers(2**63)))
             name = f"frame_{label}_{k:03d}.pgm"
             save_frame_pgm(out / name, frame)
@@ -320,6 +323,34 @@ def _observation_record(obs, camera, frame_name, t) -> dict:
     }
 
 
+# Keys of a scenario file and their types; the top-level keys are
+# SimScenario fields. Only the optional ones may be null.
+_SCENARIO_KEYS = {
+    "particle": dict,
+    "pixel_noise_sigma": float,
+    "dropout_prob": float,
+    "seed": int,
+    "trap_diameter": float,
+    "target_override": Vec3,
+}
+_PARTICLE_KEYS = {"position": Vec3, "velocity": Vec3, "diameter_um": float, "contrast": str}
+_NULLABLE_KEYS = {"trap_diameter", "target_override"}
+
+
+def _scenario_mapping(raw, keys: dict, prefix: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{prefix} must be a mapping, got {raw!r}")
+    out = {}
+    for key, value in raw.items():
+        if key not in keys:
+            raise ConfigurationError(f"unknown scenario key {prefix}.{key}")
+        if value is None and key in _NULLABLE_KEYS:
+            out[key] = None
+        else:
+            out[key] = _coerce(keys[key], value, f"{prefix}.{key}")
+    return out
+
+
 def _scenario_from_yaml(path, config: SimulatorConfig) -> SimScenario:
     try:
         raw = yaml.safe_load(Path(path).read_text())
@@ -327,23 +358,15 @@ def _scenario_from_yaml(path, config: SimulatorConfig) -> SimScenario:
         raise ConfigurationError(f"cannot load scenario from {path}: {exc}") from exc
     if not isinstance(raw, dict) or "particle" not in raw:
         raise ConfigurationError("scenario file must be a mapping with a 'particle' section")
-    p = raw["particle"]
+    fields = _scenario_mapping(raw, _SCENARIO_KEYS, "scenario")
+    p = _scenario_mapping(fields.pop("particle"), _PARTICLE_KEYS, "scenario.particle")
     particle = ParticleState(
-        Vec3.from_array(p.get("position", [25.0, 25.0, 45.0])),
-        Vec3.from_array(p.get("velocity", [0.0, 0.0, -config.control.fall_speed])),
-        float(p.get("diameter_um", 400.0)),
+        p.get("position", Vec3(25.0, 25.0, 45.0)),
+        p.get("velocity", Vec3(0.0, 0.0, -config.control.fall_speed)),
+        p.get("diameter_um", 400.0),
         Contrast.parse(p.get("contrast", "positive")),
     )
-    override = raw.get("target_override")
-    return SimScenario(
-        particle=particle,
-        pixel_noise_sigma=float(raw.get("pixel_noise_sigma", 0.0)),
-        dropout_prob=float(raw.get("dropout_prob", 0.0)),
-        seed=int(raw.get("seed", 0)),
-        timing=config.timing,
-        trap_diameter=raw.get("trap_diameter"),
-        target_override=Vec3.from_array(override) if override is not None else None,
-    )
+    return SimScenario(particle=particle, timing=config.timing, **fields)
 
 
 _SUMMARY_COLUMNS = [
@@ -550,7 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     fld.set_defaults(func=cmd_field)
 
     cal = sub.add_parser("calibrate", help="synthetic end-to-end eye-to-hand calibration")
-    cal.add_argument("--lattice", default="2,3,4", help="reference lattice counts nx,ny,nz")
+    cal.add_argument(
+        "--lattice", type=_parse_lattice, default=(2, 3, 4), metavar="NX,NY,NZ",
+        help="reference lattice counts (default 2,3,4)",
+    )
     cal.add_argument("--spacing", type=float, default=2.0, help="lattice spacing in mm")
     cal.add_argument("--moves", type=int, default=24, help="number of calibration moves")
     cal.add_argument("--noise-px", type=float, default=0.0, help="pixel noise sigma")
@@ -565,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--position", type=_parse_vec3, required=True, metavar="X,Y,Z")
     render.add_argument("--velocity", type=_parse_vec3, default=None, metavar="X,Y,Z")
     render.add_argument("--diameter-um", type=float, default=400.0)
-    render.add_argument("--frames", type=int, default=1)
+    render.add_argument("--frames", type=_positive_int, default=1)
     render.add_argument("--camera", choices=["h", "v", "both"], default="both")
     add_common(render)
     render.set_defaults(func=cmd_vision)

@@ -183,8 +183,11 @@ def _coerce(cls: type, value: Any, path: str) -> Any:
         if isinstance(value, Vec3):
             return value
         if isinstance(value, (list, tuple)) and len(value) == 3:
-            return Vec3.from_array(value)
-        raise ConfigurationError(f"{path} must be a 3-element list, got {value!r}")
+            try:
+                return Vec3.from_array(value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigurationError(f"{path} must be a 3-element list of numbers, got {value!r}")
     if cls is Background:
         if isinstance(value, Background):
             return value

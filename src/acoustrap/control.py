@@ -1,13 +1,21 @@
 """Closed-loop trapping: state machine, scenario runner, batch driver.
 
-One simulated attempt follows the bench sequence: pick the trap type from
-the particle's contrast class, localize the falling particle on three
-camera ticks, confirm the track is straight, predict where the particle
-will be after the processing and transfer latency, synthesize the
-hologram for that point, switch the field on at exactly the predicted
-instant, and verify containment against ground truth. The trap itself is
-abstracted as a hold: once the particle is inside the containment radius
-while the field is on, its velocity is zeroed.
+One simulated attempt follows the bench sequence. The trap type comes
+from the particle's contrast class. Each camera tick first advances the
+ground truth, then runs one step of the loop:
+
+- acquiring: render and extract the particle on both cameras, localize
+  it, and once three samples form a straight track, predict where it will
+  be after the processing and transfer latency, synthesize the hologram
+  for that point and schedule the field switch-on (-> dispatching);
+- dispatching: wait; the field switches on at exactly the predicted
+  instant, inside the ground-truth advance (-> verifying);
+- verifying: check containment against ground truth until the particle
+  has been held for ``control.hold_ticks`` ticks (-> trapped).
+
+Any step may end in failed. The trap itself is abstracted as a hold: once
+the particle is inside the containment radius while the field is on, its
+velocity is zeroed.
 
 Determinism: every random draw (render noise, pixel jitter, dropouts)
 comes from streams spawned off the scenario seed, and consumption per
@@ -17,6 +25,7 @@ byte-identical reports. Feature extraction draws no random numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -26,18 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import JacobianMatrix, ReferenceSet, build_camera_pair, default_calibration, localize
-from .config import ControlConfig, FieldConfig, SimulatorConfig, TrapConfig, VisionConfig
-from .core import (
-    Contrast,
-    MediumConfig,
-    ParticleState,
-    TimingConfig,
-    TransducerArray,
-    Vec3,
-    WorkspaceConfig,
-    usable_cpus,
-    wavelength,
-)
+from .config import SimulatorConfig
+from .core import Contrast, ParticleState, TimingConfig, Vec3, WorkspaceConfig, usable_cpus, wavelength
 from .errors import AcoustrapError, ConfigurationError, GeometryError
 from .hologram import (
     FocusTrap,
@@ -52,22 +51,16 @@ from .vision import CameraModel, background_image, extract_feature, render_frame
 
 
 class LoopState(Enum):
-    MATERIAL_SELECTED = "material_selected"
     ACQUIRING = "acquiring"
-    PREDICTING = "predicting"
     DISPATCHING = "dispatching"
-    FIELD_ACTIVE = "field_active"
     VERIFYING = "verifying"
     TRAPPED = "trapped"
     FAILED = "failed"
 
 
 _LEGAL = {
-    LoopState.MATERIAL_SELECTED: {LoopState.ACQUIRING},
-    LoopState.ACQUIRING: {LoopState.PREDICTING, LoopState.FAILED},
-    LoopState.PREDICTING: {LoopState.ACQUIRING, LoopState.DISPATCHING, LoopState.FAILED},
-    LoopState.DISPATCHING: {LoopState.FIELD_ACTIVE, LoopState.FAILED},
-    LoopState.FIELD_ACTIVE: {LoopState.VERIFYING, LoopState.FAILED},
+    LoopState.ACQUIRING: {LoopState.DISPATCHING, LoopState.FAILED},
+    LoopState.DISPATCHING: {LoopState.VERIFYING, LoopState.FAILED},
     LoopState.VERIFYING: {LoopState.TRAPPED, LoopState.FAILED},
     LoopState.TRAPPED: set(),
     LoopState.FAILED: set(),
@@ -116,15 +109,10 @@ class SimScenario:
 
 @dataclass(frozen=True)
 class TrapWorld:
-    """Static simulation context shared by every scenario."""
+    """Static simulation context shared by every scenario: the configuration
+    plus the camera pair and the localization calibration at its scale."""
 
-    array: TransducerArray
-    medium: MediumConfig
-    workspace: WorkspaceConfig
-    vision: VisionConfig
-    trap: TrapConfig
-    control: ControlConfig
-    field: FieldConfig
+    config: SimulatorConfig
     camera_h: CameraModel
     camera_v: CameraModel
     jacobian: JacobianMatrix
@@ -151,24 +139,12 @@ class TrapWorld:
             refs = refs or refs0
         cam_h, cam_v = build_camera_pair(config.vision, jacobian, refs)
         s = config.vision.scale
-        return cls(
-            array=config.array,
-            medium=config.medium,
-            workspace=config.workspace,
-            vision=config.vision,
-            trap=config.trap,
-            control=config.control,
-            field=config.field,
-            camera_h=cam_h,
-            camera_v=cam_v,
-            jacobian=jacobian.scaled(s),
-            refs=refs.scaled(s),
-        )
+        return cls(config, cam_h, cam_v, jacobian.scaled(s), refs.scaled(s))
 
     def containment_tolerance(self) -> float:
-        if self.trap.containment_tol is not None:
-            return self.trap.containment_tol
-        return wavelength(self.medium, self.array) / 2.0
+        if self.config.trap.containment_tol is not None:
+            return self.config.trap.containment_tol
+        return wavelength(self.config.medium, self.config.array) / 2.0
 
 
 def step_particle(state: ParticleState, dt: float) -> ParticleState:
@@ -222,233 +198,168 @@ class TrapReport:
     def trapped(self) -> bool:
         return self.outcome == "trapped"
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "failure_reason": self.failure_reason,
-            "trap_type": self.trap_type,
-            "seed": self.seed,
-            "time_to_trap": self.time_to_trap,
-            "activation_time": self.activation_time,
-            "trap_position": list(self.trap_position) if self.trap_position else None,
-            "particle_at_activation": (
-                list(self.particle_at_activation) if self.particle_at_activation else None
-            ),
-            "deviation_mm": self.deviation_mm,
-            "frames": [
-                {
-                    "index": f.index,
-                    "t": f.t,
-                    "state": f.state,
-                    "particle": list(f.particle),
-                    "observed_h": list(f.observed_h) if f.observed_h else None,
-                    "observed_v": list(f.observed_v) if f.observed_v else None,
-                    "localized": list(f.localized) if f.localized else None,
-                    "contained": f.contained,
-                }
-                for f in self.frames
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-def _as_tuple(v: Vec3) -> tuple[float, float, float]:
-    return (v.x, v.y, v.z)
+def _as_tuple(v: Vec3 | None) -> tuple[float, float, float] | None:
+    return None if v is None else (v.x, v.y, v.z)
+
+
+class _Attempt:
+    """Mutable state of one closed-loop attempt and its per-tick steps."""
+
+    def __init__(self, scenario: SimScenario, world: TrapWorld) -> None:
+        self.scenario, self.world, self.config = scenario, world, world.config
+        self.tol = world.containment_tolerance()
+        self.cameras = tuple(
+            (cam, background_image(cam), scenario.particle.diameter_um * cam.pixel_scale)
+            for cam in (world.camera_h, world.camera_v)
+        )
+        # streams[1] is unused; the render, jitter and dropout streams keep
+        # their indices so each seed's draws stay fixed.
+        streams = np.random.SeedSequence(scenario.seed).spawn(5)
+        self.render_seeds, self.jitter_rng, self.dropout_rng = (
+            np.random.default_rng(streams[i]) for i in (0, 2, 3)
+        )
+        self.particle = scenario.particle
+        self.state = LoopState.ACQUIRING
+        self.reason: str | None = None
+        self.t = 0.0
+        self.samples: deque = deque(maxlen=3)
+        self.trap: TrapSpec | None = None
+        self.activation_t: float | None = None
+        self.particle_at_activation: Vec3 | None = None
+        self.deviation: float | None = None
+        self.pinned = False
+        self.hold = 0
+
+    def to(self, target: LoopState, reason: str | None = None) -> None:
+        self.state = _step_state(self.state, target)
+        self.reason = reason
+
+    def advance(self, t: float) -> None:
+        """Move the ground truth to ``t``, switching the field on exactly when due."""
+        if self.state is LoopState.DISPATCHING and self.t < self.activation_t <= t:
+            self.particle = step_particle(self.particle, self.activation_t - self.t)
+            self.t = self.activation_t
+            self.particle_at_activation = self.particle.position
+            self.deviation = self.particle.position.distance_to(trap_anchor(self.trap))
+            self.catch()
+            self.to(LoopState.VERIFYING)
+        self.particle = step_particle(self.particle, t - self.t)
+        self.t = t
+
+    def catch(self) -> bool:
+        """Containment check; the field on holds a contained particle still."""
+        contained = containment(self.particle, self.trap, self.tol)
+        if contained and not self.pinned:
+            p = self.particle
+            self.particle = ParticleState(p.position, Vec3(0.0, 0.0, 0.0), p.diameter_um, p.contrast)
+            self.pinned = True
+        return contained
+
+    def acquire(self, t: float) -> tuple:
+        """Observe on both cameras and localize; returns (observed_h,
+        observed_v, localized) and dispatches once the track is confirmed."""
+        if not self.config.workspace.contains(self.particle.position):
+            self.to(LoopState.FAILED, "detection_starvation")
+            return None, None, None
+        # Fixed per-tick stream consumption keeps runs reproducible.
+        seeds = [int(self.render_seeds.integers(2**63)) for _ in self.cameras]
+        jitter = self.jitter_rng.normal(0.0, self.scenario.pixel_noise_sigma, size=(2, 2))
+        dropped = [self.dropout_rng.uniform() < self.scenario.dropout_prob for _ in self.cameras]
+        # Both cameras capture at t before either frame is extracted. Freeing
+        # each frame right after its own extraction made the allocator hand
+        # the heap back and fault it in again every tick (about 5% of a
+        # scenario's time, counted as minor page faults).
+        frames = [
+            None if drop else render_frame(cam, self.particle, t, seed)
+            for (cam, _, _), seed, drop in zip(self.cameras, seeds, dropped)
+        ]
+        observed = []
+        for frame, (_, background, expected_px), (du, dv) in zip(frames, self.cameras, jitter):
+            obs = None
+            if frame is not None:
+                obs = extract_feature(frame, background, expected_px, self.config.vision)
+            observed.append((obs.u + du, obs.v + dv) if obs is not None and obs.valid else None)
+        if None in observed:
+            return observed[0], observed[1], None
+        loc = localize(self.world.jacobian, self.world.refs, observed[0], observed[1])
+        self.samples.append(TrackSample(loc, t))
+        if len(self.samples) == 3 and confirm_track(list(self.samples), self.config.control.confirm_tol):
+            self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)
+        return observed[0], observed[1], _as_tuple(loc)
+
+    def dispatch(self, t: float, predicted: Vec3) -> None:
+        """Synthesize the hologram at the target and schedule the switch-on."""
+        target = self.scenario.target_override
+        if target is None:
+            target = predicted
+        if not self.config.workspace.contains(target):
+            self.to(LoopState.FAILED, "target_outside_workspace")
+            return
+        array, medium = self.config.array, self.config.medium
+        diameter = self.scenario.trap_diameter
+        if diameter is None:
+            diameter = self.config.trap.octahedron_diameter
+        try:
+            if self.scenario.particle.contrast is Contrast.NEGATIVE:
+                self.trap = FocusTrap(target)
+                make_focus_hologram(array, target, medium)
+            else:
+                self.trap = OctahedralTrap(target, diameter)
+                make_octahedral_hologram(array, target, diameter, medium)
+        except GeometryError:
+            self.to(LoopState.FAILED, "trap_geometry")
+            return
+        self.activation_t = t + self.scenario.timing.horizon
+        self.to(LoopState.DISPATCHING)
+
+    def verify(self, t: float) -> bool | None:
+        """Containment against ground truth; trapped after enough held ticks."""
+        if not self.pinned and not self.config.workspace.contains(self.particle.position):
+            self.to(LoopState.FAILED, "left_fov")
+            return None
+        contained = self.catch()
+        self.hold = self.hold + 1 if contained else 0
+        if self.hold >= self.config.control.hold_ticks:
+            self.to(LoopState.TRAPPED)
+        return contained
 
 
 def run_trap_loop(scenario: SimScenario, world: TrapWorld) -> TrapReport:
     """Run one closed-loop trapping attempt to a terminal state."""
-    timing = scenario.timing
-    fps = timing.camera_fps
-    budget = world.control.frame_budget
-    tol = world.containment_tolerance()
-    bg_h = background_image(world.camera_h)
-    bg_v = background_image(world.camera_v)
-    expected_h = scenario.particle.diameter_um * world.camera_h.pixel_scale
-    expected_v = scenario.particle.diameter_um * world.camera_v.pixel_scale
-
-    # streams[1] is unused; the render, jitter and dropout streams keep
-    # their indices so each seed's draws stay fixed.
-    streams = np.random.SeedSequence(scenario.seed).spawn(5)
-    render_seeds = np.random.default_rng(streams[0])
-    jitter_rng = np.random.default_rng(streams[2])
-    dropout_rng = np.random.default_rng(streams[3])
-
-    negative = scenario.particle.contrast is Contrast.NEGATIVE
-    trap_type = "focus" if negative else "octahedral"
-    diameter = (
-        scenario.trap_diameter
-        if scenario.trap_diameter is not None
-        else world.trap.octahedron_diameter
-    )
-
-    particle = scenario.particle
-    state = _step_state(LoopState.MATERIAL_SELECTED, LoopState.ACQUIRING)
-    samples: deque = deque(maxlen=3)
+    run = _Attempt(scenario, world)
     frames: list[FrameRecord] = []
-    trap: TrapSpec | None = None
-    activation_t: float | None = None
-    particle_at_activation: Vec3 | None = None
-    deviation: float | None = None
-    pinned = False
-    hold = 0
-    outcome: str | None = None
-    reason: str | None = None
-    time_to_trap: float | None = None
-    prev_t = 0.0
-
-    def fail(why: str) -> None:
-        nonlocal state, outcome, reason
-        state = _step_state(state, LoopState.FAILED)
-        outcome, reason = "failed", why
-
-    for k in range(budget):
-        t = k / fps
-
-        # Advance ground truth, switching the field on exactly when due.
-        if (
-            state is LoopState.DISPATCHING
-            and activation_t is not None
-            and prev_t < activation_t <= t
-        ):
-            particle = step_particle(particle, activation_t - prev_t)
-            state = _step_state(state, LoopState.FIELD_ACTIVE)
-            particle_at_activation = particle.position
-            deviation = particle.position.distance_to(trap_anchor(trap))
-            if deviation <= tol:
-                particle = ParticleState(
-                    particle.position, Vec3(0.0, 0.0, 0.0), particle.diameter_um, particle.contrast
-                )
-                pinned = True
-            state = _step_state(state, LoopState.VERIFYING)
-            particle = step_particle(particle, t - activation_t)
-        else:
-            particle = step_particle(particle, t - prev_t)
-        prev_t = t
-
-        if not pinned and not world.workspace.contains(particle.position):
-            if state in (LoopState.ACQUIRING, LoopState.PREDICTING):
-                fail("detection_starvation")
-            elif state is LoopState.VERIFYING:
-                fail("left_fov")
-            if state is LoopState.FAILED:
-                frames.append(FrameRecord(k, t, state.value, _as_tuple(particle.position)))
-                break
-
-        observed_h = observed_v = None
-        localized = None
-        contained_tick: bool | None = None
-
-        if state is LoopState.ACQUIRING:
-            # Fixed per-tick stream consumption keeps runs reproducible.
-            seed_h = int(render_seeds.integers(2**63))
-            seed_v = int(render_seeds.integers(2**63))
-            jitter = jitter_rng.normal(0.0, scenario.pixel_noise_sigma, size=4)
-            drop_h = bool(dropout_rng.uniform() < scenario.dropout_prob)
-            drop_v = bool(dropout_rng.uniform() < scenario.dropout_prob)
-
-            if not drop_h:
-                frame_h = render_frame(world.camera_h, particle, t, seed_h)
-                obs = extract_feature(frame_h, bg_h, expected_h, world.vision)
-                if obs.valid:
-                    observed_h = (obs.u + jitter[0], obs.v + jitter[1])
-            if not drop_v:
-                frame_v = render_frame(world.camera_v, particle, t, seed_v)
-                obs = extract_feature(frame_v, bg_v, expected_v, world.vision)
-                if obs.valid:
-                    observed_v = (obs.u + jitter[2], obs.v + jitter[3])
-
-            if observed_h is not None and observed_v is not None:
-                loc = localize(world.jacobian, world.refs, observed_h, observed_v)
-                localized = _as_tuple(loc)
-                samples.append(TrackSample(loc, t))
-                if len(samples) == 3:
-                    state = _step_state(state, LoopState.PREDICTING)
-                    if confirm_track(list(samples), world.control.confirm_tol):
-                        result = predict_position(list(samples), timing)
-                        target = (
-                            scenario.target_override
-                            if scenario.target_override is not None
-                            else result.predicted
-                        )
-                        if not world.workspace.contains(target):
-                            fail("target_outside_workspace")
-                        else:
-                            trap = (
-                                FocusTrap(target)
-                                if negative
-                                else OctahedralTrap(target, diameter)
-                            )
-                            try:
-                                if negative:
-                                    make_focus_hologram(world.array, target, world.medium)
-                                else:
-                                    make_octahedral_hologram(
-                                        world.array, target, diameter, world.medium
-                                    )
-                            except GeometryError:
-                                fail("trap_geometry")
-                            else:
-                                activation_t = t + timing.horizon
-                                state = _step_state(state, LoopState.DISPATCHING)
-                    else:
-                        state = _step_state(state, LoopState.ACQUIRING)
-
-        elif state is LoopState.VERIFYING:
-            contained_tick = containment(particle, trap, tol)
-            if contained_tick:
-                if not pinned:
-                    particle = ParticleState(
-                        particle.position,
-                        Vec3(0.0, 0.0, 0.0),
-                        particle.diameter_um,
-                        particle.contrast,
-                    )
-                    pinned = True
-                hold += 1
-                if hold >= world.control.hold_ticks:
-                    state = _step_state(state, LoopState.TRAPPED)
-                    outcome = "trapped"
-                    time_to_trap = t
-            else:
-                hold = 0
-
+    for k in range(world.config.control.frame_budget):
+        t = k / scenario.timing.camera_fps
+        run.advance(t)
+        observed, contained = (None, None, None), None
+        if run.state is LoopState.ACQUIRING:
+            observed = run.acquire(t)
+        elif run.state is LoopState.VERIFYING:
+            contained = run.verify(t)
         frames.append(
-            FrameRecord(
-                k,
-                t,
-                state.value,
-                _as_tuple(particle.position),
-                observed_h,
-                observed_v,
-                localized,
-                contained_tick,
-            )
+            FrameRecord(k, t, run.state.value, _as_tuple(run.particle.position), *observed, contained)
         )
-        if state in (LoopState.TRAPPED, LoopState.FAILED):
+        if run.state in (LoopState.TRAPPED, LoopState.FAILED):
             break
 
-    if outcome is None:
-        if state in (LoopState.ACQUIRING, LoopState.PREDICTING):
-            reason = "detection_starvation"
-        else:
-            reason = "frame_budget_exhausted"
-        outcome = "failed"
-
+    trapped = run.state is LoopState.TRAPPED
+    reason = run.reason
+    if run.state not in (LoopState.TRAPPED, LoopState.FAILED):  # frame budget spent
+        reason = "detection_starvation" if run.state is LoopState.ACQUIRING else "frame_budget_exhausted"
     return TrapReport(
-        outcome=outcome,
+        outcome="trapped" if trapped else "failed",
         failure_reason=reason,
-        trap_type=trap_type,
+        trap_type="focus" if scenario.particle.contrast is Contrast.NEGATIVE else "octahedral",
         seed=scenario.seed,
-        time_to_trap=time_to_trap,
-        activation_time=activation_t,
-        trap_position=_as_tuple(trap_anchor(trap)) if trap is not None else None,
-        particle_at_activation=(
-            _as_tuple(particle_at_activation) if particle_at_activation is not None else None
-        ),
-        deviation_mm=deviation,
+        time_to_trap=frames[-1].t if trapped else None,
+        activation_time=run.activation_t,
+        trap_position=_as_tuple(trap_anchor(run.trap)) if run.trap is not None else None,
+        particle_at_activation=_as_tuple(run.particle_at_activation),
+        deviation_mm=run.deviation,
         frames=tuple(frames),
     )
 

@@ -48,6 +48,11 @@ from .hologram import (
 # points still split over more than one CPU.
 _CHUNK = 256
 
+# Most points one sampling grid (a field slice or a calibration scan cube)
+# may hold: about 80 MB of coordinates and pressures, and over ten times the
+# CLI's default slice of about 170k points.
+MAX_GRID_POINTS = 2_000_000
+
 # Monopole (f1) and dipole (f2) scattering coefficients for the two
 # contrast classes in water: rigid polymer bead vs compressible silicone
 # bead. Representative textbook values; only signs and rough magnitudes
@@ -56,6 +61,17 @@ CONTRAST_COEFFS = {
     Contrast.POSITIVE: (0.61, 0.032),
     Contrast.NEGATIVE: (-1.19, 0.019),
 }
+
+
+def check_grid_size(spans, step: float, what: str) -> None:
+    """Reject a grid of ``arange(lo, lo + span + step / 2, step)`` axes with
+    more than MAX_GRID_POINTS points; counted before anything is allocated."""
+    points = math.prod((span + step / 2) / step for span in spans)
+    if points > MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"{what} would hold about {points:.3g} points, more than the limit of"
+            f" {MAX_GRID_POINTS:,}; use a coarser step"
+        )
 
 
 def _as_points(points) -> np.ndarray:
@@ -338,12 +354,13 @@ def field_slice(
     free axes. Both ends are included when the span divides evenly.
     """
     (a_min, a_max), (b_min, b_max) = bounds
-    if resolution <= 0:
+    if not resolution > 0:  # also rejects NaN
         raise ConfigurationError(f"resolution must be > 0, got {resolution}")
     if not (a_max > a_min and b_max > b_min):
         raise ConfigurationError(
             f"degenerate slice bounds ({a_min}, {a_max}) x ({b_min}, {b_max})"
         )
+    check_grid_size((a_max - a_min, b_max - b_min), resolution, "slice grid")
     lam = wavelength(medium, array)
     if resolution > lam / 4:
         warnings.warn(

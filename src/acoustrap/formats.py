@@ -53,13 +53,20 @@ def save_pgm(path, image: np.ndarray) -> None:
 
 
 def load_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read PGM file {path}: {exc}") from exc
     match = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
     if not match:
         raise ConfigurationError(f"{path} is not a binary PGM file")
     w, h, maxval = (int(match.group(i)) for i in (1, 2, 3))
     payload = data[match.end():]
+    needed = w * h * (1 if maxval < 256 else 2)
+    if len(payload) < needed:
+        raise ConfigurationError(
+            f"{path} is truncated: a {w}x{h} PGM needs {needed} payload bytes, found {len(payload)}"
+        )
     if maxval < 256:
         arr = np.frombuffer(payload, dtype=np.uint8, count=w * h)
     else:

@@ -21,7 +21,7 @@ from acoustrap.calibration import (
 )
 from acoustrap.config import SimulatorConfig, VisionConfig
 from acoustrap.core import MediumConfig, TransducerArray, Vec3
-from acoustrap.errors import CalibrationError
+from acoustrap.errors import CalibrationError, ConfigurationError
 
 # factory sensitivity values, pixel per micrometer, rows in ROW_ORDER
 FACTORY_J = np.array(
@@ -223,6 +223,15 @@ class TestAcquireReference:
             pixel_noise_sigma=1.0, rng=np.random.default_rng(2),
         )
         assert a.pixel_h != b.pixel_h
+
+    def test_oversized_scan_rejected_before_allocation(self, cameras):
+        # 4642 steps per axis is about 1e11 scan points; numpy would raise
+        # MemoryError building the cube
+        arr, med = TransducerArray(), MediumConfig()
+        with pytest.raises(ConfigurationError, match="limit of 2,000,000"):
+            acquire_reference(
+                arr, med, Vec3(25.0, 25.0, 40.0), cameras, scan_extent=2.0, scan_step=2.0 / 4641
+            )
 
 
 class TestBuildCameraPair:

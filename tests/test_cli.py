@@ -165,8 +165,17 @@ class TestCalibrateCommand:
         assert "residual RMS" in capsys.readouterr().out
 
     def test_bad_lattice_is_config_error(self, tmp_path):
-        rc = run_cli("calibrate", "--lattice", "2,3", "--out-dir", str(tmp_path))
-        assert rc == 2
+        # parsed by argparse now: a usage error, still exit code 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("calibrate", "--lattice", "2,3", "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("lattice", ["2,x,4", "2,0,4"])
+    def test_non_integer_or_empty_lattice_is_usage_error(self, tmp_path, capsys, lattice):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("calibrate", "--lattice", lattice, "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "--lattice" in capsys.readouterr().err
 
 
 class TestVisionCommand:
@@ -216,6 +225,33 @@ class TestVisionCommand:
         obs = json.loads((tmp_path / "empty" / "observation.json").read_text())
         assert not obs["valid"] and obs["reason"]
 
+    def _extract(self, tmp_path, frame, background):
+        return run_cli(
+            "vision", "extract", "--frame", str(frame), "--background", str(background),
+            "--diameter-px", "6.3", "--out-dir", str(tmp_path / "x"),
+        )
+
+    def test_extract_missing_frame_is_config_error(self, tmp_path, capsys):
+        rc = self._extract(tmp_path, tmp_path / "nonexistent.pgm", tmp_path / "bg.pgm")
+        assert rc == 2
+        assert "cannot read PGM file" in capsys.readouterr().err
+
+    def test_extract_truncated_frame_is_config_error(self, tmp_path, capsys):
+        frame = tmp_path / "short.pgm"
+        frame.write_bytes(b"P5\n16 16\n255\n" + bytes(100))
+        rc = self._extract(tmp_path, frame, frame)
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frames", ["-2", "0"])
+    def test_non_positive_frames_is_usage_error(self, tmp_path, frames):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "vision", "render", "--position", "25,25,40", "--frames", frames,
+                "--out-dir", str(tmp_path),
+            )
+        assert exc.value.code == 2
+
 
 class TestSimulateCommand:
     def test_single_scenario_from_yaml(self, tmp_path, capsys):
@@ -235,6 +271,37 @@ class TestSimulateCommand:
         assert report["outcome"] == "trapped"
         assert report["deviation_mm"] < 0.05
         assert "outcome=trapped" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "body,named",
+        [
+            ("particle: 5\n", "scenario.particle"),
+            ("particle:\n  position: [1, 2]\n", "scenario.particle.position"),
+            ("particle:\n  position: [1, 2, a]\n", "scenario.particle.position"),
+            ("particle: {}\nseed: abc\n", "scenario.seed"),
+            ("particle: {}\ntrap_diameter: abc\n", "scenario.trap_diameter"),
+            ("particle:\n  contrast: 3\n", "scenario.particle.contrast"),
+            ("particle: {}\npixel_noise_sgima: 1.0\n", "scenario.pixel_noise_sgima"),
+            ("particle:\n  speed: 3\n", "scenario.particle.speed"),
+        ],
+        ids=[
+            "particle_scalar",
+            "short_position",
+            "text_in_position",
+            "text_seed",
+            "text_trap_diameter",
+            "numeric_contrast",
+            "misspelt_key",
+            "unknown_particle_key",
+        ],
+    )
+    def test_malformed_scenario_is_config_error(self, tmp_path, capsys, body, named):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(body)
+        rc = run_cli("simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
 
     def test_missing_scenario_file(self, tmp_path):
         rc = run_cli(

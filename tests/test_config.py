@@ -175,6 +175,8 @@ class TestValidation:
         assert cfg.workspace.center == Vec3(25.0, 25.0, 41.0)
         with pytest.raises(ConfigurationError, match="workspace.center"):
             config_from_dict({"workspace": {"center": [25, 25]}})
+        with pytest.raises(ConfigurationError, match="workspace.center"):
+            config_from_dict({"workspace": {"center": [25, 25, "a"]}})
 
 
 class TestLoadAndOverrides:

@@ -34,11 +34,8 @@ def noiseless_report(world):
 class TestStateMachine:
     def test_nominal_path(self):
         order = [
-            LoopState.MATERIAL_SELECTED,
             LoopState.ACQUIRING,
-            LoopState.PREDICTING,
             LoopState.DISPATCHING,
-            LoopState.FIELD_ACTIVE,
             LoopState.VERIFYING,
             LoopState.TRAPPED,
         ]
@@ -48,14 +45,15 @@ class TestStateMachine:
         assert state is LoopState.TRAPPED
 
     def test_retry_and_failure_edges(self):
-        assert _step_state(LoopState.PREDICTING, LoopState.ACQUIRING) is LoopState.ACQUIRING
+        # an unconfirmed track retries by staying in acquiring: no edge needed
+        assert len(LoopState) == 5
         for src in (LoopState.ACQUIRING, LoopState.DISPATCHING, LoopState.VERIFYING):
             assert _step_state(src, LoopState.FAILED) is LoopState.FAILED
 
     @pytest.mark.parametrize(
         "src,dst",
         [
-            (LoopState.MATERIAL_SELECTED, LoopState.DISPATCHING),
+            (LoopState.DISPATCHING, LoopState.TRAPPED),
             (LoopState.ACQUIRING, LoopState.VERIFYING),
             (LoopState.VERIFYING, LoopState.ACQUIRING),
             (LoopState.TRAPPED, LoopState.ACQUIRING),
@@ -100,7 +98,7 @@ class TestContainment:
         assert not containment(Vec3(25, 25 + 0.5, 40), trap, tol)
 
     def test_default_tolerance_is_half_wavelength(self, world):
-        expected = wavelength(world.medium, world.array) / 2.0
+        expected = wavelength(world.config.medium, world.config.array) / 2.0
         assert world.containment_tolerance() == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.326, abs=1e-3)
 
@@ -124,13 +122,7 @@ class TestScenarioValidation:
         world = TrapWorld.from_config(config)
         with pytest.raises(ConfigurationError, match="jacobian"):
             TrapWorld(
-                array=world.array,
-                medium=world.medium,
-                workspace=world.workspace,
-                vision=world.vision,
-                trap=world.trap,
-                control=world.control,
-                field=world.field,
+                config=world.config,
                 camera_h=world.camera_h,
                 camera_v=world.camera_v,
                 jacobian=jac,  # full-scale rows vs quarter-scale cameras

@@ -252,6 +252,21 @@ class TestFieldSlice:
                 workspace=ws,
             )
 
+    def test_oversized_grid_rejected_before_allocation(self, focus_holo):
+        # (50 mm / 0.16 um)^2 is about 1e11 points: numpy would raise
+        # MemoryError building the grid, so reaching this error proves the
+        # count is checked first
+        with pytest.raises(ConfigurationError, match="limit of 2,000,000"):
+            field_slice(
+                ARR, focus_holo, PlaneSpec("xoy", 40.0), ((0.0, 50.0), (0.0, 50.0)), 1.6e-4, MED
+            )
+
+    def test_nan_resolution_rejected(self, focus_holo):
+        with pytest.raises(ConfigurationError, match="resolution"):
+            field_slice(
+                ARR, focus_holo, PlaneSpec("xoy", 40.0), ((24.0, 26.0), (24.0, 26.0)), math.nan, MED
+            )
+
     def test_unknown_plane_rejected(self):
         with pytest.raises(ConfigurationError):
             PlaneSpec("abc", 0.0)
