@@ -12,7 +12,6 @@ cameras render at reduced resolution.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from .config import VisionConfig
 from .core import MediumConfig, TransducerArray, Vec3
 from .errors import CalibrationError, ConfigurationError
-from .field import check_grid_size, pressure_at_points
+from .field import pressure_at_points
 from .hologram import make_focus_hologram
 from .vision import CameraModel, project
 
@@ -31,6 +30,9 @@ ROW_ORDER = ("u_h", "v_h", "u_v", "v_v")
 # Motion sets whose smallest singular value falls below this fraction of
 # the largest are rejected as not spanning 3-D.
 _RANK_TOL = 1e-9
+
+# The peak search stops once its step falls below this, mm (1 um).
+_MIN_SCAN_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -132,12 +134,12 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
 
     Each pair is a 3-vector of world displacement in micrometers and the
     corresponding 4-vector of pixel displacements in ``ROW_ORDER``.
-    Raises when fewer than three pairs are given or the motions do not
-    span 3-D (the unexcited direction is named).
+    Raises when the motions do not span 3-D, which includes fewer than
+    three pairs, naming a direction they do not excite.
     """
     pairs = list(pairs)
-    if len(pairs) < 3:
-        raise CalibrationError(f"need at least 3 motion pairs, got {len(pairs)}")
+    if not pairs:
+        raise CalibrationError("need at least 3 motion pairs, got 0")
     moves = np.array(
         [m.as_array() if isinstance(m, Vec3) else np.asarray(m, dtype=float) for m, _ in pairs]
     )
@@ -146,11 +148,14 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
         raise CalibrationError(
             f"pairs must be (3-vector, 4-vector), got {moves.shape[1]} and {shifts.shape[1]}"
         )
-    _, s, vt = np.linalg.svd(moves, full_matrices=False)
+    # zero rows pad fewer than three motions so that vt holds a missed direction
+    padded = np.vstack([moves, np.zeros((max(3 - len(moves), 0), 3))])
+    _, s, vt = np.linalg.svd(padded, full_matrices=False)
     if s[-1] <= _RANK_TOL * s[0]:
         direction = vt[-1]
         raise CalibrationError(
-            "motion set does not span 3-D; no excitation along direction"
+            f"{len(pairs)} motion pairs do not span 3-D (need at least 3 independent"
+            " motions); no excitation along direction"
             f" [{direction[0]:+.3f}, {direction[1]:+.3f}, {direction[2]:+.3f}]"
         )
     solution, _, _, _ = np.linalg.lstsq(moves, shifts, rcond=None)
@@ -184,28 +189,36 @@ def acquire_reference(
 ) -> ReferencePoint:
     """Simulate acquiring one calibration pose.
 
-    Focuses the array on ``commanded_focus``, scans a cube around it for
-    the pressure-magnitude peak (where a captured bead would settle), and
-    projects that point through both cameras, optionally with pixel
-    noise. Warns when the peak lands on the scan boundary.
+    Focuses the array on ``commanded_focus`` and finds the |p| peak, where
+    a captured bead would settle, by a compass search from the command: move
+    to the best of the six axis neighbours at ``scan_step`` (mm) while that
+    raises |p|, else halve the step, until it is below 1 um. Leaving the
+    cube of span ``scan_extent`` (mm) around the command raises
+    CalibrationError. The peak is projected through both cameras,
+    optionally with pixel noise.
     """
-    if not (scan_step > 0 and scan_extent > 0):  # also rejects NaN
-        raise ConfigurationError("scan extent and step must be > 0")
-    check_grid_size((scan_extent,) * 3, scan_step, "calibration scan grid")
+    if not (scan_step > 0 and scan_extent > 0 and np.isfinite([scan_step, scan_extent]).all()):
+        raise ConfigurationError("scan extent and step must be finite and > 0")
+    if not pixel_noise_sigma >= 0:
+        raise ConfigurationError(f"pixel_noise_sigma must be >= 0, got {pixel_noise_sigma}")
     holo = make_focus_hologram(array, commanded_focus, medium)
-    offsets = np.arange(-scan_extent / 2, scan_extent / 2 + scan_step / 2, scan_step)
-    gx, gy, gz = np.meshgrid(offsets, offsets, offsets, indexing="ij")
-    grid = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3) + commanded_focus.as_array()
-    mags = np.abs(pressure_at_points(array, holo, grid, medium))
-    flat = int(np.argmax(mags))
-    idx = np.unravel_index(flat, gx.shape)
-    n = offsets.size
-    if any(i == 0 or i == n - 1 for i in idx):
-        warnings.warn(
-            "pressure peak landed on the scan boundary; enlarge the scan extent",
-            stacklevel=2,
-        )
-    world = Vec3.from_array(grid[flat])
+    peak = command = commanded_focus.as_array()
+    peak_mag = abs(pressure_at_points(array, holo, peak[None], medium)[0])
+    compass = np.vstack([np.eye(3), -np.eye(3)])
+    step = scan_step
+    while step >= _MIN_SCAN_STEP:
+        around = peak + step * compass
+        mags = np.abs(pressure_at_points(array, holo, around, medium))
+        best = int(np.argmax(mags))
+        if not mags[best] > peak_mag:
+            step /= 2
+            continue
+        peak, peak_mag = around[best], mags[best]
+        if np.max(np.abs(peak - command)) > scan_extent / 2:
+            raise CalibrationError(
+                f"|p| peak search left the {scan_extent} mm cube around {commanded_focus}"
+            )
+    world = Vec3.from_array(peak)
     cam_h, cam_v = cameras
     uv_h = np.array(project(cam_h, world))
     uv_v = np.array(project(cam_v, world))

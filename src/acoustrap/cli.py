@@ -24,6 +24,7 @@ import yaml
 
 from . import __version__
 from .calibration import (
+    ReferenceSet,
     acquire_reference,
     build_camera_pair,
     calibrate_jacobian,
@@ -71,7 +72,7 @@ from .hologram import (
     make_octahedral_hologram,
     octahedron_vertexes,
 )
-from .vision import background_image, extract_feature, project, render_frame
+from .vision import background_image, extract_feature, render_frame
 
 
 def _parse_vec3(text: str) -> Vec3:
@@ -94,6 +95,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer but got {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number but got {text!r}") from exc
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -210,44 +221,19 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     cameras = build_camera_pair(config.vision)
-    commanded = lattice_points(config.workspace.center, args.lattice, args.spacing)
-
-    refs = []
-    for point in commanded:
-        refs.append(
-            acquire_reference(
-                config.array,
-                config.medium,
-                point,
-                cameras,
-                scan_extent=args.scan_extent,
-                scan_step=args.scan_step,
-                pixel_noise_sigma=args.noise_px,
-                rng=rng,
-            )
+    ref_set = ReferenceSet(tuple(
+        acquire_reference(
+            config.array, config.medium, point, cameras, pixel_noise_sigma=args.noise_px, rng=rng
         )
-    from .calibration import ReferenceSet
-
-    ref_set = ReferenceSet(tuple(refs))
-
-    cam_h, cam_v = cameras
-    pairs = []
-    span = args.spacing * max(args.lattice)
-    center = config.workspace.center
-    for _ in range(args.moves):
-        a = Vec3(
-            center.x + float(rng.uniform(-span / 2, span / 2)),
-            center.y + float(rng.uniform(-span / 2, span / 2)),
-            center.z + float(rng.uniform(-span / 2, span / 2)),
-        )
-        delta = Vec3(*(float(d) for d in rng.uniform(-1.0, 1.0, 3)))
-        b = a + delta
-        pix_a = np.array(project(cam_h, a) + project(cam_v, a))
-        pix_b = np.array(project(cam_h, b) + project(cam_v, b))
-        noise = rng.normal(0.0, args.noise_px, 8) if args.noise_px > 0 else np.zeros(8)
-        move_um = (b - a).as_array() * 1e3
-        shift_px = (pix_b + noise[:4]) - (pix_a + noise[4:])
-        pairs.append((move_um, shift_px))
+        for point in lattice_points(config.workspace.center, args.lattice, args.spacing)
+    ))
+    # each pose against the first: world motion in um, pixel motion in ROW_ORDER
+    first = ref_set.points[0]
+    pixels = lambda p: np.array(p.pixel_h + p.pixel_v)
+    pairs = [
+        ((p.world - first.world).as_array() * 1e3, pixels(p) - pixels(first))
+        for p in ref_set.points[1:]
+    ]
     result = calibrate_jacobian(pairs)
 
     save_calibration(out / "calibration.json", result.jacobian, ref_set)
@@ -577,11 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lattice", type=_parse_lattice, default=(2, 3, 4), metavar="NX,NY,NZ",
         help="reference lattice counts (default 2,3,4)",
     )
-    cal.add_argument("--spacing", type=float, default=2.0, help="lattice spacing in mm")
-    cal.add_argument("--moves", type=int, default=24, help="number of calibration moves")
+    cal.add_argument("--spacing", type=_positive_float, default=2.0, help="lattice spacing, mm")
     cal.add_argument("--noise-px", type=float, default=0.0, help="pixel noise sigma")
-    cal.add_argument("--scan-extent", type=float, default=2.0, help="peak scan cube span, mm")
-    cal.add_argument("--scan-step", type=float, default=0.2, help="peak scan step, mm")
     add_common(cal)
     cal.set_defaults(func=cmd_calibrate)
 

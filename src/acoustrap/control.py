@@ -93,7 +93,7 @@ class SimScenario:
     target_override: Vec3 | None = None
 
     def __post_init__(self) -> None:
-        if self.pixel_noise_sigma < 0:
+        if not self.pixel_noise_sigma >= 0:  # also rejects NaN
             raise ConfigurationError(
                 f"scenario.pixel_noise_sigma must be >= 0, got {self.pixel_noise_sigma}"
             )

@@ -48,9 +48,8 @@ from .hologram import (
 # points still split over more than one CPU.
 _CHUNK = 256
 
-# Most points one sampling grid (a field slice or a calibration scan cube)
-# may hold: about 80 MB of coordinates and pressures, and over ten times the
-# CLI's default slice of about 170k points.
+# Most points one field slice may hold: about 80 MB of coordinates and
+# pressures, and over ten times the CLI's default slice of about 170k points.
 MAX_GRID_POINTS = 2_000_000
 
 # Monopole (f1) and dipole (f2) scattering coefficients for the two

@@ -237,9 +237,9 @@ def extract_feature(
     diameter, for a uniform disc). Returns an invalid observation (never
     raises) when any stage fails to find a usable candidate.
     """
-    if expected_diameter_px <= 3:
+    if not 3 < expected_diameter_px <= min(frame.pixels.shape):  # also rejects NaN
         raise ConfigurationError(
-            f"expected_diameter_px must exceed 3, got {expected_diameter_px}"
+            f"expected_diameter_px must exceed 3 and fit the frame, got {expected_diameter_px}"
         )
     img = frame.pixels.astype(np.int16)
     bg = background.pixels if isinstance(background, ImageFrame) else np.asarray(background)

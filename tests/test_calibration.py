@@ -22,6 +22,8 @@ from acoustrap.calibration import (
 from acoustrap.config import SimulatorConfig, VisionConfig
 from acoustrap.core import MediumConfig, TransducerArray, Vec3
 from acoustrap.errors import CalibrationError, ConfigurationError
+from acoustrap.field import pressure_at_points
+from acoustrap.hologram import make_focus_hologram
 
 # factory sensitivity values, pixel per micrometer, rows in ROW_ORDER
 FACTORY_J = np.array(
@@ -120,6 +122,11 @@ class TestCalibrateJacobian:
     def test_requires_three_pairs(self):
         with pytest.raises(CalibrationError, match="at least 3"):
             calibrate_jacobian(self._synthetic_pairs(FACTORY_J, 2))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_pairs_name_a_missed_direction(self, n):
+        with pytest.raises(CalibrationError, match="direction"):
+            calibrate_jacobian(self._synthetic_pairs(FACTORY_J, n))
 
     def test_planar_motion_rejected_naming_direction(self):
         pairs = []
@@ -224,13 +231,64 @@ class TestAcquireReference:
         )
         assert a.pixel_h != b.pixel_h
 
-    def test_oversized_scan_rejected_before_allocation(self, cameras):
-        # 4642 steps per axis is about 1e11 scan points; numpy would raise
-        # MemoryError building the cube
+    @staticmethod
+    def _grid_peak(arr, med, focus, around, step=0.005, half=0.03):
+        """Slow reference: argmax of |p| over a fine cube centred on ``around``."""
+        offs = np.arange(-half, half + step / 2, step)
+        cube = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = around.as_array() + cube
+        holo = make_focus_hologram(arr, focus, med)
+        return pts[int(np.argmax(np.abs(pressure_at_points(arr, holo, pts, med))))]
+
+    def test_search_matches_fine_grid_peak(self, cameras):
         arr, med = TransducerArray(), MediumConfig()
-        with pytest.raises(ConfigurationError, match="limit of 2,000,000"):
+        poses = lattice_points(Vec3(25.0, 25.0, 40.0), (2, 3, 4), 2.0)
+        for focus in (poses[0], poses[7], poses[13], poses[23]):
+            ref = acquire_reference(arr, med, focus, cameras)
+            peak = self._grid_peak(arr, med, focus, ref.world)
+            assert np.abs(peak - ref.world.as_array()).max() <= 0.005 + 1e-9
+            # the focal shift: the bead settles below the commanded focus
+            assert focus.z - 0.1 < ref.world.z < focus.z - 0.04
+
+    def test_search_evaluates_few_kernel_points(self, cameras, monkeypatch):
+        from acoustrap import calibration
+
+        sizes = []
+
+        def counting(array, holo, pts, medium, **kwargs):
+            sizes.append(len(pts))
+            return pressure_at_points(array, holo, pts, medium, **kwargs)
+
+        monkeypatch.setattr(calibration, "pressure_at_points", counting)
+        acquire_reference(TransducerArray(), MediumConfig(), Vec3(24.0, 23.0, 37.0), cameras)
+        assert max(sizes) <= 6
+        assert sum(sizes) <= 200
+
+    def test_search_leaving_the_cube_raises(self, cameras):
+        with pytest.raises(CalibrationError, match="peak search left"):
             acquire_reference(
-                arr, med, Vec3(25.0, 25.0, 40.0), cameras, scan_extent=2.0, scan_step=2.0 / 4641
+                TransducerArray(), MediumConfig(), Vec3(25.0, 25.0, 40.0), cameras,
+                scan_extent=0.01,
+            )
+
+    @pytest.mark.parametrize(
+        "extent, step",
+        [(float("nan"), 0.2), (2.0, float("nan")), (0.0, 0.2), (2.0, 0.0), (-2.0, 0.2),
+         (2.0, -0.2), (2.0, float("inf"))],
+    )
+    def test_bad_extent_or_step_rejected(self, cameras, extent, step):
+        with pytest.raises(ConfigurationError, match="scan extent and step"):
+            acquire_reference(
+                TransducerArray(), MediumConfig(), Vec3(25.0, 25.0, 40.0), cameras,
+                scan_extent=extent, scan_step=step,
+            )
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_negative_or_nan_noise_rejected(self, cameras, sigma):
+        with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):
+            acquire_reference(
+                TransducerArray(), MediumConfig(), Vec3(25.0, 25.0, 40.0), cameras,
+                pixel_noise_sigma=sigma,
             )
 
 

@@ -1,13 +1,16 @@
 import csv
 import json
+import re
+import shlex
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acoustrap.calibration import default_calibration, load_calibration
-from acoustrap.cli import main
+from acoustrap.calibration import default_calibration, lattice_points, load_calibration
+from acoustrap.cli import build_parser, main
 from acoustrap.core import MediumConfig, TransducerArray, Vec3, wavelength
 from acoustrap.formats import load_hologram_csv, load_pgm
 from acoustrap.hologram import make_focus_hologram, make_octahedral_hologram
@@ -153,16 +156,45 @@ class TestCalibrateCommand:
     def test_noiseless_recovers_factory_jacobian(self, tmp_path, capsys):
         out = tmp_path / "cal"
         rc = run_cli(
-            "calibrate", "--lattice", "1,1,2", "--moves", "10",
-            "--scan-extent", "0.8", "--scan-step", "0.4",
-            "--out-dir", str(out), "--seed", "3",
+            "calibrate", "--lattice", "2,2,2", "--out-dir", str(out), "--seed", "3",
         )
         assert rc == 0
         jac, refs = load_calibration(out / "calibration.json")
         factory, _ = default_calibration()
         assert np.allclose(jac.matrix, factory.scaled(0.25).matrix, atol=1e-8)
-        assert len(refs.points) == 2
+        assert len(refs.points) == 8
         assert "residual RMS" in capsys.readouterr().out
+
+    def test_default_flags_fit_from_true_peaks(self, tmp_path):
+        out = tmp_path / "cal"
+        assert run_cli("calibrate", "--out-dir", str(out)) == 0
+        jac, refs = load_calibration(out / "calibration.json")
+        factory, _ = default_calibration()
+        assert np.allclose(jac.matrix, factory.scaled(0.25).matrix, atol=1e-8)
+        commanded = lattice_points(Vec3(25.0, 25.0, 40.0), (2, 3, 4), 2.0)
+        assert len(refs.points) == len(commanded)
+        for ref, point in zip(refs.points, commanded):
+            # the poses are the |p| peaks, below the commanded foci
+            assert 0.04 < point.z - ref.world.z < 0.1
+            assert abs(ref.world.x - point.x) < 0.005 and abs(ref.world.y - point.y) < 0.005
+
+    def test_lattice_not_spanning_3d_names_direction(self, tmp_path, capsys):
+        rc = run_cli("calibrate", "--lattice", "1,1,2", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "no excitation along direction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spacing", ["-2", "0", "nan", "inf", "x"])
+    def test_non_positive_spacing_is_usage_error(self, tmp_path, capsys, spacing):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("calibrate", "--spacing", spacing, "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "--spacing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["-1", "nan"])
+    def test_negative_or_nan_noise_is_config_error(self, tmp_path, capsys, noise):
+        rc = run_cli("calibrate", "--noise-px", noise, "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "pixel_noise_sigma" in capsys.readouterr().err
 
     def test_bad_lattice_is_config_error(self, tmp_path):
         # parsed by argparse now: a usage error, still exit code 2
@@ -242,6 +274,22 @@ class TestVisionCommand:
         rc = self._extract(tmp_path, frame, frame)
         assert rc == 2
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("diameter", ["nan", "inf", "1e9", "3"])
+    def test_extract_bad_diameter_is_config_error(self, tmp_path, capsys, diameter):
+        out = tmp_path / "vis"
+        run_cli(
+            "vision", "render", "--position", "25,25,40", "--camera", "h",
+            "--out-dir", str(out),
+        )
+        rc = run_cli(
+            "vision", "extract",
+            "--frame", str(out / "frame_h_000.pgm"),
+            "--background", str(out / "background_h.pgm"),
+            "--diameter-px", diameter, "--out-dir", str(tmp_path / "x"),
+        )
+        assert rc == 2
+        assert "expected_diameter_px" in capsys.readouterr().err
 
     @pytest.mark.parametrize("frames", ["-2", "0"])
     def test_non_positive_frames_is_usage_error(self, tmp_path, frames):
@@ -367,6 +415,12 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["array"]["frequency"] == 2.3e6
 
+    @pytest.mark.parametrize("noise", ["-1", "nan"])
+    def test_negative_or_nan_noise_is_config_error(self, tmp_path, capsys, noise):
+        rc = run_cli("simulate", "--noise-px", noise, "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "pixel_noise_sigma must be >= 0" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_bench_report(self, tmp_path, capsys):
@@ -415,3 +469,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "hologram.csv").exists()
         assert (tmp_path / "manifest.json").exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``acoustrap ...`` line of README.md's shell blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", text, flags=re.S))
+    lines = blocks.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("acoustrap ")]
+
+
+def test_readme_usage_parses():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -112,6 +112,8 @@ class TestScenarioValidation:
     def test_noise_and_dropout_bounds(self):
         with pytest.raises(ConfigurationError):
             SimScenario(particle=falling_particle(), pixel_noise_sigma=-1.0)
+        with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):
+            SimScenario(particle=falling_particle(), pixel_noise_sigma=float("nan"))
         with pytest.raises(ConfigurationError):
             SimScenario(particle=falling_particle(), dropout_prob=1.0)
         with pytest.raises(ConfigurationError):
