@@ -12,6 +12,7 @@ cameras render at reduced resolution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -199,8 +200,8 @@ def acquire_reference(
     """
     if not (scan_step > 0 and scan_extent > 0 and np.isfinite([scan_step, scan_extent]).all()):
         raise ConfigurationError("scan extent and step must be finite and > 0")
-    if not pixel_noise_sigma >= 0:
-        raise ConfigurationError(f"pixel_noise_sigma must be >= 0, got {pixel_noise_sigma}")
+    if not 0 <= pixel_noise_sigma < math.inf:  # also rejects NaN
+        raise ConfigurationError(f"pixel_noise_sigma must be >= 0 and finite, got {pixel_noise_sigma}")
     holo = make_focus_hologram(array, commanded_focus, medium)
     peak = command = commanded_focus.as_array()
     peak_mag = abs(pressure_at_points(array, holo, peak[None], medium)[0])

@@ -91,6 +91,11 @@ class VisionConfig:
             raise ConfigurationError(
                 f"vision.particle_level must be within [0, 255], got {self.particle_level}"
             )
+        if not (0.0 < self.min_foreground_fraction <= 1.0):  # also rejects NaN
+            raise ConfigurationError(
+                "vision.min_foreground_fraction must be within (0, 1], got "
+                f"{self.min_foreground_fraction}"
+            )
 
     @classmethod
     def full_scale(cls, **kwargs) -> "VisionConfig":

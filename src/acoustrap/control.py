@@ -7,7 +7,9 @@ ground truth, then runs one step of the loop:
 - acquiring: render and extract the particle on both cameras, localize
   it, and once three samples form a straight track, predict where it will
   be after the processing and transfer latency, synthesize the hologram
-  for that point and schedule the field switch-on (-> dispatching);
+  for that point and schedule the field switch-on (-> dispatching). A
+  camera that has seen the particle twice since its last miss renders and
+  searches only a crop around their extrapolation (``_Attempt.observe``);
 - dispatching: wait; the field switches on at exactly the predicted
   instant, inside the ground-truth advance (-> verifying);
 - verifying: check containment against ground truth until the particle
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -47,7 +50,17 @@ from .hologram import (
     trap_anchor,
 )
 from .prediction import TrackSample, confirm_track, predict_position
-from .vision import CameraModel, background_image, extract_feature, render_frame
+from .vision import (
+    CameraModel,
+    FeatureObservation,
+    background_image,
+    crop_frame,
+    extract_feature,
+    find_particle,
+    render_frame,
+    tracking_window,
+    window_holds,
+)
 
 
 class LoopState(Enum):
@@ -93,9 +106,9 @@ class SimScenario:
     target_override: Vec3 | None = None
 
     def __post_init__(self) -> None:
-        if not self.pixel_noise_sigma >= 0:  # also rejects NaN
+        if not 0 <= self.pixel_noise_sigma < math.inf:  # also rejects NaN
             raise ConfigurationError(
-                f"scenario.pixel_noise_sigma must be >= 0, got {self.pixel_noise_sigma}"
+                f"scenario.pixel_noise_sigma must be >= 0 and finite, got {self.pixel_noise_sigma}"
             )
         if not (0.0 <= self.dropout_prob < 1.0):
             raise ConfigurationError(
@@ -216,6 +229,9 @@ class _Attempt:
             (cam, background_image(cam), scenario.particle.diameter_um * cam.pixel_scale)
             for cam in (world.camera_h, world.camera_v)
         )
+        # per camera, the last two valid observed (t, u, v): the loop's own
+        # view of the particle, from which it predicts where to look next
+        self.tracks = tuple(deque(maxlen=2) for _ in self.cameras)
         # streams[1] is unused; the render, jitter and dropout streams keep
         # their indices so each seed's draws stay fixed.
         streams = np.random.SeedSequence(scenario.seed).spawn(5)
@@ -269,20 +285,18 @@ class _Attempt:
         seeds = [int(self.render_seeds.integers(2**63)) for _ in self.cameras]
         jitter = self.jitter_rng.normal(0.0, self.scenario.pixel_noise_sigma, size=(2, 2))
         dropped = [self.dropout_rng.uniform() < self.scenario.dropout_prob for _ in self.cameras]
-        # Both cameras capture at t before either frame is extracted. Freeing
-        # each frame right after its own extraction made the allocator hand
-        # the heap back and fault it in again every tick (about 5% of a
-        # scenario's time, counted as minor page faults).
-        frames = [
-            None if drop else render_frame(cam, self.particle, t, seed)
-            for (cam, _, _), seed, drop in zip(self.cameras, seeds, dropped)
-        ]
         observed = []
-        for frame, (_, background, expected_px), (du, dv) in zip(frames, self.cameras, jitter):
-            obs = None
-            if frame is not None:
-                obs = extract_feature(frame, background, expected_px, self.config.vision)
-            observed.append((obs.u + du, obs.v + dv) if obs is not None and obs.valid else None)
+        for camera, track, seed, drop, (du, dv) in zip(self.cameras, self.tracks, seeds, dropped, jitter):
+            if drop:
+                observed.append(None)
+                continue
+            obs = self.observe(camera, track, t, seed)
+            if obs.valid:
+                observed.append((obs.u + du, obs.v + dv))
+                track.append((t, *observed[-1]))
+            else:
+                observed.append(None)
+                track.clear()
         if None in observed:
             return observed[0], observed[1], None
         loc = localize(self.world.jacobian, self.world.refs, observed[0], observed[1])
@@ -290,6 +304,37 @@ class _Attempt:
         if len(self.samples) == 3 and confirm_track(list(self.samples), self.config.control.confirm_tol):
             self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)
         return observed[0], observed[1], _as_tuple(loc)
+
+    def observe(self, camera: tuple, track: deque, t: float, seed: int) -> FeatureObservation:
+        """Render one camera at ``t`` and extract the particle.
+
+        With two observations since the camera's last miss, it renders and
+        searches only a crop around their linear extrapolation to ``t``
+        (dropped frames leave the track as it was). Otherwise, or
+        when that crop does not hold the particle, it renders the full
+        frame, finds the particle by block sums and extracts on a crop
+        around the hit, and as a last resort on the whole frame.
+        """
+        cam, background, expected_px = camera
+        vision = self.config.vision
+        if len(track) == 2:
+            (t1, u1, v1), (t2, u2, v2) = track
+            ahead = (t - t2) / (t2 - t1)
+            predicted = (u2 + (u2 - u1) * ahead, v2 + (v2 - v1) * ahead)
+            window = tracking_window(cam.image_size, predicted, expected_px)
+            if window is not None:
+                frame = render_frame(cam, self.particle, t, seed, window)
+                obs = extract_feature(frame, background[window.slices], expected_px, vision)
+                if window_holds(obs, window, cam.image_size, expected_px):
+                    return obs
+        frame = render_frame(cam, self.particle, t, seed)
+        window = tracking_window(cam.image_size, find_particle(frame, cam), expected_px)
+        if window is not None:
+            crop = crop_frame(frame, window)
+            obs = extract_feature(crop, background[window.slices], expected_px, vision)
+            if window_holds(obs, window, cam.image_size, expected_px):
+                return obs
+        return extract_feature(frame, background, expected_px, vision)
 
     def dispatch(self, t: float, predicted: Vec3) -> None:
         """Synthesize the hologram at the target and schedule the switch-on."""

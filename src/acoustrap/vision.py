@@ -12,12 +12,19 @@ binarization against a local mean, a sliding-window search for the
 densest foreground patch and morphological closing. The centre and axes
 then come from the intensity-weighted first and second moments of the
 largest blob; extraction draws no random numbers.
+
+A frame may be a crop of the sensor (a tracking ``Window``): it carries
+its origin, and extraction reports sensor pixels. On a noise-free frame,
+extraction on a crop that ``window_holds`` accepts gives bit for bit the
+observation of the full frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -92,13 +99,33 @@ def project(camera: CameraModel, world: Vec3) -> tuple[float, float]:
     return float(uv[0]), float(uv[1])
 
 
+class Window(NamedTuple):
+    """Crop of the sensor: columns [c0, c1) and rows [r0, r1)."""
+
+    c0: int
+    r0: int
+    c1: int
+    r1: int
+
+    @property
+    def slices(self) -> tuple[slice, slice]:
+        """Index of the crop in a full (h, w) sensor array."""
+        return slice(self.r0, self.r1), slice(self.c0, self.c1)
+
+
 @dataclass(frozen=True)
 class ImageFrame:
-    """A rendered 8-bit grayscale frame with its capture timestamp."""
+    """A rendered 8-bit grayscale frame with its capture timestamp.
+
+    ``origin`` is the sensor pixel (u, v) of ``pixels[0, 0]``: (0, 0) for
+    a full frame, the window corner for a crop. ``clipped`` always refers
+    to the full sensor.
+    """
 
     pixels: np.ndarray
     timestamp: float
     clipped: bool = False
+    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.pixels)
@@ -133,49 +160,97 @@ def _invalid(reason: str) -> FeatureObservation:
     return FeatureObservation(nan, nan, nan, nan, False, reason)
 
 
+@lru_cache(maxsize=8)
+def _background(image_size: tuple[int, int], background: Background) -> np.ndarray:
+    w, h = image_size
+    if background.kind == "flat":
+        img = np.full((h, w), background.level, dtype=float)
+    else:
+        u = np.arange(w, dtype=float) / max(w - 1, 1)
+        v = np.arange(h, dtype=float) / max(h - 1, 1)
+        img = background.level + background.du * u[None, :] + background.dv * v[:, None] + np.zeros((h, w))
+    img.flags.writeable = False
+    return img
+
+
+@lru_cache(maxsize=8)
+def _background_pixels(image_size: tuple[int, int], background: Background) -> np.ndarray:
+    """The background as a noise-free frame records it."""
+    pixels = _to_pixels(_background(image_size, background).copy())
+    pixels.flags.writeable = False
+    return pixels
+
+
+def _to_pixels(img: np.ndarray) -> np.ndarray:
+    """8-bit gray levels of a float image; rounds and clips ``img`` in place."""
+    np.rint(img, out=img)
+    return np.clip(img, 0, 255, out=img).astype(np.uint8)
+
+
 def background_image(camera: CameraModel) -> np.ndarray:
-    """Noise-free background for the camera, float gray levels (h, w)."""
-    w, h = camera.image_size
-    bg = camera.background
-    if bg.kind == "flat":
-        return np.full((h, w), bg.level, dtype=float)
-    u = np.arange(w, dtype=float) / max(w - 1, 1)
-    v = np.arange(h, dtype=float) / max(h - 1, 1)
-    return bg.level + bg.du * u[None, :] + bg.dv * v[:, None] + np.zeros((h, w))
+    """Noise-free background for the camera, float gray levels (h, w).
+
+    Built once per process for each image size and background model; the
+    array is shared and read-only.
+    """
+    return _background(tuple(camera.image_size), camera.background)
 
 
 def render_frame(
-    camera: CameraModel, particle: ParticleState, t: float, seed: int
+    camera: CameraModel,
+    particle: ParticleState,
+    t: float,
+    seed: int,
+    window: Window | None = None,
 ) -> ImageFrame:
     """Render the particle as an anti-aliased dark disc at time ``t``.
 
     The disc radius is the particle diameter scaled by the camera's
     pixel scale; a disc crossing the image border is rendered partially
-    and the frame is flagged ``clipped``.
+    and the frame is flagged ``clipped``. With a ``window`` only that crop
+    of the sensor is drawn, with the noise drawn over the crop; without
+    noise its pixels equal the same slice of the full frame.
     """
     u0, v0 = project(camera, particle.position)
     radius = particle.diameter_um * camera.pixel_scale / 2.0
-    img = background_image(camera)
-    h, w = img.shape
+    w, h = camera.image_size
+    if window is None:
+        window = Window(0, 0, w, h)
+    elif not (0 <= window.c0 < window.c1 <= w and 0 <= window.r0 < window.r1 <= h):
+        raise ConfigurationError(f"render window {window} does not fit the {w}x{h} sensor")
+    background = background_image(camera)
+    noisy = camera.noise_sigma > 0
+    # Without noise only the disc's pixels need the float background.
+    if noisy:
+        img = background[window.slices].copy()
+    else:
+        img = _background_pixels((w, h), camera.background)[window.slices].copy()
 
     clipped = not (radius <= u0 <= w - 1 - radius and radius <= v0 <= h - 1 - radius)
-    c0 = max(int(math.floor(u0 - radius)) - 2, 0)
-    c1 = min(int(math.ceil(u0 + radius)) + 3, w)
-    r0 = max(int(math.floor(v0 - radius)) - 2, 0)
-    r1 = min(int(math.ceil(v0 + radius)) + 3, h)
+    c0 = max(int(math.floor(u0 - radius)) - 2, window.c0)
+    c1 = min(int(math.ceil(u0 + radius)) + 3, window.c1)
+    r0 = max(int(math.floor(v0 - radius)) - 2, window.r0)
+    r1 = min(int(math.ceil(v0 + radius)) + 3, window.r1)
     if c1 > c0 and r1 > r0:
         uu = np.arange(c0, c1, dtype=float)[None, :]
         vv = np.arange(r0, r1, dtype=float)[:, None]
         dist = np.hypot(uu - u0, vv - v0)
         coverage = np.clip(radius - dist + 0.5, 0.0, 1.0)
-        patch = img[r0:r1, c0:c1]
-        img[r0:r1, c0:c1] = patch * (1.0 - coverage) + camera.particle_level * coverage
+        disc = background[r0:r1, c0:c1] * (1.0 - coverage) + camera.particle_level * coverage
+        rows = slice(r0 - window.r0, r1 - window.r0)
+        cols = slice(c0 - window.c0, c1 - window.c0)
+        img[rows, cols] = disc if noisy else _to_pixels(disc)
 
-    if camera.noise_sigma > 0:
+    if noisy:
         rng = np.random.default_rng(seed)
-        img = img + rng.normal(0.0, camera.noise_sigma, img.shape)
-    pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    return ImageFrame(pixels, t, clipped)
+        img += rng.normal(0.0, camera.noise_sigma, img.shape)
+        img = _to_pixels(img)
+    return ImageFrame(img, t, clipped, (window.c0, window.r0))
+
+
+def crop_frame(frame: ImageFrame, window: Window) -> ImageFrame:
+    """The ``window`` crop of a full frame."""
+    return ImageFrame(frame.pixels[window.slices], frame.timestamp, frame.clipped, (window.c0, window.r0))
 
 
 def _odd(n: int) -> int:
@@ -183,8 +258,21 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+def _binarize_window(expected_diameter_px: float) -> int:
+    return _odd(round(2.0 * expected_diameter_px))
+
+
+def _patch_half(expected_diameter_px: float) -> int:
+    """Half-size of the candidate window and of the closing patch around it."""
+    return int(round(1.5 * expected_diameter_px))
+
+
+def _stride(expected_diameter_px: float) -> int:
+    return max(int(round(expected_diameter_px / 2.0)), 1)
+
+
 def _binarize(diff: np.ndarray, expected_diameter_px: float, offset: float) -> np.ndarray:
-    window = _odd(round(2.0 * expected_diameter_px))
+    window = _binarize_window(expected_diameter_px)
     local_mean = ndimage.uniform_filter(diff, size=window, mode="nearest")
     return diff > local_mean + offset
 
@@ -200,8 +288,8 @@ def _best_window(
 ) -> tuple[int, int, int] | None:
     """Densest sliding window; None when no window clears the area floor."""
     h, w = fg.shape
-    size = min(max(int(round(1.5 * expected_diameter_px)), 3), h, w)
-    stride = max(int(round(expected_diameter_px / 2.0)), 1)
+    size = min(max(_patch_half(expected_diameter_px), 3), h, w)
+    stride = _stride(expected_diameter_px)
     # summed-area table with a zero border
     sat = np.zeros((h + 1, w + 1), dtype=np.int64)
     np.cumsum(np.cumsum(fg, axis=0), axis=1, out=sat[1:, 1:])
@@ -256,7 +344,7 @@ def extract_feature(
         return _invalid("no_candidate_window")
     r0, c0, size = window
     h, w = fg.shape
-    half = int(round(1.5 * expected_diameter_px))
+    half = _patch_half(expected_diameter_px)
     rc, cc = r0 + size // 2, c0 + size // 2
     cr0, cr1 = max(rc - half, 0), min(rc + half + 1, h)
     cc0, cc1 = max(cc - half, 0), min(cc + half + 1, w)
@@ -279,4 +367,79 @@ def extract_feature(
     cov = (offsets * weights) @ offsets.T / mass
     minor_var, major_var = np.linalg.eigvalsh(cov)
     major, minor = 4.0 * math.sqrt(major_var), 4.0 * math.sqrt(max(minor_var, 0.0))
-    return FeatureObservation(u + cc0, v + cr0, major, minor, True, None)
+    # integer offsets first, so a crop reports the full frame's floats
+    ou, ov = frame.origin
+    return FeatureObservation(u + (cc0 + ou), v + (cr0 + ov), major, minor, True, None)
+
+
+def _tracking_margin(expected_diameter_px: float) -> int:
+    """Pixels a crop keeps on each side of the particle centre: the
+    binarization half-window plus the closing patch around the centre."""
+    return _binarize_window(expected_diameter_px) // 2 + _patch_half(expected_diameter_px) + 1
+
+
+def tracking_window(
+    image_size: tuple[int, int], centre: tuple[float, float], expected_diameter_px: float
+) -> Window | None:
+    """Crop around a predicted pixel ``centre``, or None when the crop
+    would not fit a particle on the sensor.
+
+    The crop reaches ``_tracking_margin`` plus two diameters of prediction
+    slack past the centre, and its origin snaps down to the candidate
+    window stride so its candidate windows are those of the full frame.
+    """
+    w, h = image_size
+    u, v = centre
+    reach = _tracking_margin(expected_diameter_px) + 2 * math.ceil(expected_diameter_px)
+    stride = _stride(expected_diameter_px)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return None
+    c0 = max(math.floor(u - reach) // stride * stride, 0)
+    r0 = max(math.floor(v - reach) // stride * stride, 0)
+    c1 = min(math.ceil(u + reach) + 1, w)
+    r1 = min(math.ceil(v + reach) + 1, h)
+    if min(c1 - c0, r1 - r0) < expected_diameter_px:
+        return None
+    return Window(c0, r0, c1, r1)
+
+
+def window_holds(
+    obs: FeatureObservation,
+    window: Window,
+    image_size: tuple[int, int],
+    expected_diameter_px: float,
+) -> bool:
+    """True when a crop observation is valid and lies ``_tracking_margin``
+    inside every crop edge that is not a sensor edge. Such a crop of a
+    noise-free frame binarizes, picks and closes the particle exactly as
+    the full frame does."""
+    if not obs.valid:
+        return False
+    w, h = image_size
+    m = _tracking_margin(expected_diameter_px)
+    return (
+        (window.c0 == 0 or obs.u - m >= window.c0)
+        and (window.c1 == w or obs.u + m < window.c1)
+        and (window.r0 == 0 or obs.v - m >= window.r0)
+        and (window.r1 == h or obs.v + m < window.r1)
+    )
+
+
+_BLOCK = 4
+
+
+def find_particle(frame: ImageFrame, camera: CameraModel) -> tuple[float, float]:
+    """Centre (u, v) of the 4x4 pixel block of a full frame that differs
+    most from the camera's noise-free background; pixels past the last
+    whole block are not searched."""
+    h, w = frame.pixels.shape
+    index = slice(0, h // _BLOCK * _BLOCK), slice(0, w // _BLOCK * _BLOCK)
+    background = _background_pixels(tuple(camera.image_size), camera.background)
+    diff = frame.pixels[index].astype(np.int16)
+    diff -= background[index]
+    np.abs(diff, out=diff)
+    # strided sums of whole blocks: at most 16 x 255, within int16
+    sums = sum(diff[k::_BLOCK] for k in range(_BLOCK))
+    sums = sum(sums[:, k::_BLOCK] for k in range(_BLOCK))
+    bi, bj = np.unravel_index(int(np.argmax(sums)), sums.shape)
+    return (bj + 0.5) * _BLOCK - 0.5, (bi + 0.5) * _BLOCK - 0.5

@@ -283,7 +283,7 @@ class TestAcquireReference:
                 scan_extent=extent, scan_step=step,
             )
 
-    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_negative_or_nan_noise_rejected(self, cameras, sigma):
         with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):
             acquire_reference(

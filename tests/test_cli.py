@@ -190,7 +190,7 @@ class TestCalibrateCommand:
         assert exc.value.code == 2
         assert "--spacing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("noise", ["-1", "nan"])
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
     def test_negative_or_nan_noise_is_config_error(self, tmp_path, capsys, noise):
         rc = run_cli("calibrate", "--noise-px", noise, "--out-dir", str(tmp_path))
         assert rc == 2
@@ -393,7 +393,7 @@ class TestSimulateCommand:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
-    def test_bad_override_is_config_error(self, tmp_path):
+    def test_bad_override_is_config_error(self, tmp_path, capsys):
         rc = run_cli(
             "simulate", "--batch", "1", "--set", "nonsense",
             "--out-dir", str(tmp_path),
@@ -404,6 +404,13 @@ class TestSimulateCommand:
             "--out-dir", str(tmp_path),
         )
         assert rc == 2
+        capsys.readouterr()
+        rc = run_cli(
+            "simulate", "--batch", "1", "--set", "vision.min_foreground_fraction=1.5",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        assert "vision.min_foreground_fraction" in capsys.readouterr().err
 
     def test_exponent_override_is_accepted(self, tmp_path):
         out = tmp_path / "exp"
@@ -415,7 +422,7 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["array"]["frequency"] == 2.3e6
 
-    @pytest.mark.parametrize("noise", ["-1", "nan"])
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
     def test_negative_or_nan_noise_is_config_error(self, tmp_path, capsys, noise):
         rc = run_cli("simulate", "--noise-px", noise, "--out-dir", str(tmp_path))
         assert rc == 2

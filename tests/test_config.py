@@ -72,7 +72,7 @@ CONFIGS = st.builds(
         ),
         particle_level=_num(0, 255),
         binarize_offset=_num(0, 50),
-        min_foreground_fraction=_num(0, 1),
+        min_foreground_fraction=st.floats(0, 1, exclude_min=True),
     ),
     field=st.builds(FieldConfig, piston_directivity=st.booleans()),
     trap=st.builds(
@@ -133,6 +133,10 @@ class TestValidation:
             VisionConfig(scale=0.0)
         with pytest.raises(ConfigurationError):
             VisionConfig(noise_sigma=-1.0)
+        for fraction in (-1.0, 0.0, 1.5, float("nan")):
+            with pytest.raises(ConfigurationError, match="vision.min_foreground_fraction"):
+                VisionConfig(min_foreground_fraction=fraction)
+        assert VisionConfig(min_foreground_fraction=1.0).min_foreground_fraction == 1.0
 
     def test_background_kind(self):
         with pytest.raises(ConfigurationError):

@@ -20,6 +20,7 @@ from acoustrap.control import (
 from acoustrap.core import Contrast, ParticleState, TimingConfig, Vec3, wavelength
 from acoustrap.errors import AcoustrapError, ConfigurationError
 from acoustrap.hologram import FocusTrap, OctahedralTrap
+from acoustrap.vision import render_frame
 
 
 def falling_particle(start=Vec3(25.0, 25.0, 50.0), speed=10.0, contrast=Contrast.POSITIVE):
@@ -114,6 +115,8 @@ class TestScenarioValidation:
             SimScenario(particle=falling_particle(), pixel_noise_sigma=-1.0)
         with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):
             SimScenario(particle=falling_particle(), pixel_noise_sigma=float("nan"))
+        with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):
+            SimScenario(particle=falling_particle(), pixel_noise_sigma=float("inf"))
         with pytest.raises(ConfigurationError):
             SimScenario(particle=falling_particle(), dropout_prob=1.0)
         with pytest.raises(ConfigurationError):
@@ -239,6 +242,27 @@ class TestFailureModes:
         assert r.failure_reason == "trap_geometry"
 
 
+class TestTrackingWindow:
+    def test_tracked_frames_render_crops(self, world, monkeypatch):
+        from acoustrap import control
+
+        windows = []
+
+        def recording_render(camera, particle, t, seed, window=None):
+            windows.append(window)
+            return render_frame(camera, particle, t, seed, window)
+
+        monkeypatch.setattr(control, "render_frame", recording_render)
+        report = run_trap_loop(SimScenario(particle=falling_particle(), seed=7), world)
+        acquired = [f for f in report.frames if f.observed_h is not None]
+        # the first two ticks of each camera render the full frame; every
+        # later one renders only a crop around the extrapolated pixel
+        assert len(acquired) == 3
+        assert [w is None for w in windows] == [True] * 4 + [False] * 2
+        for window in windows[4:]:
+            assert window.c1 - window.c0 <= 64 and window.r1 - window.r0 <= 64
+
+
 class TestBatches:
     def test_scenarios_deterministic(self, config):
         a = make_batch_scenarios(config.workspace, 5, base_seed=31)
@@ -324,31 +348,45 @@ class TestBatches:
         assert rates[0] > rates[-1]
 
 
-# sha256 of the newline-joined ``to_json()`` lines of ``_golden_reports``,
-# recorded before the closed loop was restructured; any change to a report
-# byte (state names, ordering, float values, serializer) changes it.
-GOLDEN_DIGEST = "08d4f1003c50cee28bd3e6977b8e9aa67c9d899689d9d71c730b3221a67e4bbd"
+# sha256 of the newline-joined ``to_json()`` lines of the golden reports;
+# any change to a report byte (state names, ordering, float values,
+# serializer) changes it. The noise-free pin covers the clean-sensor batch
+# and the five failure modes and was recorded before the closed loop was
+# restructured; windowed vision kept it. The noisy pin covers the same batch
+# at ``vision.noise_sigma=5``; it was re-recorded when the loop began to
+# render only a crop of most frames, which draws the sensor noise over the
+# crop alone.
+NOISE_FREE_DIGEST = "a584984e43bf241916b1f2a173789e29e021c1f477d90698f2a58736c6defdd2"
+NOISY_DIGEST = "483217807c92decd1b31e24789947b5b7ca3d667aa15f55a821472fb07d1b262"
 
 
-def _golden_reports() -> list:
-    jac, refs = default_calibration()
+def _digest(reports) -> str:
+    return hashlib.sha256("\n".join(r.to_json() for r in reports).encode()).hexdigest()
+
+
+def _batch_reports(vision: VisionConfig) -> list:
+    """Six scenarios of each contrast, 1 px jitter and 10% dropout."""
+    config = SimulatorConfig(vision=vision)
+    world = TrapWorld.from_config(config)
     reports = []
-    for vision in (VisionConfig(), VisionConfig(noise_sigma=5.0)):
-        config = SimulatorConfig(vision=vision)
-        world = TrapWorld.from_config(config)
-        for contrast in (Contrast.POSITIVE, Contrast.NEGATIVE):
-            scenarios = make_batch_scenarios(
-                config.workspace,
-                6,
-                base_seed=2024,
-                pixel_noise_sigma=1.0,
-                dropout_prob=0.1,
-                contrast=contrast,
-                timing=config.timing,
-            )
-            reports += [run_trap_loop(s, world) for s in scenarios]
+    for contrast in (Contrast.POSITIVE, Contrast.NEGATIVE):
+        scenarios = make_batch_scenarios(
+            config.workspace,
+            6,
+            base_seed=2024,
+            pixel_noise_sigma=1.0,
+            dropout_prob=0.1,
+            contrast=contrast,
+            timing=config.timing,
+        )
+        reports += [run_trap_loop(s, world) for s in scenarios]
+    return reports
 
-    # the five TestFailureModes scenarios, one per failure reason
+
+def _failure_mode_reports() -> list:
+    """The five TestFailureModes scenarios, one per failure reason."""
+    jac, _ = default_calibration()
+    reports = []
     world = TrapWorld.from_config(SimulatorConfig())
     upward = ParticleState(Vec3(25, 25, 54), Vec3(0, 0, 30.0), 400.0, Contrast.POSITIVE)
     reports.append(run_trap_loop(SimScenario(particle=upward, seed=3), world))
@@ -378,8 +416,8 @@ def _golden_reports() -> list:
     return reports
 
 
-def test_reports_match_golden_digest():
-    reports = _golden_reports()
+def test_noise_free_reports_match_golden_digest():
+    reports = _batch_reports(VisionConfig()) + _failure_mode_reports()
     reasons = {r.failure_reason for r in reports}
     assert reasons >= {
         None,
@@ -389,5 +427,11 @@ def test_reports_match_golden_digest():
         "frame_budget_exhausted",
         "trap_geometry",
     }
-    blob = "\n".join(r.to_json() for r in reports).encode()
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGEST
+    assert len(reports) == 17
+    assert _digest(reports) == NOISE_FREE_DIGEST
+
+
+def test_noisy_reports_match_golden_digest():
+    reports = _batch_reports(VisionConfig(noise_sigma=5.0))
+    assert len(reports) == 12
+    assert _digest(reports) == NOISY_DIGEST

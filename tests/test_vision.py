@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,15 @@ from acoustrap.core import ParticleState, Vec3
 from acoustrap.errors import ConfigurationError
 from acoustrap.vision import (
     ImageFrame,
+    Window,
     background_image,
+    crop_frame,
     extract_feature,
+    find_particle,
     project,
     render_frame,
+    tracking_window,
+    window_holds,
 )
 
 CFG = SimulatorConfig()
@@ -79,6 +85,21 @@ class TestRenderFrame:
         off_center = CENTER + Vec3(0.0, -30.0, 0.0)
         frame = render_frame(CAM_H, ParticleState(position=off_center), 0.0, seed=0)
         assert frame.clipped
+
+    def test_noise_free_render_matches_float_image(self):
+        # the noise-free path starts from the rounded background and rounds
+        # only the disc; the reference rounds the whole float image
+        cam = dataclasses.replace(
+            CAM_H, background=Background(kind="gradient", level=240.0, du=40.0, dv=-30.0)
+        )
+        w, h = cam.image_size
+        for pos in (CENTER, CENTER + Vec3(0.13, -0.21, 0.05), CENTER + Vec3(0.0, -19.2, 0.0)):
+            frame = render_frame(cam, ParticleState(position=pos), 0.0, seed=0)
+            u0, v0 = project(cam, pos)
+            vv, uu = np.mgrid[0:h, 0:w].astype(float)
+            coverage = np.clip(D_PX / 2.0 - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
+            img = background_image(cam) * (1.0 - coverage) + cam.particle_level * coverage
+            assert np.array_equal(frame.pixels, np.clip(np.rint(img), 0, 255).astype(np.uint8))
 
     def test_gradient_background(self):
         cam = dataclasses.replace(
@@ -178,3 +199,98 @@ class TestExtractFeature:
         assert obs.major_px == pytest.approx(major, rel=0.05)
         assert obs.minor_px == pytest.approx(minor, rel=0.05)
         assert np.hypot(obs.u - u0, obs.v - v0) <= 0.2
+
+
+# Windowed extraction is checked against the full frame on a small sensor,
+# so that 200 full-frame extractions per case stay fast. The camera scale
+# and particle size are the default ones; the sides (158 x 131 px) are not
+# multiples of the 4 px search block or of the 3 px window stride, so crops
+# clamped at every sensor edge and the unsearched border are exercised.
+SMALL = dataclasses.replace(CFG.vision, image_width=158, image_height=131)
+# Largest centre difference allowed between a crop cut from a noisy frame
+# and the whole frame. Measured: 0.0 px over the 740 held noisy crops below
+# (a predicted and a block-search crop per position) and over 730 more on
+# another seed. The bound allows for a tie in binarization near the crop
+# edge flipping one faint edge pixel of the blob, which would move the
+# centre by a few hundredths of a pixel.
+NOISY_TOLERANCE_PX = 0.05
+
+
+def _particle_at(cam, uv):
+    """A particle whose projection on ``cam`` is the sensor pixel ``uv``."""
+    delta_um = np.linalg.pinv(cam.rows_of_j) @ (np.asarray(uv) - cam.ref_pixel)
+    return ParticleState(position=cam.ref_world + Vec3.from_array(delta_um / 1e3))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 5.0])
+@pytest.mark.parametrize("index", [0, 1], ids=["camera_h", "camera_v"])
+def test_windowed_extraction_matches_full_frame(sigma, index):
+    cam = dataclasses.replace(build_camera_pair(SMALL)[index], noise_sigma=sigma)
+    bg = background_image(cam)
+    w, h = cam.image_size
+    d = STATE.diameter_um * cam.pixel_scale
+    rng = np.random.default_rng(7 + index)
+    held = 0
+    for k in range(200):
+        # centres from just outside one sensor edge to just outside the other
+        uv = rng.uniform([-4.0, -4.0], [w + 3.0, h + 3.0])
+        particle = _particle_at(cam, uv)
+        full = render_frame(cam, particle, 0.0, seed=k)
+        ref = extract_feature(full, bg, d, SMALL)
+        # a prediction off by up to one diameter on each axis
+        window = tracking_window(cam.image_size, tuple(uv + rng.uniform(-1, 1, 2) * math.ceil(d)), d)
+        if sigma == 0:
+            crop = render_frame(cam, particle, 0.0, seed=k, window=window)
+            assert np.array_equal(crop.pixels, full.pixels[window.slices])
+            assert crop.clipped == full.clipped
+        else:
+            crop = crop_frame(full, window)
+        assert crop.origin == (window.c0, window.r0)
+        hit = tracking_window(cam.image_size, find_particle(full, cam), d)
+        for win, frame in ((window, crop), (hit, crop_frame(full, hit))):
+            obs = extract_feature(frame, bg[win.slices], d, SMALL)
+            holds = window_holds(obs, win, cam.image_size, d)
+            assert holds or not ref.valid, (k, uv, obs)
+            if sigma == 0:
+                assert holds == ref.valid
+                if holds:
+                    assert (obs.u, obs.v, obs.major_px, obs.minor_px) == (
+                        ref.u, ref.v, ref.major_px, ref.minor_px
+                    )
+            elif holds:
+                assert math.hypot(obs.u - ref.u, obs.v - ref.v) <= NOISY_TOLERANCE_PX
+            held += holds
+    assert held >= 2 * 180  # most centres lie on the sensor
+
+
+class TestWindows:
+    def test_clipped_follows_full_sensor(self):
+        w, h = CAM_H.image_size
+        edge = _particle_at(CAM_H, (1.0, h / 2))
+        middle = _particle_at(CAM_H, (w / 2, h / 2))
+        corner = Window(w - 40, h - 40, w, h)
+        assert render_frame(CAM_H, edge, 0.0, seed=0, window=corner).clipped
+        assert not render_frame(CAM_H, middle, 0.0, seed=0, window=corner).clipped
+
+    def test_window_must_fit_sensor(self):
+        w, h = CAM_H.image_size
+        for window in (Window(-1, 0, 10, 10), Window(0, 0, w + 1, 10), Window(5, 5, 5, 10)):
+            with pytest.raises(ConfigurationError, match="window"):
+                render_frame(CAM_H, STATE, 0.0, seed=0, window=window)
+
+    def test_window_origin_snaps_to_stride(self):
+        w, h = CAM_H.image_size
+        for centre in ((100.3, 200.7), (7.0, 9.0), (w - 2.0, h - 2.0)):
+            window = tracking_window(CAM_H.image_size, centre, D_PX)
+            assert window.c0 % 3 == 0 and window.r0 % 3 == 0
+            assert 0 <= window.c0 < window.c1 <= w and 0 <= window.r0 < window.r1 <= h
+        assert tracking_window(CAM_H.image_size, (-500.0, 10.0), D_PX) is None
+        assert tracking_window(CAM_H.image_size, (float("nan"), 10.0), D_PX) is None
+
+    def test_background_is_shared_and_readonly(self):
+        bg = background_image(CAM_H)
+        assert background_image(CAM_V) is bg
+        with pytest.raises(ValueError):
+            bg[0, 0] = 0
+        render_frame(CAM_H, STATE, 0.0, seed=0)
+        assert np.all(bg == CFG.vision.background.level)
