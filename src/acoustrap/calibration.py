@@ -196,12 +196,14 @@ def acquire_reference(
     raises |p|, else halve the step, until it is below 1 um. Leaving the
     cube of span ``scan_extent`` (mm) around the command raises
     CalibrationError. The peak is projected through both cameras,
-    optionally with pixel noise.
+    optionally with pixel noise drawn from ``rng``, which must then be given.
     """
     if not (scan_step > 0 and scan_extent > 0 and np.isfinite([scan_step, scan_extent]).all()):
         raise ConfigurationError("scan extent and step must be finite and > 0")
     if not 0 <= pixel_noise_sigma < math.inf:  # also rejects NaN
         raise ConfigurationError(f"pixel_noise_sigma must be >= 0 and finite, got {pixel_noise_sigma}")
+    if pixel_noise_sigma > 0 and rng is None:
+        raise ConfigurationError("pixel_noise_sigma > 0 needs a seeded rng, so that reruns agree")
     holo = make_focus_hologram(array, commanded_focus, medium)
     peak = command = commanded_focus.as_array()
     peak_mag = abs(pressure_at_points(array, holo, peak[None], medium)[0])
@@ -224,8 +226,6 @@ def acquire_reference(
     uv_h = np.array(project(cam_h, world))
     uv_v = np.array(project(cam_v, world))
     if pixel_noise_sigma > 0:
-        if rng is None:
-            rng = np.random.default_rng()
         uv_h = uv_h + rng.normal(0.0, pixel_noise_sigma, 2)
         uv_v = uv_v + rng.normal(0.0, pixel_noise_sigma, 2)
     return ReferencePoint(world, (float(uv_h[0]), float(uv_h[1])), (float(uv_v[0]), float(uv_v[1])))

@@ -316,11 +316,10 @@ _SCENARIO_KEYS = {
     "pixel_noise_sigma": float,
     "dropout_prob": float,
     "seed": int,
-    "trap_diameter": float,
     "target_override": Vec3,
 }
 _PARTICLE_KEYS = {"position": Vec3, "velocity": Vec3, "diameter_um": float, "contrast": str}
-_NULLABLE_KEYS = {"trap_diameter", "target_override"}
+_NULLABLE_KEYS = {"target_override"}
 
 
 def _scenario_mapping(raw, keys: dict, prefix: str) -> dict:

@@ -190,9 +190,9 @@ def _coerce(cls: type, value: Any, path: str) -> Any:
         if isinstance(value, (list, tuple)) and len(value) == 3:
             try:
                 return Vec3.from_array(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ConfigurationError):
                 pass
-        raise ConfigurationError(f"{path} must be a 3-element list of numbers, got {value!r}")
+        raise ConfigurationError(f"{path} must be a 3-element list of finite numbers, got {value!r}")
     if cls is Background:
         if isinstance(value, Background):
             return value
@@ -217,7 +217,13 @@ def _coerce(cls: type, value: Any, path: str) -> Any:
                 pass
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"{path} must be a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):  # YAML reads .nan and .inf as floats
+            raise ConfigurationError(f"{path} must be finite, got {value!r}")
+        return number
     if cls is str:
         if not isinstance(value, str):
             raise ConfigurationError(f"{path} must be a string, got {value!r}")

@@ -92,9 +92,8 @@ class SimScenario:
 
     ``pixel_noise_sigma`` jitters the extracted feature coordinates (px);
     ``dropout_prob`` is the chance a camera misses the particle on a tick.
-    ``trap_diameter`` overrides the configured node cage span; None keeps
-    the default. ``target_override`` places the trap at a fixed point
-    instead of the predicted one.
+    ``target_override`` places the trap at a fixed point instead of the
+    predicted one.
     """
 
     particle: ParticleState
@@ -102,7 +101,6 @@ class SimScenario:
     dropout_prob: float = 0.0
     seed: int = 0
     timing: TimingConfig = TimingConfig()
-    trap_diameter: float | None = None
     target_override: Vec3 | None = None
 
     def __post_init__(self) -> None:
@@ -113,10 +111,6 @@ class SimScenario:
         if not (0.0 <= self.dropout_prob < 1.0):
             raise ConfigurationError(
                 f"scenario.dropout_prob must be in [0, 1), got {self.dropout_prob}"
-            )
-        if self.trap_diameter is not None and self.trap_diameter < 0:
-            raise ConfigurationError(
-                f"scenario.trap_diameter must be >= 0, got {self.trap_diameter}"
             )
 
 
@@ -345,9 +339,7 @@ class _Attempt:
             self.to(LoopState.FAILED, "target_outside_workspace")
             return
         array, medium = self.config.array, self.config.medium
-        diameter = self.scenario.trap_diameter
-        if diameter is None:
-            diameter = self.config.trap.octahedron_diameter
+        diameter = self.config.trap.octahedron_diameter
         try:
             if self.scenario.particle.contrast is Contrast.NEGATIVE:
                 self.trap = FocusTrap(target)
@@ -420,7 +412,6 @@ def make_batch_scenarios(
     diameter_um: float = 400.0,
     fall_speed: float = 10.0,
     timing: TimingConfig = TimingConfig(),
-    trap_diameter: float | None = None,
 ) -> list[SimScenario]:
     """Reproducible scenario batch with randomized start positions.
 
@@ -454,7 +445,6 @@ def make_batch_scenarios(
                 dropout_prob=dropout_prob,
                 seed=int(rng.integers(2**62)),
                 timing=timing,
-                trap_diameter=trap_diameter,
             )
         )
     return scenarios

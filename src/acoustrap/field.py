@@ -5,10 +5,11 @@ with phase phi_i contributes ``A / d_i * exp(j * (phi_i - k * d_i))`` at
 distance ``d_i``. No attenuation and no boundary reflections are modeled;
 the tank walls only bound where evaluation is allowed. An optional
 square-piston far-field directivity factor per element can be switched on
-through the field configuration.
+for pressure values and slices through the field configuration.
 
-One float64 kernel evaluates the sum and, for the Gor'kov potential, its
-gradient in closed form; it spreads chunks of points over threads.
+One float64 kernel evaluates the sum and, for the Gor'kov potential, the
+gradient of the undirected sum in closed form; it spreads chunks of points
+over threads.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def _field(
     pts: np.ndarray,
     medium: MediumConfig,
     *,
-    directivity: bool,
-    gradient: bool,
-    active_mask: np.ndarray | None = None,
+    directivity: bool = False,
+    gradient: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Complex pressure (N,) at the rows of ``pts`` (N, 3) and, when
-    ``gradient`` is set, its gradient (N, 3) per mm in closed form.
+    ``gradient`` is set, its gradient (N, 3) per mm in closed form. The
+    gradient has no piston factor, so it excludes ``directivity``.
 
     The points are cut into chunks of at most ``_CHUNK`` rows, evaluated on
     a thread pool sized from the usable CPUs (numpy releases the GIL) and
@@ -103,21 +104,13 @@ def _field(
         raise ConfigurationError(
             f"hologram shape {hologram.shape} does not match array {array.rows}x{array.cols}"
         )
-    centers = array.element_centers()
-    phases = hologram.phases.reshape(-1)
-    if active_mask is not None:
-        mask = np.asarray(active_mask, dtype=bool).reshape(-1)
-        if mask.size != array.element_count:
-            raise ConfigurationError(
-                f"active_mask length {mask.size} does not match {array.element_count} elements"
-            )
-        centers = centers[mask]
-        phases = phases[mask]
+    if directivity and gradient:
+        raise ConfigurationError("the closed-form gradient has no piston directivity")
     lam = wavelength(medium, array)
     evaluate = partial(
         _field_chunk,
-        centers=centers,
-        phases=phases,
+        centers=array.element_centers(),
+        phases=hologram.phases.reshape(-1),
         amplitude=array.emission_amplitude,
         k=TWO_PI / lam,
         piston=array.pitch / lam if directivity else None,
@@ -148,7 +141,7 @@ def _field_chunk(
     """Sum the element terms T_i = A / d_i * exp(j * (phi_i - k * d_i)) * D_i
     over one chunk of points, and their gradients when asked. D_i is the
     piston factor when ``piston`` (element side over wavelength) is given,
-    else 1."""
+    else 1; the gradient is only asked for with D_i = 1."""
     d = cdist(pts, centers)
     if np.any(d < MIN_SOURCE_DISTANCE):
         raise SingularityError("field point coincides with an element center")
@@ -166,17 +159,15 @@ def _field_chunk(
         ux *= inv_d
         uy = np.subtract.outer(piston * pts[:, 1], piston * centers[:, 1])
         uy *= inv_d
-        sx, cx = _sinc_cos(ux)
-        sy, cy = _sinc_cos(uy)
-        factor = sx * sy
+        factor = _sinc(ux) * _sinc(uy)
         t_re, t_im = e_re * factor, e_im * factor
     p = amplitude * (t_re.sum(axis=1) + 1j * t_im.sum(axis=1))
     if not gradient:
         return p, None
 
-    # grad T_i = T_i (-jk - 1/d) (r - c_i) / d + A / d exp(j theta) grad D_i.
-    # Coefficients g of (r - c_i) are summed as r * sum(g) - g @ c, in one
-    # BLAS call for their real and imaginary parts.
+    # grad T_i = T_i (-jk - 1/d) (r - c_i) / d. Coefficients g of (r - c_i)
+    # are summed as r * sum(g) - g @ c, in one BLAS call for their real and
+    # imaginary parts.
     g = np.empty((2,) + d.shape)
     g_re, g_im = g
     np.multiply(t_im, k, out=g_re)
@@ -185,25 +176,9 @@ def _field_chunk(
     np.multiply(t_im, inv_d, out=g_im)
     g_im += t_re * k
     g_im *= -inv_d  # Im[T (-1/d^2 - jk/d)] / A
-    if piston is not None:
-        # grad D = sinc'(ux) sy grad ux + sx sinc'(uy) grad uy, where
-        # grad u = piston * (axis / d - (r - c) dx / d^3) and
-        # sinc'(u) = (cos(pi u) - sinc(u)) / u, 0 at u = 0
-        along = (cx - sx) * sy
-        along += sx * (cy - sy)
-        along *= inv_d**2
-        g_re -= e_re * along
-        g_im -= e_im * along
-        across_x = np.divide(cx - sx, ux, out=np.zeros_like(ux), where=ux != 0)
-        across_x *= sy * inv_d * piston
-        across_y = np.divide(cy - sy, uy, out=np.zeros_like(uy), where=uy != 0)
-        across_y *= sx * inv_d * piston
     sums = g.reshape(2 * pts.shape[0], -1) @ np.column_stack([centers, np.ones(len(centers))])
     sums_re, sums_im = np.split(sums, 2)
     grad = (pts * sums_re[:, 3:] - sums_re[:, :3]) + 1j * (pts * sums_im[:, 3:] - sums_im[:, :3])
-    if piston is not None:
-        grad[:, 0] += (e_re * across_x).sum(axis=1) + 1j * (e_im * across_x).sum(axis=1)
-        grad[:, 1] += (e_re * across_y).sum(axis=1) + 1j * (e_im * across_y).sum(axis=1)
     return p, amplitude * grad
 
 
@@ -225,13 +200,13 @@ def _cos_sin(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _sinc_cos(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.sinc(u) = sin(pi u) / (pi u) and cos(pi u)."""
+def _sinc(u: np.ndarray) -> np.ndarray:
+    """np.sinc(u) = sin(pi u) / (pi u)."""
     y = np.where(u == 0, 1e-20, u)  # sinc(0) = 1, as in np.sinc
     y *= np.pi
-    cos, sin = _cos_sin(0.5 * y)
+    _, sin = _cos_sin(0.5 * y)
     sin /= y
-    return sin, cos
+    return sin
 
 
 def pressure_at_points(
@@ -241,38 +216,10 @@ def pressure_at_points(
     medium: MediumConfig,
     *,
     directivity: bool = False,
-    active_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Complex pressure at each row of ``points`` (N, 3), array units.
-
-    ``active_mask`` silences elements (flat boolean vector, row-major);
-    it exists for superposition checks and diagnostics.
-    """
-    p, _ = _field(
-        array,
-        hologram,
-        _as_points(points),
-        medium,
-        directivity=directivity,
-        gradient=False,
-        active_mask=active_mask,
-    )
+    """Complex pressure at each row of ``points`` (N, 3), array units."""
+    p, _ = _field(array, hologram, _as_points(points), medium, directivity=directivity)
     return p
-
-
-def pressure_at(
-    array: TransducerArray,
-    hologram: PhaseHologram,
-    point: Vec3,
-    medium: MediumConfig,
-    *,
-    directivity: bool = False,
-) -> complex:
-    """Complex pressure at a single point."""
-    value = pressure_at_points(
-        array, hologram, point.as_array()[None, :], medium, directivity=directivity
-    )
-    return complex(value[0])
 
 
 # Slice plane names map to (horizontal axis, vertical axis, fixed axis).
@@ -426,8 +373,6 @@ def trap_quality(
     hologram: PhaseHologram,
     trap: TrapSpec,
     medium: MediumConfig,
-    *,
-    directivity: bool = False,
 ) -> TrapQuality:
     """Probe the field a hologram produces at the trap's working points."""
     lam = wavelength(medium, array)
@@ -435,9 +380,7 @@ def trap_quality(
         pts = [trap.center.as_array()] + [
             v.as_array() for v in octahedron_vertexes(trap.center, trap.diameter)
         ]
-        mags = np.abs(
-            pressure_at_points(array, hologram, np.array(pts), medium, directivity=directivity)
-        )
+        mags = np.abs(pressure_at_points(array, hologram, np.array(pts), medium))
         center = float(mags[0])
         vertex = tuple(float(m) for m in mags[1:])
         return TrapQuality(
@@ -453,8 +396,8 @@ def trap_quality(
         lat_pts = f + np.stack([lateral, np.zeros_like(lateral), np.zeros_like(lateral)], axis=1)
         ax_pts = f + np.stack([np.zeros_like(axial), np.zeros_like(axial), axial], axis=1)
         ax_pts = ax_pts[ax_pts[:, 2] > 0]
-        lat_mags = np.abs(pressure_at_points(array, hologram, lat_pts, medium, directivity=directivity))
-        ax_mags = np.abs(pressure_at_points(array, hologram, ax_pts, medium, directivity=directivity))
+        lat_mags = np.abs(pressure_at_points(array, hologram, lat_pts, medium))
+        ax_mags = np.abs(pressure_at_points(array, hologram, ax_pts, medium))
         return TrapQuality(
             focal_peak=float(max(lat_mags.max(), ax_mags.max())),
             lateral_fwhm=_fwhm(lateral, lat_mags),
@@ -470,7 +413,6 @@ def gorkov_potential_at_points(
     medium: MediumConfig,
     particle: ParticleState,
     *,
-    directivity: bool = False,
     workspace: WorkspaceConfig | None = None,
 ) -> np.ndarray:
     """Small-sphere acoustic potential at each point, arbitrary units.
@@ -479,7 +421,7 @@ def gorkov_potential_at_points(
     the wavelength: a monopole term from the mean square pressure minus a
     dipole term from the mean square velocity, with contrast-dependent
     coefficients. The velocity comes from the closed-form pressure
-    gradient. With ``workspace`` given, a point closer to a tank wall than
+    gradient; no piston directivity is applied. With ``workspace`` given, a point closer to a tank wall than
     the particle radius raises GeometryError.
     """
     pts = _as_points(points)
@@ -495,7 +437,7 @@ def gorkov_potential_at_points(
         raise GeometryError(
             f"point lies closer to a tank wall than the particle radius ({radius_mm:.4g} mm)"
         )
-    p, grad = _field(array, hologram, pts, medium, directivity=directivity, gradient=True)
+    p, grad = _field(array, hologram, pts, medium, gradient=True)
 
     f1, f2 = CONTRAST_COEFFS[particle.contrast]
     volume = 4.0 / 3.0 * math.pi * radius_mm**3
@@ -509,25 +451,3 @@ def gorkov_potential_at_points(
     )
     return potential
 
-
-def gorkov_potential(
-    array: TransducerArray,
-    hologram: PhaseHologram,
-    point: Vec3,
-    medium: MediumConfig,
-    particle: ParticleState,
-    *,
-    directivity: bool = False,
-    workspace: WorkspaceConfig | None = None,
-) -> float:
-    """Scalar form of ``gorkov_potential_at_points``."""
-    value = gorkov_potential_at_points(
-        array,
-        hologram,
-        point.as_array()[None, :],
-        medium,
-        particle,
-        directivity=directivity,
-        workspace=workspace,
-    )
-    return float(value[0])

@@ -283,6 +283,14 @@ class TestAcquireReference:
                 scan_extent=extent, scan_step=step,
             )
 
+    def test_noise_without_rng_rejected(self, cameras):
+        # an unseeded generator would give different pixels on every call
+        with pytest.raises(ConfigurationError, match="seeded rng"):
+            acquire_reference(
+                TransducerArray(), MediumConfig(), Vec3(25.0, 25.0, 40.0), cameras,
+                pixel_noise_sigma=1.0,
+            )
+
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_negative_or_nan_noise_rejected(self, cameras, sigma):
         with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):

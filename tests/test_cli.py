@@ -328,6 +328,7 @@ class TestSimulateCommand:
             ("particle:\n  position: [1, 2, a]\n", "scenario.particle.position"),
             ("particle: {}\nseed: abc\n", "scenario.seed"),
             ("particle: {}\ntrap_diameter: abc\n", "scenario.trap_diameter"),
+            ("particle: {}\ntrap_diameter: 2.533\n", "unknown scenario key scenario.trap_diameter"),
             ("particle:\n  contrast: 3\n", "scenario.particle.contrast"),
             ("particle: {}\npixel_noise_sgima: 1.0\n", "scenario.pixel_noise_sgima"),
             ("particle:\n  speed: 3\n", "scenario.particle.speed"),
@@ -338,6 +339,7 @@ class TestSimulateCommand:
             "text_in_position",
             "text_seed",
             "text_trap_diameter",
+            "retired_trap_diameter",
             "numeric_contrast",
             "misspelt_key",
             "unknown_particle_key",
@@ -411,6 +413,24 @@ class TestSimulateCommand:
         )
         assert rc == 2
         assert "vision.min_foreground_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "vision.noise_sigma=.inf",
+            "vision.noise_sigma=.nan",
+            "control.confirm_tol=.nan",
+            "vision.binarize_offset=.nan",
+            "medium.sound_speed=.inf",
+            "timing.t_dip=.nan",
+        ],
+    )
+    def test_non_finite_override_is_config_error(self, tmp_path, capsys, override):
+        rc = run_cli("simulate", "--batch", "1", "--set", override, "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{override.partition('=')[0]} must be finite" in err
 
     def test_exponent_override_is_accepted(self, tmp_path):
         out = tmp_path / "exp"

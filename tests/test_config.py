@@ -1,3 +1,6 @@
+from dataclasses import is_dataclass
+from typing import get_args, get_type_hints
+
 import pytest
 import yaml
 from hypothesis import given
@@ -31,6 +34,19 @@ from acoustrap.errors import ConfigurationError
 
 def _num(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _float_paths(cls, prefix=""):
+    """Dotted paths of every float (or float | None) field below ``cls``;
+    Vec3 fields are coerced from lists, not as floats."""
+    for name, hint in get_type_hints(cls).items():
+        if hint is float or float in get_args(hint):
+            yield f"{prefix}{name}"
+        elif is_dataclass(hint) and hint is not Vec3:
+            yield from _float_paths(hint, f"{prefix}{name}.")
+
+
+FLOAT_PATHS = list(_float_paths(SimulatorConfig))
 
 
 # Valid configurations: every section varies within its accepted ranges;
@@ -174,6 +190,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="trap.containment_tol must be a number"):
             config_from_dict({"trap": {"containment_tol": "tight"}})
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "1e400"]
+    )
+    @pytest.mark.parametrize("path", FLOAT_PATHS)
+    def test_non_finite_float_names_its_field(self, path, value):
+        raw = value
+        for key in reversed(path.split(".")):
+            raw = {key: raw}
+        with pytest.raises(ConfigurationError, match=f"^{path} must be finite"):
+            config_from_dict(raw)
+
     def test_vec3_fields_parse_lists_only(self):
         cfg = config_from_dict({"workspace": {"center": [25, 25, 41]}})
         assert cfg.workspace.center == Vec3(25.0, 25.0, 41.0)
@@ -181,6 +208,8 @@ class TestValidation:
             config_from_dict({"workspace": {"center": [25, 25]}})
         with pytest.raises(ConfigurationError, match="workspace.center"):
             config_from_dict({"workspace": {"center": [25, 25, "a"]}})
+        with pytest.raises(ConfigurationError, match="array.origin must be a 3-element list of finite"):
+            config_from_dict({"array": {"origin": [0, 0, float("nan")]}})
 
 
 class TestLoadAndOverrides:

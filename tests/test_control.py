@@ -119,8 +119,6 @@ class TestScenarioValidation:
             SimScenario(particle=falling_particle(), pixel_noise_sigma=float("inf"))
         with pytest.raises(ConfigurationError):
             SimScenario(particle=falling_particle(), dropout_prob=1.0)
-        with pytest.raises(ConfigurationError):
-            SimScenario(particle=falling_particle(), trap_diameter=-2.0)
 
     def test_world_rejects_mismatched_cameras(self, config):
         jac, refs = default_calibration()

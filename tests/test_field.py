@@ -23,9 +23,7 @@ from acoustrap.field import (
     OctahedralTrap,
     PlaneSpec,
     field_slice,
-    gorkov_potential,
     gorkov_potential_at_points,
-    pressure_at,
     pressure_at_points,
     trap_quality,
     _field,
@@ -38,14 +36,12 @@ LAM = wavelength(MED, ARR)
 CENTER = Vec3(25.0, 25.0, 40.0)
 
 
-def direct_pressure(array, hologram, points, medium, directivity=False, active_mask=None):
+def direct_pressure(array, hologram, points, medium, directivity=False):
     """Slow reference: the float64 sum of element terms, one point at a time."""
     lam = wavelength(medium, array)
     k = 2.0 * math.pi / lam
     centres = array.element_centers()
     phi = hologram.phases.reshape(-1)
-    if active_mask is not None:
-        centres, phi = centres[active_mask], phi[active_mask]
     out = np.empty(len(points), dtype=complex)
     for n, p in enumerate(points):
         delta = p - centres
@@ -81,7 +77,7 @@ class TestPressureModel:
         one = TransducerArray(rows=1, cols=1)
         holo = PhaseHologram(np.zeros((1, 1)))
         point = Vec3(0.5, 0.5, 10.0)  # 10 mm above the only element
-        p = pressure_at(one, holo, point, MED)
+        p = pressure_at_points(one, holo, point.as_array()[None, :], MED)[0]
         assert abs(p) == pytest.approx(0.1, rel=1e-12)
         k = wavenumber(MED, one)
         expected_phase = (-k * 10.0) % TWO_PI
@@ -90,7 +86,7 @@ class TestPressureModel:
     def test_focus_amplitude_is_coherent_sum(self, focus_holo):
         d = np.linalg.norm(ARR.element_centers() - CENTER.as_array(), axis=1)
         expected = np.sum(ARR.emission_amplitude / d)
-        p = pressure_at(ARR, focus_holo, CENTER, MED)
+        p = pressure_at_points(ARR, focus_holo, CENTER.as_array()[None, :], MED)[0]
         assert abs(p) == pytest.approx(expected, rel=1e-12)
 
     def test_global_phase_invariance(self, focus_holo):
@@ -101,33 +97,17 @@ class TestPressureModel:
         b = np.abs(pressure_at_points(ARR, shifted, pts, MED))
         assert np.allclose(a, b, rtol=1e-12)
 
-    def test_linearity_over_disjoint_element_sets(self, focus_holo):
-        rng = np.random.default_rng(6)
-        pts = rng.uniform([10, 10, 20], [40, 40, 50], size=(20, 3))
-        mask = np.zeros(ARR.element_count, dtype=bool)
-        mask[: ARR.element_count // 2] = True
-        total = pressure_at_points(ARR, focus_holo, pts, MED)
-        first = pressure_at_points(ARR, focus_holo, pts, MED, active_mask=mask)
-        second = pressure_at_points(ARR, focus_holo, pts, MED, active_mask=~mask)
-        assert np.allclose(total, first + second, rtol=1e-12)
-
     def test_singularity_at_element_center(self, focus_holo):
         with pytest.raises(SingularityError):
-            pressure_at(ARR, focus_holo, Vec3(0.5, 0.5, 0.0), MED)
+            pressure_at_points(ARR, focus_holo, np.array([[0.5, 0.5, 0.0]]), MED)
 
     def test_points_shape_validation(self, focus_holo):
         with pytest.raises(ConfigurationError):
             pressure_at_points(ARR, focus_holo, np.zeros((3, 2)), MED)
 
-    def test_active_mask_length_validation(self, focus_holo):
-        with pytest.raises(ConfigurationError):
-            pressure_at_points(
-                ARR, focus_holo, CENTER.as_array()[None, :], MED, active_mask=np.ones(3, bool)
-            )
-
     def test_focus_superiority(self, focus_holo):
         rng = np.random.default_rng(7)
-        peak = abs(pressure_at(ARR, focus_holo, CENTER, MED))
+        peak = abs(pressure_at_points(ARR, focus_holo, CENTER.as_array()[None, :], MED)[0])
         n = 0
         while n < 1000:
             q = rng.uniform([6.5, 10.0, 25.0], [43.5, 40.0, 55.0], size=(1000, 3))
@@ -141,8 +121,9 @@ class TestPressureModel:
         on_axis = Vec3(25.0, 25.0, 40.0)
         off_axis = Vec3(47.0, 25.0, 8.0)
         for point in (on_axis, off_axis):
-            plain = abs(pressure_at(ARR, focus_holo, point, MED))
-            piston = abs(pressure_at(ARR, focus_holo, point, MED, directivity=True))
+            row = point.as_array()[None, :]
+            plain = abs(pressure_at_points(ARR, focus_holo, row, MED)[0])
+            piston = abs(pressure_at_points(ARR, focus_holo, row, MED, directivity=True)[0])
             assert piston <= plain + 1e-12
 
 
@@ -154,26 +135,17 @@ class TestKernel:
         ref = direct_pressure(ARR, octa_holo, pts, MED, directivity=directivity)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
-    def test_active_mask_matches_direct_sum(self, focus_holo):
-        pts = probe_points(12)
-        mask = np.random.default_rng(13).random(ARR.element_count) < 0.3
-        got = pressure_at_points(ARR, focus_holo, pts, MED, active_mask=mask)
-        ref = direct_pressure(ARR, focus_holo, pts, MED, active_mask=mask)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("directivity", [False, True])
-    def test_gradient_matches_central_differences(self, octa_holo, directivity):
-        # the last two points lie above element centres, where the piston
-        # factor's sinc argument is 0 for a row or column of elements
+    def test_gradient_matches_central_differences(self, octa_holo):
+        # the last two points lie above element centres
         pts = np.vstack([probe_points(14, n=40), [[0.5, 0.5, 5.0], [25.5, 24.5, 40.0]]])
-        p, grad = _field(ARR, octa_holo, pts, MED, directivity=directivity, gradient=True)
-        assert np.array_equal(p, pressure_at_points(ARR, octa_holo, pts, MED, directivity=directivity))
+        p, grad = _field(ARR, octa_holo, pts, MED, gradient=True)
+        assert np.array_equal(p, pressure_at_points(ARR, octa_holo, pts, MED))
         h = 1e-5
         central = np.stack(
             [
                 (
-                    pressure_at_points(ARR, octa_holo, pts + h * e, MED, directivity=directivity)
-                    - pressure_at_points(ARR, octa_holo, pts - h * e, MED, directivity=directivity)
+                    pressure_at_points(ARR, octa_holo, pts + h * e, MED)
+                    - pressure_at_points(ARR, octa_holo, pts - h * e, MED)
                 )
                 / (2 * h)
                 for e in np.eye(3)
@@ -184,16 +156,19 @@ class TestKernel:
         err = np.linalg.norm(grad - central, axis=1) / np.linalg.norm(central, axis=1)
         assert err.max() < 1e-6
 
+    def test_gradient_refuses_directivity(self, octa_holo):
+        with pytest.raises(ConfigurationError, match="no piston directivity"):
+            _field(ARR, octa_holo, CENTER.as_array()[None, :], MED, directivity=True, gradient=True)
+
     def test_worker_count_leaves_results_bit_identical(self, octa_holo, monkeypatch):
         pts = probe_points(15, n=700)  # three chunks
         results = []
         for cpus in (1, 3):
             monkeypatch.setattr(field, "usable_cpus", lambda: cpus)
-            for directivity in (False, True):
-                results.append(_field(ARR, octa_holo, pts, MED, directivity=directivity, gradient=True))
-        for (p1, g1), (p3, g3) in zip(results[:2], results[2:]):
-            assert np.array_equal(p1, p3)
-            assert np.array_equal(g1, g3)
+            p, grad = _field(ARR, octa_holo, pts, MED, gradient=True)
+            results.append((p, grad, pressure_at_points(ARR, octa_holo, pts, MED, directivity=True)))
+        for one, three in zip(*results):
+            assert np.array_equal(one, three)
 
     def test_singularity_in_worker_thread_reaches_caller(self, focus_holo, monkeypatch):
         monkeypatch.setattr(field, "usable_cpus", lambda: 2)
@@ -280,12 +255,12 @@ class TestTrapQuality:
         assert q.axial_fwhm > q.lateral_fwhm
         # the scanned peak can beat the commanded point slightly: the
         # intensity maximum of a finite aperture shifts toward the array
-        at_focus = abs(pressure_at(ARR, focus_holo, CENTER, MED))
+        at_focus = abs(pressure_at_points(ARR, focus_holo, CENTER.as_array()[None, :], MED)[0])
         assert at_focus <= q.focal_peak <= at_focus * 1.005
 
     def test_focus_peak_is_local_max(self, focus_holo):
         q = trap_quality(ARR, focus_holo, FocusTrap(CENTER), MED)
-        off = abs(pressure_at(ARR, focus_holo, Vec3(25.0 + LAM, 25.0, 40.0), MED))
+        off = abs(pressure_at_points(ARR, focus_holo, np.array([[25.0 + LAM, 25.0, 40.0]]), MED)[0])
         assert q.focal_peak >= off
 
     def test_octahedral_null_at_default_geometry(self, octa_holo, trap_baseline):
@@ -332,16 +307,10 @@ class TestGorkovPotential:
         offset = np.linalg.norm(grid[int(u.argmin())])
         assert offset <= LAM / 4
 
-    def test_scalar_matches_vector_form(self, focus_holo):
-        particle = ParticleState(position=CENTER, diameter_um=300.0)
-        u1 = gorkov_potential(ARR, focus_holo, CENTER, MED, particle)
-        u2 = gorkov_potential_at_points(ARR, focus_holo, CENTER.as_array()[None, :], MED, particle)
-        assert u1 == pytest.approx(float(u2[0]), rel=1e-12)
-
     def test_large_particle_warns(self, focus_holo):
         particle = ParticleState(position=CENTER, diameter_um=400.0)
         with pytest.warns(UserWarning, match="half a wavelength"):
-            gorkov_potential(ARR, focus_holo, CENTER, MED, particle)
+            gorkov_potential_at_points(ARR, focus_holo, CENTER.as_array()[None, :], MED, particle)
 
     def test_stencil_outside_tank_rejected(self, focus_holo):
         particle = ParticleState(position=CENTER, diameter_um=300.0)
