@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,3 +251,38 @@ class TestIterativeBaseline:
             ib_baseline_hologram(ARR, [CENTER], MED, iterations=0)
         with pytest.raises(GeometryError):
             ib_baseline_hologram(ARR, [Vec3(25.0, 25.0, -1.0)], MED)
+
+
+# 7x11 elements on a non-unit pitch, with the aperture corner off the frame origin.
+OFFSET_ARR = TransducerArray(rows=7, cols=11, pitch=1.3, origin=Vec3(1.0, -2.0, 0.5))
+
+GOLDEN_DIGESTS = {
+    "default": "90879c0d23d362e1e4bd36e63f6405c739489702cd8df5f9ad631d128151e62c",
+    "offset": "ec84b2f235f64ef7e079af2ef2a5ada77730b23d68691bd009f4e1fe18c7b736",
+}
+
+
+def _hologram_digest(array, seed, count=300):
+    """sha256 over the phases of a focus and a cage hologram per seeded
+    target; every 25th span is zero (the cage's focus path)."""
+    rng = np.random.default_rng(seed)
+    o = array.origin.as_array()
+    ax, ay = array.aperture
+    lo = o + [-0.2 * ax, -0.2 * ay, 6.0]
+    hi = o + [1.2 * ax, 1.2 * ay, 50.0]
+    points = rng.uniform(lo, hi, size=(count, 3))
+    spans = rng.uniform(0.0, 5.0, size=count)
+    spans[::25] = 0.0
+    h = hashlib.sha256()
+    for p, span in zip(points, spans):
+        target = Vec3.from_array(p)
+        h.update(make_focus_hologram(array, target, MED).phases.tobytes())
+        h.update(make_octahedral_hologram(array, target, float(span), MED).phases.tobytes())
+    return h.hexdigest()
+
+
+def test_holograms_match_golden_digest():
+    # the closed-form routes are exact float64 arithmetic: a refactor must
+    # reproduce every phase bit for bit
+    assert _hologram_digest(ARR, 9) == GOLDEN_DIGESTS["default"]
+    assert _hologram_digest(OFFSET_ARR, 10) == GOLDEN_DIGESTS["offset"]
