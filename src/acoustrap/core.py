@@ -114,6 +114,11 @@ class MediumConfig:
             raise ConfigurationError(f"medium.density must be > 0, got {self.density}")
 
 
+# Element-count bound (100x100): the field kernel's per-chunk temporaries
+# grow by about 10 KB per element.
+MAX_ELEMENTS = 10_000
+
+
 @dataclass(frozen=True)
 class TransducerArray:
     """Planar rectangular grid of identically driven emitters.
@@ -145,6 +150,11 @@ class TransducerArray:
             raise ConfigurationError(f"array.rows must be a positive integer, got {self.rows!r}")
         if not isinstance(self.cols, int) or self.cols < 1:
             raise ConfigurationError(f"array.cols must be a positive integer, got {self.cols!r}")
+        if self.rows * self.cols > MAX_ELEMENTS:
+            raise ConfigurationError(
+                f"array.rows x array.cols must be at most {MAX_ELEMENTS:,} elements,"
+                f" got {self.rows}x{self.cols}"
+            )
         if self.pitch <= 0:
             raise ConfigurationError(f"array.pitch must be > 0, got {self.pitch}")
         if self.frequency <= 0:

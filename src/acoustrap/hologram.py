@@ -1,12 +1,15 @@
 """Phase-only hologram synthesis for the transducer array.
 
-Two synthesis routes are provided. The closed-form route assigns each
-element the phase that makes its emission arrive in phase at a focal
-point, and builds multi-point traps by spatially multiplexing the
-aperture: the grid is tiled into 2x3 element blocks whose six members
-each serve one trap point. The iterative route is a conventional
+The closed-form routes give every element the phase that makes its
+emission arrive in phase at that element's own target point. A focus
+hologram points every element at one focal point; an octahedral cage
+hologram tiles the aperture with 2x3 element blocks, element (i, j)
+focusing on vertex ``(i mod 2) * 3 + (j mod 3)``, so each block serves
+all six vertexes. The iterative route is a conventional
 alternating-projection baseline retained for comparison; it is orders of
-magnitude slower and exists to justify the closed-form choice.
+magnitude slower and exists to justify the closed-form choice. All
+routes share one distance check: targets strictly above the array plane
+and off every element centre.
 """
 
 from __future__ import annotations
@@ -30,19 +33,12 @@ from .errors import ConfigurationError, GeometryError
 # Distances below this are treated as a source singularity, mm.
 MIN_SOURCE_DISTANCE = 1e-9
 
-# Spatial multiplexing block shape: 2 rows x 3 cols = 6 groups, one per
-# octahedron vertex.
-SM_BLOCK_SHAPE = (2, 3)
 
-
-def wrap_phase(values):
-    """Map phase values (scalar or array, radians) onto [0, 2*pi)."""
+def wrap_phase(values: np.ndarray) -> np.ndarray:
+    """Map phase values (radians) onto [0, 2*pi)."""
     wrapped = np.mod(values, TWO_PI)
     # mod can round up to exactly 2*pi for tiny negative inputs; fold it.
-    wrapped = np.where(wrapped >= TWO_PI, 0.0, wrapped)
-    if np.ndim(values) == 0:
-        return float(wrapped)
-    return wrapped
+    return np.where(wrapped >= TWO_PI, 0.0, wrapped)
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,8 @@ class OctahedralTrap:
     diameter: float = DEFAULT_OCTAHEDRON_DIAMETER
 
     def __post_init__(self) -> None:
-        if self.diameter < 0:
-            raise ConfigurationError(f"trap diameter must be >= 0, got {self.diameter}")
+        if not 0 <= self.diameter < math.inf:
+            raise ConfigurationError(f"trap diameter must be finite and >= 0, got {self.diameter}")
 
 
 TrapSpec = Union[FocusTrap, OctahedralTrap]
@@ -108,54 +104,53 @@ def trap_anchor(trap: TrapSpec) -> Vec3:
     return trap.point if isinstance(trap, FocusTrap) else trap.center
 
 
-def focus_phase(element: Vec3, focal: Vec3, wavelength_mm: float) -> float:
-    """Drive phase aligning one element's arrival at ``focal``.
+def _element_distances(array: TransducerArray, points: np.ndarray, label: str) -> np.ndarray:
+    """Distances from the element centres to ``points``, mm.
 
-    The phase retards each emission by the propagation delay modulo one
-    period: ``2*pi - mod(-(2*pi/lambda) * d, 2*pi)``, folded into
-    [0, 2*pi).
+    ``points`` of shape (..., 3) broadcasts against the (elements, 3)
+    centres: one row per element, or (targets, 1, 3) for a
+    (targets, elements) matrix. Every point must lie strictly above the
+    array plane and off every element centre.
     """
-    if wavelength_mm <= 0 or not math.isfinite(wavelength_mm):
-        raise GeometryError(f"wavelength must be positive, got {wavelength_mm}")
-    d = element.distance_to(focal)
-    if d < MIN_SOURCE_DISTANCE:
-        raise GeometryError(f"focal point coincides with an element center (d={d:.3g} mm)")
-    phase = TWO_PI - (-(TWO_PI / wavelength_mm) * d) % TWO_PI
-    return wrap_phase(phase)
-
-
-def _focus_phases(distances: np.ndarray, wavelength_mm: float) -> np.ndarray:
-    """Vectorized form of ``focus_phase`` over a distance array."""
-    if np.any(distances < MIN_SOURCE_DISTANCE):
-        raise GeometryError("target point coincides with an element center")
-    phases = TWO_PI - np.mod(-(TWO_PI / wavelength_mm) * distances, TWO_PI)
-    return wrap_phase(phases)
-
-
-def _require_above_plane(array: TransducerArray, point: Vec3, label: str) -> None:
-    if point.z - array.origin.z <= 0:
+    z = points[..., 2]
+    below = z - array.origin.z <= 0
+    if np.any(below):
         raise GeometryError(
             f"{label} must lie strictly above the array plane"
-            f" (z={point.z} vs plane z={array.origin.z})"
+            f" (z={float(z[below][0])} vs plane z={array.origin.z})"
         )
+    d = np.linalg.norm(array.element_centers() - points, axis=-1)
+    if np.any(d < MIN_SOURCE_DISTANCE):
+        raise GeometryError(f"{label} coincides with an element center")
+    return d
+
+
+def _focus_elements(
+    array: TransducerArray, targets: np.ndarray, medium: MediumConfig, label: str
+) -> PhaseHologram:
+    """Each element focuses on its own row of ``targets`` (elements, 3).
+
+    The phase retards each emission by its propagation delay modulo one
+    period, ``2*pi - mod(-(2*pi/lambda) * d, 2*pi)``, so every element's
+    wave arrives at its target in phase.
+    """
+    d = _element_distances(array, targets, label)
+    phases = TWO_PI - np.mod(-(TWO_PI / wavelength(medium, array)) * d, TWO_PI)
+    return PhaseHologram(wrap_phase(phases).reshape(array.rows, array.cols))
 
 
 def make_focus_hologram(
     array: TransducerArray, focal: Vec3, medium: MediumConfig
 ) -> PhaseHologram:
     """Hologram focusing the whole aperture on a single point."""
-    _require_above_plane(array, focal, "focal point")
-    lam = wavelength(medium, array)
-    centers = array.element_centers()
-    d = np.linalg.norm(centers - focal.as_array(), axis=1)
-    phases = _focus_phases(d, lam)
-    return PhaseHologram(phases.reshape(array.rows, array.cols))
+    targets = np.broadcast_to(focal.as_array(), (array.element_count, 3))
+    return _focus_elements(array, targets, medium, "focal point")
 
 
 # Octahedron vertex order: +x, -x, +y, -y, +z, -z around the center.
 def octahedron_vertexes(center: Vec3, diameter: float) -> tuple[Vec3, ...]:
-    if diameter < 0:
-        raise ConfigurationError(f"octahedron diameter must be >= 0, got {diameter}")
+    if not 0 <= diameter < math.inf:
+        raise ConfigurationError(f"octahedron diameter must be finite and >= 0, got {diameter}")
     r = diameter / 2.0
     return (
         Vec3(center.x + r, center.y, center.z),
@@ -167,90 +162,24 @@ def octahedron_vertexes(center: Vec3, diameter: float) -> tuple[Vec3, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SmAssignment:
-    """Element-to-group map for spatial multiplexing.
-
-    ``group[i, j]`` in 0..5 selects which trap point element (i, j)
-    serves; each 2x3 block aligned to the grid origin contains every
-    group exactly once.
-    """
-
-    group: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.group)
-        if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
-            raise ConfigurationError("assignment must be a 2-D integer array")
-        if arr.min(initial=0) < 0 or arr.max(initial=0) > 5:
-            raise ConfigurationError("assignment groups must be within 0..5")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "group", arr)
-
-    def counts(self) -> np.ndarray:
-        """Element count per group, length 6."""
-        return np.bincount(self.group.ravel(), minlength=6)
-
-
-def sm_assignment(array: TransducerArray) -> SmAssignment:
-    """Tile the grid with 2x3 blocks; group = (i mod 2) * 3 + (j mod 3).
-
-    Rows/cols that are not multiples of the block shape continue the
-    cyclic pattern, so group populations stay within one partial
-    block-row/column of each other.
-    """
-    br, bc = SM_BLOCK_SHAPE
-    if array.rows < br or array.cols < bc:
-        raise ConfigurationError(
-            f"array {array.rows}x{array.cols} too small for {br}x{bc} multiplexing blocks"
-        )
-    i = np.arange(array.rows)[:, None]
-    j = np.arange(array.cols)[None, :]
-    return SmAssignment((i % br) * bc + (j % bc))
-
-
-def multiplexed_hologram(
-    array: TransducerArray,
-    assignment: SmAssignment,
-    targets: Sequence[Vec3],
-    medium: MediumConfig,
-) -> PhaseHologram:
-    """Each element focuses on the target its assignment group selects."""
-    if assignment.group.shape != (array.rows, array.cols):
-        raise ConfigurationError(
-            f"assignment shape {assignment.group.shape} does not match array"
-            f" {array.rows}x{array.cols}"
-        )
-    targets = list(targets)
-    if assignment.group.max(initial=0) >= len(targets):
-        raise ConfigurationError(
-            f"assignment references group {assignment.group.max()} but only"
-            f" {len(targets)} targets given"
-        )
-    for t in targets:
-        _require_above_plane(array, t, "trap point")
-    lam = wavelength(medium, array)
-    centers = array.element_centers().reshape(array.rows, array.cols, 3)
-    tgt = np.array([t.as_array() for t in targets])
-    per_element = tgt[assignment.group]
-    d = np.linalg.norm(centers - per_element, axis=-1)
-    return PhaseHologram(_focus_phases(d, lam))
-
-
 def make_octahedral_hologram(
     array: TransducerArray, center: Vec3, diameter: float, medium: MediumConfig
 ) -> PhaseHologram:
-    """Spatially multiplexed six-point trap around ``center``.
+    """Six-point trap around ``center``, spatially multiplexed over the
+    aperture: element (i, j) focuses on vertex ``(i mod 2) * 3 + (j mod 3)``,
+    so every 2x3 block of elements serves all six vertexes.
 
     A zero diameter degenerates to the plain focus hologram.
     """
     if diameter == 0:
         return make_focus_hologram(array, center, medium)
-    vertexes = octahedron_vertexes(center, diameter)
-    for v in vertexes:
-        _require_above_plane(array, v, "octahedron vertex")
-    return multiplexed_hologram(array, sm_assignment(array), vertexes, medium)
+    vertexes = np.array([v.as_array() for v in octahedron_vertexes(center, diameter)])
+    if array.rows < 2 or array.cols < 3:
+        raise ConfigurationError(
+            f"array {array.rows}x{array.cols} too small for 2x3 multiplexing blocks"
+        )
+    i, j = np.divmod(np.arange(array.element_count), array.cols)
+    return _focus_elements(array, vertexes[(i % 2) * 3 + j % 3], medium, "octahedron vertex")
 
 
 @dataclass(frozen=True)
@@ -279,15 +208,9 @@ def ib_baseline_hologram(
         raise ConfigurationError("iterative synthesis needs at least one target")
     if iterations < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    for t in targets:
-        _require_above_plane(array, t, "target point")
-    lam = wavelength(medium, array)
-    k = TWO_PI / lam
-    centers = array.element_centers()
     tgt = np.array([t.as_array() for t in targets])
-    d = np.linalg.norm(tgt[:, None, :] - centers[None, :, :], axis=-1)
-    if np.any(d < MIN_SOURCE_DISTANCE):
-        raise GeometryError("target point coincides with an element center")
+    d = _element_distances(array, tgt[:, None, :], "target point")
+    k = TWO_PI / wavelength(medium, array)
     transfer = np.exp(-1j * k * d) / d  # (targets, elements)
     adjoint = transfer.conj().T
 

@@ -76,6 +76,17 @@ class TestHologramCommand:
         assert len(costs) == 40
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
+    @pytest.mark.parametrize("diameter", ["nan", "inf"])
+    def test_non_finite_diameter_is_config_error(self, tmp_path, capsys, diameter):
+        rc = run_cli(
+            "hologram", "octa", "--center", "25,25,40", "--diameter", diameter,
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "octahedron diameter must be finite" in err
+
     def test_focus_below_plane_is_geometry_error(self, tmp_path):
         assert run_cli(
             "hologram", "focus", "--at", "25,25,-5", "--out-dir", str(tmp_path)
@@ -431,6 +442,16 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{override.partition('=')[0]} must be finite" in err
+
+    def test_too_many_elements_is_config_error(self, tmp_path, capsys):
+        rc = run_cli(
+            "simulate", "--batch", "1", "--set", "array.rows=100000",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "array.rows x array.cols must be at most 10,000 elements" in err
 
     def test_exponent_override_is_accepted(self, tmp_path):
         out = tmp_path / "exp"

@@ -23,6 +23,7 @@ from acoustrap.config import (
 )
 from acoustrap.core import (
     DEFAULT_OCTAHEDRON_DIAMETER,
+    MAX_ELEMENTS,
     MediumConfig,
     TimingConfig,
     TransducerArray,
@@ -200,6 +201,13 @@ class TestValidation:
             raw = {key: raw}
         with pytest.raises(ConfigurationError, match=f"^{path} must be finite"):
             config_from_dict(raw)
+
+    def test_element_count_bounded(self):
+        cfg = config_from_dict({"array": {"rows": 100, "cols": 100}})
+        assert cfg.array.element_count == MAX_ELEMENTS
+        for rows, cols in ((101, 100), (100_000, 50)):
+            with pytest.raises(ConfigurationError, match=r"array\.rows x array\.cols must be at most"):
+                config_from_dict({"array": {"rows": rows, "cols": cols}})
 
     def test_vec3_fields_parse_lists_only(self):
         cfg = config_from_dict({"workspace": {"center": [25, 25, 41]}})

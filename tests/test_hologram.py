@@ -2,32 +2,28 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from acoustrap.core import TWO_PI, MediumConfig, TransducerArray, Vec3, wavelength, wavenumber
+from acoustrap.core import TWO_PI, MediumConfig, TransducerArray, Vec3, wavenumber
 from acoustrap.errors import ConfigurationError, GeometryError
 from acoustrap.hologram import (
-    SM_BLOCK_SHAPE,
     FocusTrap,
     OctahedralTrap,
     PhaseHologram,
-    SmAssignment,
-    focus_phase,
     ib_baseline_hologram,
     make_focus_hologram,
     make_octahedral_hologram,
-    multiplexed_hologram,
     octahedron_vertexes,
-    sm_assignment,
     trap_anchor,
     wrap_phase,
 )
 
 MED = MediumConfig()
 ARR = TransducerArray()
-LAM = wavelength(MED, ARR)
 CENTER = Vec3(25.0, 25.0, 40.0)
+# 7x11 elements on a non-unit pitch, with the aperture corner off the frame origin.
+OFFSET_ARR = TransducerArray(rows=7, cols=11, pitch=1.3, origin=Vec3(1.0, -2.0, 0.5))
 
 
 def arrival_residuals(array, hologram, point, medium):
@@ -89,26 +85,9 @@ class TestTrapSpecs:
         assert trap_anchor(OctahedralTrap(CENTER, 2.0)) == CENTER
 
     def test_octahedral_rejects_negative_diameter(self):
-        with pytest.raises(ConfigurationError):
-            OctahedralTrap(CENTER, -1.0)
-
-
-class TestFocusPhase:
-    @given(
-        st.floats(min_value=0.0, max_value=49.0),
-        st.floats(min_value=0.0, max_value=49.0),
-        st.floats(min_value=5.0, max_value=55.0),
-    )
-    @settings(max_examples=50)
-    def test_matches_propagation_delay(self, x, y, z):
-        element = Vec3(10.5, 20.5, 0.0)
-        focal = Vec3(x, y, z)
-        d = element.distance_to(focal)
-        expected = d * TWO_PI / LAM % TWO_PI
-        got = focus_phase(element, focal, LAM)
-        delta = abs(got - expected)
-        assert min(delta, TWO_PI - delta) < 1e-9
-        assert 0.0 <= got < TWO_PI
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="diameter"):
+                OctahedralTrap(CENTER, bad)
 
 
 class TestFocusHologram:
@@ -140,82 +119,37 @@ class TestOctahedronVertexes:
         assert v[5] == Vec3(25.0, 25.0, 38.8)
 
     def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            octahedron_vertexes(CENTER, -0.1)
-
-
-class TestSmAssignment:
-    def test_every_block_holds_each_group_once(self):
-        g = sm_assignment(ARR).group
-        br, bc = SM_BLOCK_SHAPE
-        for bi in range(0, ARR.rows - br + 1, br):
-            for bj in range(0, ARR.cols - bc + 1, bc):
-                block = g[bi:bi + br, bj:bj + bc].ravel()
-                assert sorted(block.tolist()) == [0, 1, 2, 3, 4, 5]
-
-    def test_group_populations_balanced(self):
-        counts = sm_assignment(ARR).counts()
-        assert counts.sum() == ARR.rows * ARR.cols
-        assert counts.max() - counts.min() <= ARR.rows // 2 + ARR.cols // 3
-
-    def test_too_small_array_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sm_assignment(TransducerArray(rows=1, cols=3))
-
-    def test_assignment_validation(self):
-        with pytest.raises(ConfigurationError):
-            SmAssignment(np.array([[0, 6]]))
-        with pytest.raises(ConfigurationError):
-            SmAssignment(np.array([0, 1, 2]))
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="octahedron diameter"):
+                octahedron_vertexes(CENTER, bad)
 
 
 class TestMultiplexedHologram:
     def test_arrival_phase_at_own_vertex(self):
-        holo = make_octahedral_hologram(ARR, CENTER, 2.4, MED)
-        groups = sm_assignment(ARR).group.ravel()
-        verts = octahedron_vertexes(CENTER, 2.4)
-        for g, v in enumerate(verts):
-            mask = groups == g
-            k = wavenumber(MED, ARR)
-            d = np.linalg.norm(ARR.element_centers()[mask] - v.as_array(), axis=1)
-            arrival = np.mod(holo.phases.ravel()[mask] - k * d, TWO_PI)
-            resid = np.minimum(arrival, TWO_PI - arrival)
-            assert resid.max() < 1e-9
+        # element (i, j) serves vertex (i mod 2) * 3 + (j mod 3)
+        for array in (ARR, OFFSET_ARR):
+            center = array.origin + Vec3(4.0, 5.0, 30.0)
+            holo = make_octahedral_hologram(array, center, 2.4, MED)
+            verts = np.array([v.as_array() for v in octahedron_vertexes(center, 2.4)])
+            i, j = np.indices((array.rows, array.cols))
+            own = verts[((i % 2) * 3 + j % 3).ravel()]
+            d = np.linalg.norm(array.element_centers() - own, axis=1)
+            arrival = np.mod(holo.phases.ravel() - wavenumber(MED, array) * d, TWO_PI)
+            assert np.minimum(arrival, TWO_PI - arrival).max() < 1e-9
 
     def test_zero_diameter_degenerates_to_focus(self):
         octa = make_octahedral_hologram(ARR, CENTER, 0.0, MED)
         focus = make_focus_hologram(ARR, CENTER, MED)
         assert np.array_equal(octa.phases, focus.phases)
 
-    def test_mirror_symmetry_for_on_axis_center(self):
-        # flipping the aperture rows is the same as swapping the +x/-x
-        # vertexes and flipping the assignment rows
-        d = 2.0
-        holo = make_octahedral_hologram(ARR, CENTER, d, MED)
-        v = octahedron_vertexes(CENTER, d)
-        swapped = [v[1], v[0], v[2], v[3], v[4], v[5]]
-        assign = sm_assignment(ARR)
-        mirrored = multiplexed_hologram(
-            ARR, SmAssignment(assign.group[::-1, :]), swapped, MED
-        )
-        assert np.abs(holo.phases[::-1, :] - mirrored.phases).max() < 1e-12
-
     def test_vertex_below_plane_rejected(self):
         with pytest.raises(GeometryError):
             make_octahedral_hologram(ARR, Vec3(25.0, 25.0, 0.5), 2.4, MED)
 
-    def test_target_count_must_cover_groups(self):
-        with pytest.raises(ConfigurationError):
-            multiplexed_hologram(ARR, sm_assignment(ARR), [CENTER], MED)
-
-    def test_assignment_shape_must_match(self):
-        with pytest.raises(ConfigurationError):
-            multiplexed_hologram(
-                ARR,
-                SmAssignment(np.zeros((2, 3), dtype=int)),
-                list(octahedron_vertexes(CENTER, 2.0)),
-                MED,
-            )
+    def test_too_small_array_rejected(self):
+        for rows, cols in ((1, 3), (2, 2)):
+            with pytest.raises(ConfigurationError, match="too small for 2x3"):
+                make_octahedral_hologram(TransducerArray(rows=rows, cols=cols), CENTER, 2.4, MED)
 
 
 class TestIterativeBaseline:
@@ -252,9 +186,6 @@ class TestIterativeBaseline:
         with pytest.raises(GeometryError):
             ib_baseline_hologram(ARR, [Vec3(25.0, 25.0, -1.0)], MED)
 
-
-# 7x11 elements on a non-unit pitch, with the aperture corner off the frame origin.
-OFFSET_ARR = TransducerArray(rows=7, cols=11, pitch=1.3, origin=Vec3(1.0, -2.0, 0.5))
 
 GOLDEN_DIGESTS = {
     "default": "90879c0d23d362e1e4bd36e63f6405c739489702cd8df5f9ad631d128151e62c",
