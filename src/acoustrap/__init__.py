@@ -15,7 +15,6 @@ from .config import (
     SimulatorConfig,
     TrapConfig,
     VisionConfig,
-    load_config,
 )
 from .core import (
     Contrast,
@@ -58,7 +57,6 @@ __all__ = [
     "Vec3",
     "VisionConfig",
     "WorkspaceConfig",
-    "load_config",
     "wavelength",
     "__version__",
 ]

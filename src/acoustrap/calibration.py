@@ -340,8 +340,8 @@ def build_camera_pair(
             (float(centroid_px[2]), float(centroid_px[3])),
         )
     s = vision.scale
-    size = (vision.image_width, vision.image_height)
     common = dict(
+        image_size=vision.image_size,
         noise_sigma=vision.noise_sigma,
         background=vision.background,
         particle_level=vision.particle_level,
@@ -350,16 +350,12 @@ def build_camera_pair(
         jacobian.camera_rows("h") * s,
         np.array(anchor.pixel_h) * s,
         anchor.world,
-        size,
-        name="camera_h",
         **common,
     )
     cam_v = CameraModel(
         jacobian.camera_rows("v") * s,
         np.array(anchor.pixel_v) * s,
         anchor.world,
-        size,
-        name="camera_v",
         **common,
     )
     return cam_h, cam_v

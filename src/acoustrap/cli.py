@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -20,7 +21,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .calibration import (
@@ -34,7 +34,8 @@ from .calibration import (
 from .config import (
     ENV_CONFIG_VAR,
     SimulatorConfig,
-    _coerce,
+    _build_dataclass,
+    _read_raw,
     config_to_dict,
     resolve_config,
 )
@@ -60,7 +61,6 @@ from .formats import (
     load_hologram_csv,
     load_pgm,
     save_field_slice_csv,
-    save_frame_pgm,
     save_hologram_csv,
     save_pgm,
     slice_magnitude_pgm,
@@ -88,14 +88,19 @@ def _parse_vec3(text: str) -> Vec3:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer but got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for integers >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer but got {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -280,7 +285,7 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
             state = step_particle(particle, t)
             frame = render_frame(cam, state, t, int(rng.integers(2**63)))
             name = f"frame_{label}_{k:03d}.pgm"
-            save_frame_pgm(out / name, frame)
+            save_pgm(out / name, frame.pixels)
             outputs.append(name)
             expected = state.diameter_um * cam.pixel_scale
             obs = extract_feature(frame, bg, expected, config.vision)
@@ -309,49 +314,24 @@ def _observation_record(obs, camera, frame_name, t) -> dict:
     }
 
 
-# Keys of a scenario file and their types; the top-level keys are
-# SimScenario fields. Only the optional ones may be null.
-_SCENARIO_KEYS = {
-    "particle": dict,
-    "pixel_noise_sigma": float,
-    "dropout_prob": float,
-    "seed": int,
-    "target_override": Vec3,
-}
-_PARTICLE_KEYS = {"position": Vec3, "velocity": Vec3, "diameter_um": float, "contrast": str}
-_NULLABLE_KEYS = {"target_override"}
-
-
-def _scenario_mapping(raw, keys: dict, prefix: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{prefix} must be a mapping, got {raw!r}")
-    out = {}
-    for key, value in raw.items():
-        if key not in keys:
-            raise ConfigurationError(f"unknown scenario key {prefix}.{key}")
-        if value is None and key in _NULLABLE_KEYS:
-            out[key] = None
-        else:
-            out[key] = _coerce(keys[key], value, f"{prefix}.{key}")
-    return out
-
-
 def _scenario_from_yaml(path, config: SimulatorConfig) -> SimScenario:
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigurationError(f"cannot load scenario from {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "particle" not in raw:
-        raise ConfigurationError("scenario file must be a mapping with a 'particle' section")
-    fields = _scenario_mapping(raw, _SCENARIO_KEYS, "scenario")
-    p = _scenario_mapping(fields.pop("particle"), _PARTICLE_KEYS, "scenario.particle")
-    particle = ParticleState(
-        p.get("position", Vec3(25.0, 25.0, 45.0)),
-        p.get("velocity", Vec3(0.0, 0.0, -config.control.fall_speed)),
-        p.get("diameter_um", 400.0),
-        Contrast.parse(p.get("contrast", "positive")),
-    )
-    return SimScenario(particle=particle, timing=config.timing, **fields)
+    """Build a scenario file through the configuration builder; the
+    particle falls from the default start at ``control.fall_speed``."""
+    raw = _read_raw(path)
+    if "timing" in raw:
+        raise ConfigurationError(
+            "scenario.timing is not a scenario key: timing comes from the configuration"
+        )
+    particle = raw.get("particle")
+    if not isinstance(particle, dict):
+        raise ConfigurationError(f"scenario.particle must be a mapping, got {particle!r}")
+    particle = {
+        "position": [25.0, 25.0, 45.0],
+        "velocity": [0.0, 0.0, -config.control.fall_speed],
+        **particle,
+    }
+    scenario = _build_dataclass(SimScenario, {**raw, "particle": particle}, "scenario")
+    return dataclasses.replace(scenario, timing=config.timing)
 
 
 _SUMMARY_COLUMNS = [
@@ -521,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override one configuration value (repeatable)",
         )
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed (default 0)")
         p.add_argument("--out-dir", default="out", help="output directory (default ./out)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -573,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--position", type=_parse_vec3, required=True, metavar="X,Y,Z")
     render.add_argument("--velocity", type=_parse_vec3, default=None, metavar="X,Y,Z")
     render.add_argument("--diameter-um", type=float, default=400.0)
-    render.add_argument("--frames", type=_positive_int, default=1)
+    render.add_argument("--frames", type=_int_at_least(1), default=1)
     render.add_argument("--camera", choices=["h", "v", "both"], default="both")
     add_common(render)
     render.set_defaults(func=cmd_vision)
@@ -591,12 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dropout", type=float, default=0.0, help="per-camera dropout probability")
     sim.add_argument("--contrast", choices=["positive", "negative"], default="positive")
     sim.add_argument("--diameter-um", type=float, default=400.0)
-    sim.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for batches")
+    sim.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes for batches")
     add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 
     bench = sub.add_parser("bench", help="time the synthesis routes")
-    bench.add_argument("--repeats", type=_positive_int, default=21)
+    bench.add_argument("--repeats", type=_int_at_least(1), default=21)
     bench.add_argument("--ib-iterations", type=int, default=200)
     add_common(bench)
     bench.set_defaults(func=cmd_bench)

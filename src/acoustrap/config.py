@@ -5,6 +5,9 @@ A configuration file is a YAML mapping with one section per subsystem
 ``trap``, ``control``). Every key is optional; omitted keys keep the
 defaults below, which reproduce the reference desk setup. Unknown keys are
 rejected with the offending field named.
+
+``_build_dataclass`` is the one schema check: it turns a raw mapping into
+any of these dataclasses, and the CLI builds scenario files with it too.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import yaml
 
 from .core import (
     DEFAULT_OCTAHEDRON_DIAMETER,
+    Contrast,
     MediumConfig,
     TimingConfig,
     TransducerArray,
@@ -34,6 +38,8 @@ ENV_CONFIG_VAR = "ACOUSTRAP_CONFIG"
 # Native sensor resolution of the reference cameras; the default desk
 # profile renders at scale 0.25 of this to keep simulations fast.
 FULL_IMAGE_SIZE = (2448, 2050)
+# Smallest vision.scale: the rendered sensor keeps at least 8 px a side.
+MIN_SCALE = 8 / min(FULL_IMAGE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -65,13 +71,12 @@ class VisionConfig:
     """Virtual camera pair and feature extraction settings.
 
     ``scale`` relates rendered pixels to the native sensor: Jacobian rows,
-    reference pixels, and image size all shrink by the same factor so
-    projections stay consistent.
+    reference pixels, and the rendered image size (``image_size``) all
+    shrink by the same factor so projections stay consistent. It lies in
+    [``MIN_SCALE``, 1]: at least 8x8 px, never above the native sensor.
     """
 
     scale: float = 0.25
-    image_width: int = 612
-    image_height: int = 512
     noise_sigma: float = 0.0
     background: Background = Background()
     particle_level: float = 40.0
@@ -79,11 +84,10 @@ class VisionConfig:
     min_foreground_fraction: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigurationError(f"vision.scale must be > 0, got {self.scale}")
-        if self.image_width < 8 or self.image_height < 8:
+        if not (MIN_SCALE <= self.scale <= 1.0):  # also rejects NaN
             raise ConfigurationError(
-                f"vision.image size must be at least 8x8, got {self.image_width}x{self.image_height}"
+                f"vision.scale must be within [8/{min(FULL_IMAGE_SIZE)}, 1], so the sensor"
+                f" is 8x8 px to native {FULL_IMAGE_SIZE[0]}x{FULL_IMAGE_SIZE[1]}, got {self.scale}"
             )
         if self.noise_sigma < 0:
             raise ConfigurationError(f"vision.noise_sigma must be >= 0, got {self.noise_sigma}")
@@ -97,12 +101,10 @@ class VisionConfig:
                 f"{self.min_foreground_fraction}"
             )
 
-    @classmethod
-    def full_scale(cls, **kwargs) -> "VisionConfig":
-        """Native-resolution profile (slow; used for pixel-accuracy checks)."""
-        return cls(
-            scale=1.0, image_width=FULL_IMAGE_SIZE[0], image_height=FULL_IMAGE_SIZE[1], **kwargs
-        )
+    @property
+    def image_size(self) -> tuple[int, int]:
+        """(width, height) of rendered frames: the native sensor at ``scale``."""
+        return (int(FULL_IMAGE_SIZE[0] * self.scale), int(FULL_IMAGE_SIZE[1] * self.scale))
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,17 @@ def _coerce(cls: type, value: Any, path: str) -> Any:
             except (TypeError, ValueError, ConfigurationError):
                 pass
         raise ConfigurationError(f"{path} must be a 3-element list of finite numbers, got {value!r}")
-    if cls is Background:
-        if isinstance(value, Background):
-            return value
+    if dataclasses.is_dataclass(cls):
         if isinstance(value, dict):
-            return _build_dataclass(Background, value, path)
+            return _build_dataclass(cls, value, path)
         raise ConfigurationError(f"{path} must be a mapping, got {value!r}")
+    if cls is Contrast:
+        if isinstance(value, str):
+            try:
+                return Contrast.parse(value)
+            except ConfigurationError:
+                pass
+        raise ConfigurationError(f"{path} must be 'positive' or 'negative', got {value!r}")
     if cls is bool:
         if isinstance(value, bool):
             return value
@@ -232,6 +239,7 @@ def _coerce(cls: type, value: Any, path: str) -> Any:
 
 
 def _build_dataclass(cls: type, data: dict, prefix: str):
+    """Build ``cls`` from a raw mapping, naming ``prefix.key`` in every error."""
     known = {f.name for f in fields(cls)}
     hints = get_type_hints(cls)
     kwargs = {}
@@ -264,26 +272,22 @@ def config_from_dict(raw: dict) -> SimulatorConfig:
 
 
 def _read_raw(path: str | os.PathLike) -> dict:
-    """Parse a YAML configuration file into a raw dict; empty yields {}."""
+    """Parse a YAML configuration or scenario file into a raw dict; empty
+    yields {}."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
-        raise ConfigurationError(f"cannot read configuration file {p}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {p}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigurationError(f"malformed configuration file {p}: {exc}") from exc
+        raise ConfigurationError(f"malformed YAML in {p}: {exc}") from exc
     if raw is None:
         return {}
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"configuration root must be a mapping in {p}")
+        raise ConfigurationError(f"the root of {p} must be a mapping")
     return raw
-
-
-def load_config(path: str | os.PathLike) -> SimulatorConfig:
-    """Load a YAML configuration file; an empty file yields the defaults."""
-    return config_from_dict(_read_raw(path))
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -332,12 +336,14 @@ def config_to_dict(config: SimulatorConfig) -> dict:
     return {f.name: _plain(getattr(config, f.name)) for f in fields(config)}
 
 
-def resolve_config(path: str | None, overrides: list[str] | None = None) -> SimulatorConfig:
-    """Load configuration for a CLI invocation.
+def resolve_config(
+    path: str | os.PathLike | None, overrides: list[str] | None = None
+) -> SimulatorConfig:
+    """Load the configuration: the one loader of configuration files.
 
     Resolution order: explicit ``path`` argument, then the environment
-    variable named by ``ENV_CONFIG_VAR``, then built-in defaults.
-    ``overrides`` are applied last.
+    variable named by ``ENV_CONFIG_VAR``, then built-in defaults; an empty
+    file yields the defaults. ``overrides`` are applied last.
     """
     if path is None:
         path = os.environ.get(ENV_CONFIG_VAR) or None

@@ -112,6 +112,8 @@ class SimScenario:
             raise ConfigurationError(
                 f"scenario.dropout_prob must be in [0, 1), got {self.dropout_prob}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"scenario.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -168,20 +168,6 @@ class TransducerArray:
     def element_count(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def aperture(self) -> tuple[float, float]:
-        """Aperture span (x, y) in mm."""
-        return (self.rows * self.pitch, self.cols * self.pitch)
-
-    def element_center(self, i: int, j: int) -> Vec3:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"element index ({i}, {j}) outside {self.rows}x{self.cols} grid")
-        return Vec3(
-            self.origin.x + (i + 0.5) * self.pitch,
-            self.origin.y + (j + 0.5) * self.pitch,
-            self.origin.z,
-        )
-
     def element_centers(self) -> np.ndarray:
         """All element centers as an ``(rows * cols, 3)`` array, row-major.
 
@@ -241,10 +227,6 @@ class TimingConfig:
             raise ConfigurationError(
                 f"timing.poh_update_fps must be > 0, got {self.poh_update_fps}"
             )
-
-    @property
-    def frame_interval(self) -> float:
-        return 1.0 / self.camera_fps
 
     @property
     def horizon(self) -> float:
@@ -333,10 +315,13 @@ class WorkspaceConfig:
         return self.tank_center + 0.5 * self.tank_extent
 
     def contains(self, point: Vec3, margin: float = 0.0) -> bool:
-        return _within_box(point, self.min_corner, self.max_corner, margin)
-
-    def tank_contains(self, point: Vec3, margin: float = 0.0) -> bool:
-        return _within_box(point, self.tank_min, self.tank_max, margin)
+        """True when ``point`` lies inside the workspace shrunk by ``margin``."""
+        lo, hi = self.min_corner, self.max_corner
+        return (
+            lo.x + margin <= point.x <= hi.x - margin
+            and lo.y + margin <= point.y <= hi.y - margin
+            and lo.z + margin <= point.z <= hi.z - margin
+        )
 
     def tank_contains_points(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every row of ``points`` (N, 3) lies inside the tank
@@ -344,12 +329,3 @@ class WorkspaceConfig:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         lo, hi = self.tank_min.as_array() + margin, self.tank_max.as_array() - margin
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
-
-
-def _within_box(point: Vec3, lo: Vec3, hi: Vec3, margin: float) -> bool:
-    """True when ``point`` lies inside the box [lo, hi] shrunk by ``margin``."""
-    return (
-        lo.x + margin <= point.x <= hi.x - margin
-        and lo.y + margin <= point.y <= hi.y - margin
-        and lo.z + margin <= point.z <= hi.z - margin
-    )

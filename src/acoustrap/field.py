@@ -239,6 +239,8 @@ class PlaneSpec:
             raise ConfigurationError(
                 f"plane must be one of {sorted(_PLANE_AXES)}, got {self.plane!r}"
             )
+        if not math.isfinite(self.offset):
+            raise ConfigurationError(f"plane offset must be finite, got {self.offset}")
 
     @property
     def axes(self) -> tuple[int, int, int]:
@@ -300,8 +302,8 @@ def field_slice(
     free axes. Both ends are included when the span divides evenly.
     """
     (a_min, a_max), (b_min, b_max) = bounds
-    if not resolution > 0:  # also rejects NaN
-        raise ConfigurationError(f"resolution must be > 0, got {resolution}")
+    if not 0 < resolution < math.inf:  # also rejects NaN
+        raise ConfigurationError(f"resolution must be finite and > 0, got {resolution}")
     if not (a_max > a_min and b_max > b_min):
         raise ConfigurationError(
             f"degenerate slice bounds ({a_min}, {a_max}) x ({b_min}, {b_max})"

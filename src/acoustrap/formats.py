@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .field import FieldSlice, PlaneSpec
+from .field import FieldSlice
 from .hologram import PhaseHologram
 from .vision import ImageFrame
 
@@ -74,10 +74,6 @@ def load_pgm(path) -> np.ndarray:
     return arr.reshape(h, w).copy()
 
 
-def save_frame_pgm(path, frame: ImageFrame) -> None:
-    save_pgm(path, frame.pixels)
-
-
 def load_frame_pgm(path, timestamp: float = 0.0) -> ImageFrame:
     arr = load_pgm(path)
     if arr.dtype != np.uint8:
@@ -103,23 +99,6 @@ def save_field_slice_csv(path, fslice: FieldSlice) -> None:
         f"{name_a}_mm,{name_b}_mm,pressure_re,pressure_im,magnitude"
     )
     np.savetxt(path, table, fmt=_FLOAT_FMT, delimiter=",", header=header)
-
-
-def load_field_slice_csv(path) -> FieldSlice:
-    p = Path(path)
-    try:
-        with p.open() as fh:
-            meta_line = fh.readline().lstrip("# ").strip()
-        fields = dict(item.split("=", 1) for item in meta_line.split())
-        plane = PlaneSpec(fields["plane"], float(fields["offset"]))
-        spacing = float(fields["spacing"])
-        table = np.loadtxt(p, delimiter=",", skiprows=2, ndmin=2)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigurationError(f"cannot load field slice from {p}: {exc}") from exc
-    a = np.unique(table[:, 0])
-    b = np.unique(table[:, 1])
-    values = (table[:, 2] + 1j * table[:, 3]).reshape(a.size, b.size)
-    return FieldSlice(plane, (float(a[0]), float(b[0])), spacing, values)
 
 
 def slice_magnitude_pgm(path, fslice: FieldSlice) -> None:

@@ -49,7 +49,8 @@ class CameraModel:
     ref_world : Vec3
         World anchor of the projection, mm.
     image_size : tuple
-        (width, height) of rendered frames.
+        (width, height) of rendered frames; ``build_camera_pair`` takes
+        ``VisionConfig.image_size``, the native sensor at the vision scale.
     """
 
     rows_of_j: np.ndarray
@@ -59,7 +60,6 @@ class CameraModel:
     noise_sigma: float = 0.0
     background: Background = Background()
     particle_level: float = 40.0
-    name: str = "camera"
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows_of_j, dtype=float)

@@ -311,5 +311,5 @@ class TestBuildCameraPair:
 
     def test_full_scale_keeps_native_values(self):
         jac, refs = default_calibration()
-        cam_h, _ = build_camera_pair(VisionConfig.full_scale(), jac, refs)
+        cam_h, _ = build_camera_pair(VisionConfig(scale=1.0), jac, refs)
         assert np.allclose(cam_h.rows_of_j, jac.matrix[:2])

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from acoustrap.calibration import default_calibration, lattice_points, load_calibration
-from acoustrap.cli import build_parser, main
+from acoustrap.cli import _scenario_from_yaml, build_parser, main
+from acoustrap.config import SimulatorConfig, config_from_dict
 from acoustrap.core import MediumConfig, TransducerArray, Vec3, wavelength
 from acoustrap.formats import load_hologram_csv, load_pgm
 from acoustrap.hologram import make_focus_hologram, make_octahedral_hologram
@@ -146,6 +148,26 @@ class TestFieldCommand:
             "--out-dir", str(tmp_path / "outside"),
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--resolution", "inf", "resolution must be finite"),
+            ("--resolution", "nan", "resolution must be finite"),
+            ("--offset", "nan", "plane offset must be finite"),
+            ("--offset", "inf", "plane offset must be finite"),
+        ],
+    )
+    def test_non_finite_resolution_or_offset_is_config_error(
+        self, tmp_path, capsys, focus_csv, flag, value, named
+    ):
+        rc = run_cli(
+            "field", "--hologram", str(focus_csv), "--plane", "xoz", flag, value,
+            "--out-dir", str(tmp_path / "f"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
 
     def test_bad_bounds_usage_error(self, tmp_path, focus_csv):
         with pytest.raises(SystemExit) as exc:
@@ -339,10 +361,14 @@ class TestSimulateCommand:
             ("particle:\n  position: [1, 2, a]\n", "scenario.particle.position"),
             ("particle: {}\nseed: abc\n", "scenario.seed"),
             ("particle: {}\ntrap_diameter: abc\n", "scenario.trap_diameter"),
-            ("particle: {}\ntrap_diameter: 2.533\n", "unknown scenario key scenario.trap_diameter"),
+            ("particle: {}\ntrap_diameter: 2.533\n", "unknown configuration key scenario.trap_diameter"),
             ("particle:\n  contrast: 3\n", "scenario.particle.contrast"),
             ("particle: {}\npixel_noise_sgima: 1.0\n", "scenario.pixel_noise_sgima"),
             ("particle:\n  speed: 3\n", "scenario.particle.speed"),
+            ("particle: {}\nseed: -1\n", "scenario.seed must be >= 0"),
+            ("particle: {}\ntiming: {t_dip: 0.1}\n", "scenario.timing"),
+            ("seed: 7\n", "scenario.particle"),
+            ("particle:\n  contrast: sideways\n", "scenario.particle.contrast"),
         ],
         ids=[
             "particle_scalar",
@@ -354,6 +380,10 @@ class TestSimulateCommand:
             "numeric_contrast",
             "misspelt_key",
             "unknown_particle_key",
+            "negative_seed",
+            "timing_from_config",
+            "missing_particle",
+            "unknown_contrast",
         ],
     )
     def test_malformed_scenario_is_config_error(self, tmp_path, capsys, body, named):
@@ -417,7 +447,19 @@ class TestSimulateCommand:
             "--out-dir", str(tmp_path),
         )
         assert rc == 2
-        capsys.readouterr()
+        rc = run_cli(
+            "simulate", "--batch", "1", "--set", "vision.image_width=612",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        assert "unknown configuration key vision.image_width" in capsys.readouterr().err
+        for scale in ("0.001", "1.5"):
+            rc = run_cli(
+                "simulate", "--batch", "1", "--set", f"vision.scale={scale}",
+                "--out-dir", str(tmp_path),
+            )
+            assert rc == 2
+            assert "vision.scale must be within" in capsys.readouterr().err
         rc = run_cli(
             "simulate", "--batch", "1", "--set", "vision.min_foreground_fraction=1.5",
             "--out-dir", str(tmp_path),
@@ -468,6 +510,22 @@ class TestSimulateCommand:
         rc = run_cli("simulate", "--noise-px", noise, "--out-dir", str(tmp_path))
         assert rc == 2
         assert "pixel_noise_sigma must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--batch", "1"),
+        ("vision", "render", "--position", "25,25,40"),
+        ("calibrate", "--lattice", "2,2,2"),
+    ],
+    ids=["simulate", "vision_render", "calibrate"],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", "-1", "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -533,3 +591,15 @@ def test_readme_usage_parses():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_yaml_blocks_follow_the_schema(tmp_path):
+    """README's scenario block loads through the scenario loader, and its
+    configuration block is exactly the built-in defaults."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scenario, configuration = re.findall(r"```yaml\n(.*?)```", text, flags=re.S)
+    assert config_from_dict(yaml.safe_load(configuration)) == SimulatorConfig()
+    path = tmp_path / "scenario.yaml"
+    path.write_text(scenario)
+    loaded = _scenario_from_yaml(path, SimulatorConfig())
+    assert loaded.seed == 7 and loaded.particle.position.z == 50.0

@@ -18,7 +18,6 @@ from acoustrap.config import (
     apply_overrides,
     config_from_dict,
     config_to_dict,
-    load_config,
     resolve_config,
 )
 from acoustrap.core import (
@@ -77,8 +76,6 @@ CONFIGS = st.builds(
     vision=st.builds(
         VisionConfig,
         scale=_num(0.05, 1.0),
-        image_width=st.integers(8, 4096),
-        image_height=st.integers(8, 4096),
         noise_sigma=_num(0, 20),
         background=st.builds(
             Background,
@@ -120,12 +117,10 @@ class TestDefaults:
     def test_quarter_scale_vision_default(self, config):
         v = config.vision
         assert v.scale == 0.25
-        assert (v.image_width, v.image_height) == (612, 512)
+        assert v.image_size == (612, 512)
 
     def test_full_scale_profile(self):
-        v = VisionConfig.full_scale()
-        assert v.scale == 1.0
-        assert (v.image_width, v.image_height) == FULL_IMAGE_SIZE
+        assert VisionConfig(scale=1.0).image_size == FULL_IMAGE_SIZE
 
     def test_trap_defaults(self, config):
         assert config.trap.octahedron_diameter == DEFAULT_OCTAHEDRON_DIAMETER
@@ -146,8 +141,12 @@ class TestValidation:
             TrapConfig(containment_tol=0.0)
 
     def test_vision_config_bounds(self):
-        with pytest.raises(ConfigurationError):
-            VisionConfig(scale=0.0)
+        for scale in (0.0, 0.001, 1.5, float("nan")):
+            with pytest.raises(ConfigurationError, match="vision.scale must be within"):
+                VisionConfig(scale=scale)
+        # the smallest scale keeps an 8 px side, the largest is the native sensor
+        assert VisionConfig(scale=8 / 2050).image_size == (9, 8)
+        assert VisionConfig(scale=0.5).image_size == (1224, 1025)
         with pytest.raises(ConfigurationError):
             VisionConfig(noise_sigma=-1.0)
         for fraction in (-1.0, 0.0, 1.5, float("nan")):
@@ -177,7 +176,7 @@ class TestValidation:
         # YAML 1.1 reads 2.3e6 (no dot, no exponent sign) as a string
         p = tmp_path / "cfg.yaml"
         p.write_text("array:\n  frequency: 2.3e6\n")
-        assert load_config(p).array.frequency == 2.3e6
+        assert resolve_config(p).array.frequency == 2.3e6
         cfg = resolve_config(None, ["array.frequency=2.3e6", "medium.sound_speed=1.5e3"])
         assert cfg.array.frequency == 2.3e6
         assert cfg.medium.sound_speed == 1500.0
@@ -224,24 +223,24 @@ class TestLoadAndOverrides:
     def test_empty_file_yields_defaults(self, tmp_path):
         p = tmp_path / "empty.yaml"
         p.write_text("")
-        assert load_config(p) == SimulatorConfig()
+        assert resolve_config(p) == SimulatorConfig()
 
     def test_yaml_roundtrip(self, tmp_path, config):
         import yaml
 
         p = tmp_path / "cfg.yaml"
         p.write_text(yaml.safe_dump(config_to_dict(config)))
-        assert load_config(p) == config
+        assert resolve_config(p) == config
 
     def test_missing_file_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            load_config(tmp_path / "absent.yaml")
+            resolve_config(tmp_path / "absent.yaml")
 
     def test_malformed_yaml_is_configuration_error(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("trap: [unclosed")
         with pytest.raises(ConfigurationError):
-            load_config(p)
+            resolve_config(p)
 
     def test_overrides_parse_yaml_scalars(self):
         raw = apply_overrides({}, [
@@ -283,14 +282,12 @@ class TestLoadAndOverrides:
     def test_resolve_matches_load(self, tmp_path):
         p = tmp_path / "cfg.yaml"
         p.write_text("trap:\n  octahedron_diameter: 3.0\ncontrol:\n  fall_speed: 7.5\n")
-        assert resolve_config(str(p)) == load_config(p)
-        assert load_config(p).trap.octahedron_diameter == 3.0
+        assert resolve_config(str(p)) == config_from_dict(yaml.safe_load(p.read_text()))
+        assert resolve_config(p).trap.octahedron_diameter == 3.0
 
     def test_non_mapping_root_is_configuration_error(self, tmp_path):
         p = tmp_path / "list.yaml"
         p.write_text("- 1\n- 2\n")
-        with pytest.raises(ConfigurationError, match="must be a mapping"):
-            load_config(p)
         with pytest.raises(ConfigurationError, match="must be a mapping"):
             resolve_config(str(p))
 
@@ -313,6 +310,12 @@ class TestSnapshot:
         json.dumps(snap)  # serializable without custom encoders
         assert snap["workspace"]["center"] == [25.0, 25.0, 40.0]
         assert snap["trap"]["octahedron_diameter"] == DEFAULT_OCTAHEDRON_DIAMETER
+
+    def test_snapshot_has_one_leaf_per_setting(self, config):
+        def leaves(node):
+            return sum(map(leaves, node.values())) if isinstance(node, dict) else 1
+
+        assert leaves(config_to_dict(config)) == 32
 
     def test_snapshot_roundtrips_through_builder(self, config):
         assert config_from_dict(config_to_dict(config)) == config

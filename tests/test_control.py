@@ -433,3 +433,12 @@ def test_noisy_reports_match_golden_digest():
     reports = _batch_reports(VisionConfig(noise_sigma=5.0))
     assert len(reports) == 12
     assert _digest(reports) == NOISY_DIGEST
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+def test_batch_traps_at_any_scale(scale):
+    # the sensor size follows the scale, so the calibration anchor stays on it
+    config = SimulatorConfig(vision=VisionConfig(scale=scale))
+    scenarios = make_batch_scenarios(config.workspace, 6, base_seed=3, timing=config.timing)
+    result = run_batch(scenarios, TrapWorld.from_config(config), jobs=1)
+    assert [r.outcome for r in result.reports] == ["trapped"] * 6

@@ -11,12 +11,10 @@ from acoustrap.errors import ConfigurationError
 from acoustrap.field import FieldSlice, PlaneSpec, field_slice
 from acoustrap.formats import (
     MANIFEST_NAME,
-    load_field_slice_csv,
     load_frame_pgm,
     load_hologram_csv,
     load_pgm,
     save_field_slice_csv,
-    save_frame_pgm,
     save_hologram_csv,
     save_pgm,
     slice_magnitude_pgm,
@@ -122,7 +120,7 @@ class TestPgm:
         )
         frame = render_frame(cam_h, particle, 0.25, seed=42)
         path = tmp_path / "frame.pgm"
-        save_frame_pgm(path, frame)
+        save_pgm(path, frame.pixels)
         back = load_frame_pgm(path, timestamp=0.25)
         assert np.array_equal(back.pixels, frame.pixels)
         assert back.timestamp == 0.25
@@ -149,15 +147,14 @@ class TestFieldSliceCsv:
     def test_round_trip(self, tmp_path, small_slice):
         path = tmp_path / "slice.csv"
         save_field_slice_csv(path, small_slice)
-        back = load_field_slice_csv(path)
-        assert back.plane == small_slice.plane
-        assert back.spacing == pytest.approx(small_slice.spacing, rel=1e-9)
-        assert back.origin[0] == pytest.approx(small_slice.origin[0], rel=1e-9)
-        assert back.values.shape == small_slice.values.shape
-        rel = np.max(
-            np.abs(back.values - small_slice.values) / np.max(np.abs(small_slice.values))
-        )
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        a, b = small_slice.axis_coords()
+        assert np.allclose(table[:, 0], np.repeat(a, b.size), rtol=1e-9)
+        assert np.allclose(table[:, 1], np.tile(b, a.size), rtol=1e-9)
+        back = (table[:, 2] + 1j * table[:, 3]).reshape(small_slice.values.shape)
+        rel = np.max(np.abs(back - small_slice.values) / np.max(np.abs(small_slice.values)))
         assert rel < 1e-8
+        assert np.allclose(table[:, 4], np.abs(back).ravel(), rtol=1e-8)
 
     def test_header_describes_plane(self, tmp_path, small_slice):
         path = tmp_path / "slice.csv"
@@ -171,12 +168,6 @@ class TestFieldSliceCsv:
         save_field_slice_csv(p1, small_slice)
         save_field_slice_csv(p2, small_slice)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# nonsense header\nx,y\n1,2\n")
-        with pytest.raises(ConfigurationError, match="cannot load field slice"):
-            load_field_slice_csv(path)
 
 
 class TestSliceMagnitudePgm:

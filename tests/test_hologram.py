@@ -198,7 +198,7 @@ def _hologram_digest(array, seed, count=300):
     target; every 25th span is zero (the cage's focus path)."""
     rng = np.random.default_rng(seed)
     o = array.origin.as_array()
-    ax, ay = array.aperture
+    ax, ay = array.rows * array.pitch, array.cols * array.pitch
     lo = o + [-0.2 * ax, -0.2 * ay, 6.0]
     hi = o + [1.2 * ax, 1.2 * ay, 50.0]
     points = rng.uniform(lo, hi, size=(count, 3))

@@ -45,11 +45,11 @@ class TestProjection:
         assert (u1 - u0, v1 - v0) == pytest.approx(tuple(du_um))
 
     def test_pixel_scale_halves_with_scale(self):
-        full_h, _ = build_camera_pair(VisionConfig.full_scale())
+        full_h, _ = build_camera_pair(VisionConfig(scale=1.0))
         assert CAM_H.pixel_scale == pytest.approx(full_h.pixel_scale * 0.25)
 
     def test_disc_size_at_native_resolution(self):
-        full_h, full_v = build_camera_pair(VisionConfig.full_scale())
+        full_h, full_v = build_camera_pair(VisionConfig(scale=1.0))
         assert 400.0 * full_h.pixel_scale == pytest.approx(25.0, abs=0.5)
         assert 400.0 * full_v.pixel_scale == pytest.approx(25.0, abs=0.5)
 
@@ -206,7 +206,7 @@ class TestExtractFeature:
 # and particle size are the default ones; the sides (158 x 131 px) are not
 # multiples of the 4 px search block or of the 3 px window stride, so crops
 # clamped at every sensor edge and the unsearched border are exercised.
-SMALL = dataclasses.replace(CFG.vision, image_width=158, image_height=131)
+SMALL = (158, 131)
 # Largest centre difference allowed between a crop cut from a noisy frame
 # and the whole frame. Measured: 0.0 px over the 740 held noisy crops below
 # (a predicted and a block-search crop per position) and over 730 more on
@@ -225,7 +225,7 @@ def _particle_at(cam, uv):
 @pytest.mark.parametrize("sigma", [0.0, 5.0])
 @pytest.mark.parametrize("index", [0, 1], ids=["camera_h", "camera_v"])
 def test_windowed_extraction_matches_full_frame(sigma, index):
-    cam = dataclasses.replace(build_camera_pair(SMALL)[index], noise_sigma=sigma)
+    cam = dataclasses.replace(CAM_V if index else CAM_H, image_size=SMALL, noise_sigma=sigma)
     bg = background_image(cam)
     w, h = cam.image_size
     d = STATE.diameter_um * cam.pixel_scale
@@ -236,7 +236,7 @@ def test_windowed_extraction_matches_full_frame(sigma, index):
         uv = rng.uniform([-4.0, -4.0], [w + 3.0, h + 3.0])
         particle = _particle_at(cam, uv)
         full = render_frame(cam, particle, 0.0, seed=k)
-        ref = extract_feature(full, bg, d, SMALL)
+        ref = extract_feature(full, bg, d, CFG.vision)
         # a prediction off by up to one diameter on each axis
         window = tracking_window(cam.image_size, tuple(uv + rng.uniform(-1, 1, 2) * math.ceil(d)), d)
         if sigma == 0:
@@ -248,7 +248,7 @@ def test_windowed_extraction_matches_full_frame(sigma, index):
         assert crop.origin == (window.c0, window.r0)
         hit = tracking_window(cam.image_size, find_particle(full, cam), d)
         for win, frame in ((window, crop), (hit, crop_frame(full, hit))):
-            obs = extract_feature(frame, bg[win.slices], d, SMALL)
+            obs = extract_feature(frame, bg[win.slices], d, CFG.vision)
             holds = window_holds(obs, win, cam.image_size, d)
             assert holds or not ref.valid, (k, uv, obs)
             if sigma == 0:
