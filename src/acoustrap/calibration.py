@@ -231,6 +231,11 @@ def acquire_reference(
     return ReferencePoint(world, (float(uv_h[0]), float(uv_h[1])), (float(uv_v[0]), float(uv_v[1])))
 
 
+# Most poses one reference lattice may hold (10x10x10): each pose costs a
+# compass search of a dozen or more field evaluations.
+MAX_LATTICE_POINTS = 1000
+
+
 def lattice_points(
     center: Vec3, counts: tuple[int, int, int] = (2, 3, 4), spacing: float = 2.0
 ) -> list[Vec3]:
@@ -238,6 +243,10 @@ def lattice_points(
     nx, ny, nz = counts
     if min(nx, ny, nz) < 1:
         raise ConfigurationError(f"lattice counts must be >= 1, got {counts}")
+    if nx * ny * nz > MAX_LATTICE_POINTS:
+        raise ConfigurationError(
+            f"lattice {nx}x{ny}x{nz} has {nx * ny * nz:,} points, more than {MAX_LATTICE_POINTS:,}"
+        )
     out = []
     for ix in range(nx):
         for iy in range(ny):

@@ -223,6 +223,7 @@ def _parse_bounds(text: str):
 
 
 def cmd_calibrate(args, config: SimulatorConfig) -> int:
+    poses = lattice_points(config.workspace.center, args.lattice, args.spacing)
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     cameras = build_camera_pair(config.vision)
@@ -230,7 +231,7 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
         acquire_reference(
             config.array, config.medium, point, cameras, pixel_noise_sigma=args.noise_px, rng=rng
         )
-        for point in lattice_points(config.workspace.center, args.lattice, args.spacing)
+        for point in poses
     ))
     # each pose against the first: world motion in um, pixel motion in ROW_ORDER
     first = ref_set.points[0]

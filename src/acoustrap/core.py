@@ -118,6 +118,9 @@ class MediumConfig:
 # grow by about 10 KB per element.
 MAX_ELEMENTS = 10_000
 
+# Longest aperture side and largest origin coordinate (1 km): keeps phases finite.
+MAX_ARRAY_LENGTH_MM = 1e6
+
 
 @dataclass(frozen=True)
 class TransducerArray:
@@ -157,6 +160,14 @@ class TransducerArray:
             )
         if self.pitch <= 0:
             raise ConfigurationError(f"array.pitch must be > 0, got {self.pitch}")
+        if not max(self.rows, self.cols) * self.pitch <= MAX_ARRAY_LENGTH_MM:
+            raise ConfigurationError(
+                f"array.pitch {self.pitch} makes the aperture longer than {MAX_ARRAY_LENGTH_MM:g} mm"
+            )
+        if not max(abs(self.origin.x), abs(self.origin.y), abs(self.origin.z)) <= MAX_ARRAY_LENGTH_MM:
+            raise ConfigurationError(
+                f"array.origin must lie within ±{MAX_ARRAY_LENGTH_MM:g} mm, got {self.origin}"
+            )
         if self.frequency <= 0:
             raise ConfigurationError(f"array.frequency must be > 0, got {self.frequency}")
         if self.emission_amplitude <= 0:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (
     TWO_PI,
@@ -107,9 +106,11 @@ def _field(
     if directivity and gradient:
         raise ConfigurationError("the closed-form gradient has no piston directivity")
     lam = wavelength(medium, array)
+    grid = array.element_centers().reshape(array.rows, array.cols, 3)
     evaluate = partial(
         _field_chunk,
-        centers=array.element_centers(),
+        centers=grid.reshape(-1, 3),
+        axes=(grid[:, 0, 0], grid[0, :, 1], grid[0, 0, 2]),
         phases=hologram.phases.reshape(-1),
         amplitude=array.emission_amplitude,
         k=TWO_PI / lam,
@@ -132,6 +133,7 @@ def _field_chunk(
     pts: np.ndarray,
     *,
     centers: np.ndarray,
+    axes: tuple[np.ndarray, np.ndarray, float],
     phases: np.ndarray,
     amplitude: float,
     k: float,
@@ -141,8 +143,14 @@ def _field_chunk(
     """Sum the element terms T_i = A / d_i * exp(j * (phi_i - k * d_i)) * D_i
     over one chunk of points, and their gradients when asked. D_i is the
     piston factor when ``piston`` (element side over wavelength) is given,
-    else 1; the gradient is only asked for with D_i = 1."""
-    d = cdist(pts, centers)
+    else 1; the gradient is only asked for with D_i = 1. The ``centers``
+    form a grid: x from ``axes[0]`` by row, y from ``axes[1]`` by column,
+    all at z = ``axes[2]``."""
+    # |r - c| = sqrt((dx² + dy²) + dz²) in this order, which the digests pin
+    dx2, dy2 = (np.subtract.outer(pts[:, a], axes[a]) ** 2 for a in (0, 1))
+    d = (dx2[:, :, None] + dy2[:, None, :]).reshape(len(pts), -1)
+    d += ((pts[:, 2] - axes[2]) ** 2)[:, None]
+    np.sqrt(d, out=d)
     if np.any(d < MIN_SOURCE_DISTANCE):
         raise SingularityError("field point coincides with an element center")
     inv_d = 1.0 / d

@@ -27,13 +27,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .config import Background, VisionConfig
 from .core import ParticleState, Vec3
 from .errors import ConfigurationError
-
-_CLOSE_STRUCTURE = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -271,10 +268,66 @@ def _stride(expected_diameter_px: float) -> int:
     return max(int(round(expected_diameter_px / 2.0)), 1)
 
 
+def _box_mean(a: np.ndarray, n: int) -> np.ndarray:
+    """Mean over an n x n box (n odd) with edges replicated: a running mean
+    along axis 0, then axis 1, that sums the first window in order, adds the
+    steps ``in[i + n - 1] - in[i - 1]`` and divides by n once. ``_binarize``
+    compares integers with these means, so this order decides ties."""
+    r = n // 2
+    for _ in range(2):
+        a = a.T
+        ext = a[:, np.clip(np.arange(-r, a.shape[1] + r), 0, a.shape[1] - 1)]
+        steps = np.concatenate([ext[:, :n], ext[:, n:] - ext[:, :-n]], axis=1)
+        a = np.cumsum(steps, axis=1, out=steps)[:, n - 1 :] / n
+    return a
+
+
 def _binarize(diff: np.ndarray, expected_diameter_px: float, offset: float) -> np.ndarray:
-    window = _binarize_window(expected_diameter_px)
-    local_mean = ndimage.uniform_filter(diff, size=window, mode="nearest")
+    local_mean = _box_mean(diff, _binarize_window(expected_diameter_px))
     return diff > local_mean + offset
+
+
+def _close3(mask: np.ndarray) -> np.ndarray:
+    """3x3 binary closing, zero outside the patch: a dilation, then an
+    erosion, each a shifted OR (AND) along rows and then columns."""
+    p = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    p[1:-1, 1:-1] = mask
+    for op in (np.logical_or, np.logical_and):
+        rows = op(op(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+        p[1:-1, 1:-1] = op(op(rows[:-2], rows[1:-1]), rows[2:])
+    return p[1:-1, 1:-1]
+
+
+def _largest_blob(mask: np.ndarray) -> np.ndarray | None:
+    """Mask of the largest 8-connected component, the raster-first one on a
+    tie; None when ``mask`` is empty. Labels the runs [start, end) of the
+    zero-padded rows read as one line, where row r + 1 lies w + 2 further
+    on: runs of adjacent rows touch when they overlap with one column of
+    slack, and a component is labelled by its first run."""
+    h, w = mask.shape
+    line = np.zeros((h, w + 2), dtype=np.int8)
+    line[:, 1:-1] = mask
+    line = line.ravel()
+    edges = np.flatnonzero(line[1:] != line[:-1]) + 1
+    starts, ends = edges[::2], edges[1::2]
+    if starts.size == 0:
+        return None
+    touch = (starts <= ends[:, None] + (w + 2)) & (starts[:, None] + (w + 2) <= ends)
+    parent = list(range(starts.size))
+    for a, b in zip(*(i.tolist() for i in np.nonzero(touch))):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        parent[max(a, b)] = min(a, b)
+    for k, p in enumerate(parent):  # a parent precedes its child
+        parent[k] = parent[p]
+    roots = np.array(parent)
+    best = int(np.argmax(np.bincount(roots, weights=ends - starts)))
+    blob = np.zeros(line.size, dtype=bool)
+    for s, e in zip(starts[roots == best].tolist(), ends[roots == best].tolist()):
+        blob[s:e] = True
+    return blob.reshape(h, w + 2)[:, 1:-1]
 
 
 def _area_floor(expected_diameter_px: float, min_fraction: float) -> float:
@@ -348,13 +401,10 @@ def extract_feature(
     rc, cc = r0 + size // 2, c0 + size // 2
     cr0, cr1 = max(rc - half, 0), min(rc + half + 1, h)
     cc0, cc1 = max(cc - half, 0), min(cc + half + 1, w)
-    sub = ndimage.binary_closing(fg[cr0:cr1, cc0:cc1], structure=_CLOSE_STRUCTURE)
-
-    labels, count = ndimage.label(sub, structure=_CLOSE_STRUCTURE)
-    if count == 0:
+    blob = _largest_blob(_close3(fg[cr0:cr1, cc0:cc1]))
+    if blob is None:
         return _invalid("empty_after_morphology")
-    sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=np.arange(1, count + 1))
-    rows, cols = np.nonzero(labels == (int(np.argmax(sizes)) + 1))
+    rows, cols = np.nonzero(blob)
     weights = diff[rows + cr0, cols + cc0]
     mass = float(weights.sum())
     # a blob with no contrast against the background carries no position

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from acoustrap.calibration import (
+    MAX_LATTICE_POINTS,
     ROW_ORDER,
     JacobianMatrix,
     ReferencePoint,
@@ -204,6 +205,13 @@ class TestLattice:
         assert xs == [24.0, 26.0]
         assert ys == [23.0, 25.0, 27.0]
         assert zs == [37.0, 39.0, 41.0, 43.0]
+
+    def test_point_count_is_bounded(self):
+        centre = Vec3(25.0, 25.0, 40.0)
+        assert len(lattice_points(centre, (10, 10, 10))) == MAX_LATTICE_POINTS
+        for counts in [(10, 10, 11), (1000, 1000, 1000)]:
+            with pytest.raises(ConfigurationError, match=r"lattice \d+x\d+x\d+ has"):
+                lattice_points(centre, counts)
 
 
 class TestAcquireReference:

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +236,13 @@ class TestCalibrateCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli("calibrate", "--lattice", "2,3", "--out-dir", str(tmp_path))
         assert exc.value.code == 2
+
+    def test_oversized_lattice_is_config_error(self, tmp_path, capsys):
+        # lattice_points rejects the counts before it builds any pose
+        rc = run_cli("calibrate", "--lattice", "1000,1000,1000", "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lattice 1000x1000x1000" in err
 
     @pytest.mark.parametrize("lattice", ["2,x,4", "2,0,4"])
     def test_non_integer_or_empty_lattice_is_usage_error(self, tmp_path, capsys, lattice):
@@ -466,6 +475,13 @@ class TestSimulateCommand:
         )
         assert rc == 2
         assert "vision.min_foreground_fraction" in capsys.readouterr().err
+        # rejected by name before any arithmetic overflows
+        rc = run_cli(
+            "simulate", "--batch", "1", "--set", "array.pitch=1e300",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        assert "array.pitch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override",
@@ -564,6 +580,16 @@ class TestEntryPoint:
             run_cli("--version")
         assert exc.value.code == 0
         assert "acoustrap" in capsys.readouterr().out
+
+    def test_imports_without_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.modules['scipy'] = None; import acoustrap.cli, acoustrap.control"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(shutil.which("acoustrap") is None, reason="script not installed")
     def test_installed_script_smoke(self, tmp_path):

@@ -95,6 +95,10 @@ class TestTransducerArray:
             TransducerArray(pitch=-1.0)
         with pytest.raises(ConfigurationError):
             TransducerArray(frequency=0.0)
+        with pytest.raises(ConfigurationError, match="array.pitch"):
+            TransducerArray(pitch=1e300)
+        with pytest.raises(ConfigurationError, match="array.origin"):
+            TransducerArray(origin=Vec3(0.0, -1e300, 0.0))
 
 
 class TestMediumAndWaves:

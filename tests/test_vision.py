@@ -11,6 +11,9 @@ from acoustrap.errors import ConfigurationError
 from acoustrap.vision import (
     ImageFrame,
     Window,
+    _box_mean,
+    _close3,
+    _largest_blob,
     background_image,
     crop_frame,
     extract_feature,
@@ -294,3 +297,112 @@ class TestWindows:
             bg[0, 0] = 0
         render_frame(CAM_H, STATE, 0.0, seed=0)
         assert np.all(bg == CFG.vision.background.level)
+
+
+# Plain-Python definitions of the extraction kernels. The numpy kernels must
+# match them bit for bit.
+
+
+def _box_mean_reference(a, n):
+    """Running mean of width n along axis 0, then axis 1, with the edges
+    replicated: the first window summed in order, then one step per pixel,
+    divided by n once."""
+    r = n // 2
+    out = [list(map(float, row)) for row in a]
+    for _ in range(2):
+        out = [list(col) for col in zip(*out)]  # transpose: the next axis becomes rows
+        for row in out:
+            ext = [row[0]] * r + row + [row[-1]] * r
+            total = 0.0
+            for x in ext[:n]:
+                total += x
+            means = [total / n]
+            for i in range(1, len(row)):
+                total += ext[i + n - 1] - ext[i - 1]
+                means.append(total / n)
+            row[:] = means
+    return np.array(out)
+
+
+def _close3_reference(mask):
+    """3x3 dilation, then 3x3 erosion, with zeros outside the patch."""
+    h, w = len(mask), len(mask[0])
+
+    def at(img, i, j):
+        return 0 <= i < h and 0 <= j < w and bool(img[i][j])
+
+    def neighbourhood(img, i, j):
+        return [at(img, i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+
+    dilated = [[any(neighbourhood(mask, i, j)) for j in range(w)] for i in range(h)]
+    return np.array([[all(neighbourhood(dilated, i, j)) for j in range(w)] for i in range(h)])
+
+
+def _largest_blob_reference(mask):
+    """Flood fill numbering 8-connected labels in raster order; the largest
+    label wins, the lowest on a tie. None when nothing is set."""
+    h, w = len(mask), len(mask[0])
+    labels = [[0] * w for _ in range(h)]
+    sizes = []
+    for i in range(h):
+        for j in range(w):
+            if mask[i][j] and not labels[i][j]:
+                sizes.append(0)
+                labels[i][j] = len(sizes)
+                todo = [(i, j)]
+                while todo:
+                    y, x = todo.pop()
+                    sizes[-1] += 1
+                    for yy in (y - 1, y, y + 1):
+                        for xx in (x - 1, x, x + 1):
+                            if 0 <= yy < h and 0 <= xx < w and mask[yy][xx] and not labels[yy][xx]:
+                                labels[yy][xx] = len(sizes)
+                                todo.append((yy, xx))
+    if not sizes:
+        return None
+    best = sizes.index(max(sizes)) + 1
+    return np.array(labels) == best
+
+
+# two blobs of equal size: the top-right one comes first in raster order
+_TIED = np.zeros((5, 7), dtype=bool)
+_TIED[3, 0:2] = _TIED[0, 5:7] = True
+_SHAPES = [(1, 1), (1, 9), (9, 1), (4, 6)]
+_EDGE_CASES = (
+    [np.zeros(s, dtype=bool) for s in _SHAPES]
+    + [np.ones(s, dtype=bool) for s in _SHAPES]
+    + [np.eye(1, 9, 4, dtype=bool), np.eye(9, 1, -4, dtype=bool), np.eye(5, dtype=bool)]
+    + [_TIED, _TIED[::-1], np.ones((3, 3), dtype=bool) ^ np.eye(3, dtype=bool)[::-1]]
+)
+
+
+def _random_masks(count, rng):
+    for _ in range(count):
+        h, w = rng.integers(1, 13, size=2)
+        yield rng.random((h, w)) < rng.random()
+
+
+class TestKernelsMatchReferences:
+    def test_box_mean(self):
+        rng = np.random.default_rng(11)
+        for k in range(500):
+            h, w = rng.integers(1, 21, size=2)
+            n = int(rng.choice([3, 5, 9, 13, 15]))  # 13 at the default particle size
+            a = rng.integers(0, 256, size=(h, w)).astype(float)
+            if k % 2:  # mostly background, as in a background difference
+                a[rng.random((h, w)) < 0.8] = 0.0
+            assert np.array_equal(_box_mean(a, n), _box_mean_reference(a, n)), (k, n)
+
+    def test_close3(self):
+        rng = np.random.default_rng(12)
+        for mask in _EDGE_CASES + list(_random_masks(700, rng)):
+            assert np.array_equal(_close3(mask), _close3_reference(mask)), mask.astype(int)
+
+    def test_largest_blob(self):
+        rng = np.random.default_rng(13)
+        for mask in _EDGE_CASES + list(_random_masks(800, rng)):
+            got, want = _largest_blob(mask), _largest_blob_reference(mask)
+            assert (got is None) == (want is None), mask.astype(int)
+            if want is not None:
+                assert np.array_equal(got, want), mask.astype(int)
+        assert _largest_blob(_TIED)[0, 5] and not _largest_blob(_TIED)[3, 0]
