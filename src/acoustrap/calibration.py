@@ -231,8 +231,7 @@ def acquire_reference(
     return ReferencePoint(world, (float(uv_h[0]), float(uv_h[1])), (float(uv_v[0]), float(uv_v[1])))
 
 
-# Most poses one reference lattice may hold (10x10x10): each pose costs a
-# compass search of a dozen or more field evaluations.
+# Most poses one reference lattice may hold (10x10x10); each costs a compass search.
 MAX_LATTICE_POINTS = 1000
 
 

@@ -147,7 +147,9 @@ def _field_chunk(
     form a grid: x from ``axes[0]`` by row, y from ``axes[1]`` by column,
     all at z = ``axes[2]``."""
     # |r - c| = sqrt((dx² + dy²) + dz²) in this order, which the digests pin
-    dx2, dy2 = (np.subtract.outer(pts[:, a], axes[a]) ** 2 for a in (0, 1))
+    dx2, dy2 = (np.subtract.outer(pts[:, a], axes[a]) for a in (0, 1))
+    dx2 *= dx2  # in place: fewer temporaries, and fewer page faults per chunk
+    dy2 *= dy2
     d = (dx2[:, :, None] + dy2[:, None, :]).reshape(len(pts), -1)
     d += ((pts[:, 2] - axes[2]) ** 2)[:, None]
     np.sqrt(d, out=d)
