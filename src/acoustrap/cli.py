@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import statistics
 import sys
@@ -72,7 +73,19 @@ from .hologram import (
     make_octahedral_hologram,
     octahedron_vertexes,
 )
-from .vision import background_image, extract_feature, render_frame
+from .vision import (
+    background_image,
+    extract_feature,
+    first_sight,
+    project,
+    render_frame,
+    tracking_window,
+)
+
+# Upper bounds on count options: a batch holds every scenario and report in
+# memory, and each rendered frame writes one PGM file per camera.
+MAX_BATCH_SCENARIOS = 10_000
+MAX_RENDER_FRAMES = 100
 
 
 def _parse_vec3(text: str) -> Vec3:
@@ -121,6 +134,12 @@ def _parse_lattice(text: str) -> tuple[int, int, int]:
     if len(counts) != 3 or min(counts) < 1:
         raise argparse.ArgumentTypeError(f"expected nx,ny,nz counts >= 1 but got {text!r}")
     return counts
+
+
+def _check_at_most(option: str, value: int, limit: int) -> None:
+    """Reject a count option above its bound before any work starts."""
+    if value > limit:
+        raise ConfigurationError(f"{option} {value:,} is more than {limit:,}")
 
 
 def _parse_targets(text: str) -> list[Vec3]:
@@ -252,6 +271,8 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
 
 
 def cmd_vision(args, config: SimulatorConfig) -> int:
+    if args.mode == "render":
+        _check_at_most("--frames", args.frames, MAX_RENDER_FRAMES)
     out = _out_dir(args)
     if args.mode == "extract":
         frame = load_frame_pgm(args.frame)
@@ -374,6 +395,7 @@ def _summary_row(index: int, scenario: SimScenario, report) -> list:
 
 
 def cmd_simulate(args, config: SimulatorConfig) -> int:
+    _check_at_most("--batch", args.batch, MAX_BATCH_SCENARIOS)
     out = _out_dir(args)
     world = TrapWorld.from_config(config)
     if args.scenario:
@@ -457,6 +479,20 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         ib_repeats,
     )
 
+    # the frame layer at the configured vision settings, a fresh seed per
+    # call so that no call reuses the noise block sums of another
+    cam, _ = build_camera_pair(config.vision)
+    particle = ParticleState(center)
+    expected_px = particle.diameter_um * cam.pixel_scale
+    w, h = cam.image_size
+    window = tracking_window(cam.image_size, project(cam, center), expected_px) or tracking_window(
+        cam.image_size, (w / 2, h / 2), expected_px
+    )
+    seeds = itertools.count()
+    full_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds)), args.repeats)
+    crop_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds), window), args.repeats)
+    sight_ms = time_call(lambda: first_sight(cam, particle, next(seeds)), args.repeats)
+
     report = {
         "elements": config.array.element_count,
         "repeats": args.repeats,
@@ -467,6 +503,9 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         "iterative_to_octahedral_ratio": ib_ms / octa_ms if octa_ms > 0 else None,
         "octahedral_within_transfer_window": octa_ms < config.timing.t_trans * 1e3,
         "octahedral_within_refresh_cadence": octa_ms < 1e3 / config.timing.poh_update_fps,
+        "frame_full_ms": full_ms,
+        "frame_crop_ms": crop_ms,
+        "first_sight_ms": sight_ms,
     }
     (out / "bench.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _finish(args, config, ["bench.json"])
@@ -478,6 +517,10 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         f"iterative/octahedral ratio: {report['iterative_to_octahedral_ratio']:.1f}x;"
         f" refresh cadence ok: {report['octahedral_within_refresh_cadence']}"
     )
+    print(f"{f'frame layer (noise sigma {cam.noise_sigma:g})':<28}{'median ms':>12}")
+    print(f"{f'full frame {w}x{h}':<28}{full_ms:>12.3f}")
+    print(f"{f'crop {window.c1 - window.c0}x{window.r1 - window.r0}':<28}{crop_ms:>12.3f}")
+    print(f"{'first sight':<28}{sight_ms:>12.3f}")
     return 0
 
 
@@ -576,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 
-    bench = sub.add_parser("bench", help="time the synthesis routes")
+    bench = sub.add_parser("bench", help="time the synthesis routes and the frame layer")
     bench.add_argument("--repeats", type=_int_at_least(1), default=21)
     bench.add_argument("--ib-iterations", type=int, default=200)
     add_common(bench)

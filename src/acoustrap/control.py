@@ -9,7 +9,8 @@ ground truth, then runs one step of the loop:
   be after the processing and transfer latency, synthesize the hologram
   for that point and schedule the field switch-on (-> dispatching). A
   camera that has seen the particle twice since its last miss renders and
-  searches only a crop around their extrapolation (``_Attempt.observe``);
+  searches only a crop around their extrapolation, and any other camera
+  a crop around the block its first sight picks (``_Attempt.observe``);
 - dispatching: wait; the field switches on at exactly the predicted
   instant, inside the ground-truth advance (-> verifying);
 - verifying: check containment against ground truth until the particle
@@ -54,9 +55,8 @@ from .vision import (
     CameraModel,
     FeatureObservation,
     background_image,
-    crop_frame,
     extract_feature,
-    find_particle,
+    first_sight,
     render_frame,
     tracking_window,
     window_holds,
@@ -306,31 +306,36 @@ class _Attempt:
 
         With two observations since the camera's last miss, it renders and
         searches only a crop around their linear extrapolation to ``t``
-        (dropped frames leave the track as it was). Otherwise, or
-        when that crop does not hold the particle, it renders the full
-        frame, finds the particle by block sums and extracts on a crop
-        around the hit, and as a last resort on the whole frame.
+        (dropped frames leave the track as it was). Otherwise, or when that
+        crop does not hold the particle, it looks first where the frame's
+        block sums are largest (``first_sight``) and renders and searches
+        a crop around that block, and as a last resort the whole frame.
         """
         cam, background, expected_px = camera
-        vision = self.config.vision
         if len(track) == 2:
             (t1, u1, v1), (t2, u2, v2) = track
             ahead = (t - t2) / (t2 - t1)
-            predicted = (u2 + (u2 - u1) * ahead, v2 + (v2 - v1) * ahead)
-            window = tracking_window(cam.image_size, predicted, expected_px)
-            if window is not None:
-                frame = render_frame(cam, self.particle, t, seed, window)
-                obs = extract_feature(frame, background[window.slices], expected_px, vision)
-                if window_holds(obs, window, cam.image_size, expected_px):
-                    return obs
-        frame = render_frame(cam, self.particle, t, seed)
-        window = tracking_window(cam.image_size, find_particle(frame, cam), expected_px)
-        if window is not None:
-            crop = crop_frame(frame, window)
-            obs = extract_feature(crop, background[window.slices], expected_px, vision)
-            if window_holds(obs, window, cam.image_size, expected_px):
+            obs = self.observe_crop(camera, t, seed, (u2 + (u2 - u1) * ahead, v2 + (v2 - v1) * ahead))
+            if obs is not None:
                 return obs
-        return extract_feature(frame, background, expected_px, vision)
+        obs = self.observe_crop(camera, t, seed, first_sight(cam, self.particle, seed))
+        if obs is not None:
+            return obs
+        frame = render_frame(cam, self.particle, t, seed)
+        return extract_feature(frame, background, expected_px, self.config.vision)
+
+    def observe_crop(
+        self, camera: tuple, t: float, seed: int, centre: tuple[float, float]
+    ) -> FeatureObservation | None:
+        """The observation on a crop around ``centre``, or None when the
+        crop does not fit or does not hold the particle."""
+        cam, background, expected_px = camera
+        window = tracking_window(cam.image_size, centre, expected_px)
+        if window is None:
+            return None
+        frame = render_frame(cam, self.particle, t, seed, window)
+        obs = extract_feature(frame, background[window.slices], expected_px, self.config.vision)
+        return obs if window_holds(obs, window, cam.image_size, expected_px) else None
 
     def dispatch(self, t: float, predicted: Vec3) -> None:
         """Synthesize the hologram at the target and schedule the switch-on."""

@@ -5,7 +5,9 @@ Each camera is an affine orthographic projection around a reference pose:
 pixel = rows_of_j @ (world - ref_world) + ref_pixel, with the Jacobian
 rows in pixel per micrometer. Rendering draws the particle as an
 anti-aliased dark disc over the configured background and adds seeded
-Gaussian sensor noise.
+Gaussian sensor noise, drawn in two levels: one stream gives the noise sum
+of every whole 4x4 block, and each row of blocks draws the residuals
+inside its blocks from a stream of its own.
 
 Extraction follows the bench pipeline: background subtraction, adaptive
 binarization against a local mean, a sliding-window search for the
@@ -14,9 +16,11 @@ then come from the intensity-weighted first and second moments of the
 largest blob; extraction draws no random numbers.
 
 A frame may be a crop of the sensor (a tracking ``Window``): it carries
-its origin, and extraction reports sensor pixels. On a noise-free frame,
+its origin, and extraction reports sensor pixels. A crop's pixels, noise
+included, equal the same slice of the full frame; on a noise-free frame,
 extraction on a crop that ``window_holds`` accepts gives bit for bit the
-observation of the full frame.
+observation of the full frame. ``first_sight`` finds the particle from the
+block sums alone, without drawing a pixel of noise.
 """
 
 from __future__ import annotations
@@ -193,6 +197,79 @@ def background_image(camera: CameraModel) -> np.ndarray:
     return _background(tuple(camera.image_size), camera.background)
 
 
+def _disc(
+    camera: CameraModel, particle: ParticleState, window: Window
+) -> tuple[bool, Window, np.ndarray | None]:
+    """The particle's anti-aliased dark disc.
+
+    Returns whether the disc crosses the sensor border, its bounding box
+    cut to ``window``, and the float gray levels of background and disc
+    over that box (None when the box is empty). The radius is the particle
+    diameter times the camera's pixel scale, over two.
+    """
+    u0, v0 = project(camera, particle.position)
+    radius = particle.diameter_um * camera.pixel_scale / 2.0
+    w, h = camera.image_size
+    clipped = not (radius <= u0 <= w - 1 - radius and radius <= v0 <= h - 1 - radius)
+    box = Window(
+        max(int(math.floor(u0 - radius)) - 2, window.c0),
+        max(int(math.floor(v0 - radius)) - 2, window.r0),
+        min(int(math.ceil(u0 + radius)) + 3, window.c1),
+        min(int(math.ceil(v0 + radius)) + 3, window.r1),
+    )
+    if box.c1 <= box.c0 or box.r1 <= box.r0:
+        return clipped, box, None
+    uu = np.arange(box.c0, box.c1, dtype=float)[None, :]
+    vv = np.arange(box.r0, box.r1, dtype=float)[:, None]
+    coverage = np.clip(radius - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
+    levels = background_image(camera)[box.slices] * (1.0 - coverage) + camera.particle_level * coverage
+    return clipped, box, levels
+
+
+_BLOCK = 4
+
+
+@lru_cache(maxsize=4)
+def _block_sums(image_size: tuple[int, int], sigma: float, seed: int) -> np.ndarray:
+    """Sensor-noise sums S ~ N(0, 16 sigma^2) of every whole 4x4 block,
+    (h // 4, w // 4), from one stream of ``seed``. Shared and read-only, so
+    that first sight and the crop rendered after it draw them once."""
+    w, h = image_size
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    sums = rng.normal(0.0, _BLOCK * sigma, (h // _BLOCK, w // _BLOCK))
+    sums.flags.writeable = False
+    return sums
+
+
+def _sensor_noise(image_size: tuple[int, int], sigma: float, seed: int, window: Window) -> np.ndarray:
+    """Sensor noise over ``window``: iid N(0, sigma^2) pixels, equal to the
+    same slice of the full sensor's noise.
+
+    Block row k (sensor rows 4k to 4k + 3) draws Z ~ N(0, sigma^2) over the
+    sensor width from its own stream, so a window draws only the block
+    rows it covers. A whole 4x4 block takes S/16 + (Z - mean of Z over the
+    block), with S from ``_block_sums``: exactly iid N(0, sigma^2), since a
+    block's sum is independent of its residuals. Pixels past the last
+    whole block row or column take Z alone.
+    """
+    w, h = image_size
+    k0, k1 = window.r0 // _BLOCK, -(-window.r1 // _BLOCK)
+    z = np.empty((min(_BLOCK * k1, h) - _BLOCK * k0, w))
+    for k in range(k0, k1):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
+        rng.standard_normal(out=z[_BLOCK * (k - k0) : _BLOCK * (k + 1 - k0)])
+    z *= sigma
+    rows, cols = min(k1, h // _BLOCK) - k0, w // _BLOCK
+    if rows > 0:
+        whole = z[: rows * _BLOCK, : cols * _BLOCK]
+        # strided sums in a fixed order, so every window adds the same floats
+        zsum = sum(whole[i::_BLOCK] for i in range(_BLOCK))
+        zsum = sum(zsum[:, j::_BLOCK] for j in range(_BLOCK))
+        shift = (_block_sums(image_size, sigma, seed)[k0 : k0 + rows] - zsum) / _BLOCK**2
+        whole += np.repeat(np.repeat(shift, _BLOCK, axis=0), _BLOCK, axis=1)
+    return z[window.r0 - _BLOCK * k0 : window.r1 - _BLOCK * k0, window.c0 : window.c1]
+
+
 def render_frame(
     camera: CameraModel,
     particle: ParticleState,
@@ -202,52 +279,58 @@ def render_frame(
 ) -> ImageFrame:
     """Render the particle as an anti-aliased dark disc at time ``t``.
 
-    The disc radius is the particle diameter scaled by the camera's
-    pixel scale; a disc crossing the image border is rendered partially
-    and the frame is flagged ``clipped``. With a ``window`` only that crop
-    of the sensor is drawn, with the noise drawn over the crop; without
-    noise its pixels equal the same slice of the full frame.
+    A disc crossing the image border is rendered partially and the frame
+    is flagged ``clipped``. With a ``window`` only that crop of the sensor
+    is drawn, noise included (``_sensor_noise``), and its pixels equal the
+    same slice of the full frame.
     """
-    u0, v0 = project(camera, particle.position)
-    radius = particle.diameter_um * camera.pixel_scale / 2.0
     w, h = camera.image_size
     if window is None:
         window = Window(0, 0, w, h)
     elif not (0 <= window.c0 < window.c1 <= w and 0 <= window.r0 < window.r1 <= h):
         raise ConfigurationError(f"render window {window} does not fit the {w}x{h} sensor")
-    background = background_image(camera)
     noisy = camera.noise_sigma > 0
     # Without noise only the disc's pixels need the float background.
     if noisy:
-        img = background[window.slices].copy()
+        img = background_image(camera)[window.slices].copy()
     else:
         img = _background_pixels((w, h), camera.background)[window.slices].copy()
-
-    clipped = not (radius <= u0 <= w - 1 - radius and radius <= v0 <= h - 1 - radius)
-    c0 = max(int(math.floor(u0 - radius)) - 2, window.c0)
-    c1 = min(int(math.ceil(u0 + radius)) + 3, window.c1)
-    r0 = max(int(math.floor(v0 - radius)) - 2, window.r0)
-    r1 = min(int(math.ceil(v0 + radius)) + 3, window.r1)
-    if c1 > c0 and r1 > r0:
-        uu = np.arange(c0, c1, dtype=float)[None, :]
-        vv = np.arange(r0, r1, dtype=float)[:, None]
-        dist = np.hypot(uu - u0, vv - v0)
-        coverage = np.clip(radius - dist + 0.5, 0.0, 1.0)
-        disc = background[r0:r1, c0:c1] * (1.0 - coverage) + camera.particle_level * coverage
-        rows = slice(r0 - window.r0, r1 - window.r0)
-        cols = slice(c0 - window.c0, c1 - window.c0)
+    clipped, box, disc = _disc(camera, particle, window)
+    if disc is not None:
+        rows = slice(box.r0 - window.r0, box.r1 - window.r0)
+        cols = slice(box.c0 - window.c0, box.c1 - window.c0)
         img[rows, cols] = disc if noisy else _to_pixels(disc)
-
     if noisy:
-        rng = np.random.default_rng(seed)
-        img += rng.normal(0.0, camera.noise_sigma, img.shape)
+        img += _sensor_noise((w, h), camera.noise_sigma, seed, window)
         img = _to_pixels(img)
     return ImageFrame(img, t, clipped, (window.c0, window.r0))
 
 
-def crop_frame(frame: ImageFrame, window: Window) -> ImageFrame:
-    """The ``window`` crop of a full frame."""
-    return ImageFrame(frame.pixels[window.slices], frame.timestamp, frame.clipped, (window.c0, window.r0))
+def _block_contrast(camera: CameraModel, particle: ParticleState, seed: int) -> np.ndarray:
+    """Sums of (image - background) over every whole 4x4 block of the
+    frame that ``render_frame`` draws with ``seed``, before rounding:
+    the noise-free disc's block sums plus the noise's block sums S (0 on a
+    noise-free sensor). Draws no pixel noise."""
+    w, h = camera.image_size
+    if camera.noise_sigma > 0:
+        sums = _block_sums((w, h), camera.noise_sigma, seed).copy()
+    else:
+        sums = np.zeros((h // _BLOCK, w // _BLOCK))
+    _, box, disc = _disc(camera, particle, Window(0, 0, w // _BLOCK * _BLOCK, h // _BLOCK * _BLOCK))
+    if disc is not None:
+        rows = np.arange(box.r0, box.r1)[:, None] // _BLOCK
+        cols = np.arange(box.c0, box.c1)[None, :] // _BLOCK
+        np.add.at(sums, (rows, cols), disc - background_image(camera)[box.slices])
+    return sums
+
+
+def first_sight(camera: CameraModel, particle: ParticleState, seed: int) -> tuple[float, float]:
+    """Centre (u, v) of the whole 4x4 block whose ``_block_contrast`` is
+    largest in magnitude: where a camera with no track looks first. Pixels
+    past the last whole block are not searched."""
+    sums = np.abs(_block_contrast(camera, particle, seed))
+    bi, bj = np.unravel_index(int(np.argmax(sums)), sums.shape)
+    return (bj + 0.5) * _BLOCK - 0.5, (bi + 0.5) * _BLOCK - 0.5
 
 
 def _odd(n: int) -> int:
@@ -473,23 +556,3 @@ def window_holds(
         and (window.r0 == 0 or obs.v - m >= window.r0)
         and (window.r1 == h or obs.v + m < window.r1)
     )
-
-
-_BLOCK = 4
-
-
-def find_particle(frame: ImageFrame, camera: CameraModel) -> tuple[float, float]:
-    """Centre (u, v) of the 4x4 pixel block of a full frame that differs
-    most from the camera's noise-free background; pixels past the last
-    whole block are not searched."""
-    h, w = frame.pixels.shape
-    index = slice(0, h // _BLOCK * _BLOCK), slice(0, w // _BLOCK * _BLOCK)
-    background = _background_pixels(tuple(camera.image_size), camera.background)
-    diff = frame.pixels[index].astype(np.int16)
-    diff -= background[index]
-    np.abs(diff, out=diff)
-    # strided sums of whole blocks: at most 16 x 255, within int16
-    sums = sum(diff[k::_BLOCK] for k in range(_BLOCK))
-    sums = sum(sums[:, k::_BLOCK] for k in range(_BLOCK))
-    bi, bj = np.unravel_index(int(np.argmax(sums)), sums.shape)
-    return (bj + 0.5) * _BLOCK - 0.5, (bi + 0.5) * _BLOCK - 0.5

@@ -13,9 +13,17 @@ import pytest
 import yaml
 
 from acoustrap.calibration import default_calibration, lattice_points, load_calibration
-from acoustrap.cli import _scenario_from_yaml, build_parser, main
+from acoustrap.cli import (
+    MAX_BATCH_SCENARIOS,
+    MAX_RENDER_FRAMES,
+    _check_at_most,
+    _scenario_from_yaml,
+    build_parser,
+    main,
+)
 from acoustrap.config import SimulatorConfig, config_from_dict
 from acoustrap.core import MediumConfig, TransducerArray, Vec3, wavelength
+from acoustrap.errors import ConfigurationError
 from acoustrap.formats import load_hologram_csv, load_pgm
 from acoustrap.hologram import make_focus_hologram, make_octahedral_hologram
 
@@ -544,6 +552,29 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     assert "--seed: must be >= 0" in capsys.readouterr().err
 
 
+class TestCountBounds:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("simulate", "--batch", "1000000000000"), "--batch"),
+            (("vision", "render", "--position", "25,25,40", "--frames", "1000000000000"), "--frames"),
+        ],
+    )
+    def test_oversized_count_is_config_error(self, tmp_path, capsys, argv, option):
+        # the bound is checked before any scenario or frame is made
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{option} 1,000,000,000,000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit", [MAX_BATCH_SCENARIOS, MAX_RENDER_FRAMES])
+    def test_bound_is_inclusive(self, limit):
+        _check_at_most("--count", limit, limit)
+        with pytest.raises(ConfigurationError, match="--count"):
+            _check_at_most("--count", limit + 1, limit)
+
+
 class TestBenchCommand:
     def test_bench_report(self, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -558,7 +589,10 @@ class TestBenchCommand:
         assert doc["iterative_to_octahedral_ratio"] > 1.0
         assert doc["octahedral_within_transfer_window"] is True
         assert doc["octahedral_within_refresh_cadence"] is True
-        assert "synthesis route" in capsys.readouterr().out
+        for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms"):
+            assert doc[key] > 0.0
+        out_text = capsys.readouterr().out
+        assert "synthesis route" in out_text and "frame layer (noise sigma 0)" in out_text
 
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -241,9 +241,11 @@ class TestFailureModes:
 
 
 class TestTrackingWindow:
-    def test_tracked_frames_render_crops(self, world, monkeypatch):
+    @pytest.mark.parametrize("sigma", [0.0, 5.0])
+    def test_tracked_frames_render_crops(self, monkeypatch, sigma):
         from acoustrap import control
 
+        world = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(noise_sigma=sigma)))
         windows = []
 
         def recording_render(camera, particle, t, seed, window=None):
@@ -253,11 +255,12 @@ class TestTrackingWindow:
         monkeypatch.setattr(control, "render_frame", recording_render)
         report = run_trap_loop(SimScenario(particle=falling_particle(), seed=7), world)
         acquired = [f for f in report.frames if f.observed_h is not None]
-        # the first two ticks of each camera render the full frame; every
-        # later one renders only a crop around the extrapolated pixel
+        # the first two ticks of each camera render a crop around its first
+        # sight, and every later one a crop around the extrapolated pixel;
+        # with every crop holding the particle, no full frame is rendered
         assert len(acquired) == 3
-        assert [w is None for w in windows] == [True] * 4 + [False] * 2
-        for window in windows[4:]:
+        assert len(windows) == 6 and None not in windows
+        for window in windows:
             assert window.c1 - window.c0 <= 64 and window.r1 - window.r0 <= 64
 
 
@@ -350,12 +353,13 @@ class TestBatches:
 # any change to a report byte (state names, ordering, float values,
 # serializer) changes it. The noise-free pin covers the clean-sensor batch
 # and the five failure modes and was recorded before the closed loop was
-# restructured; windowed vision kept it. The noisy pin covers the same batch
-# at ``vision.noise_sigma=5``; it was re-recorded when the loop began to
-# render only a crop of most frames, which draws the sensor noise over the
-# crop alone.
+# restructured; windowed vision and first sight from block sums kept it.
+# The noisy pin covers the same batch at ``vision.noise_sigma=5``; it was
+# re-recorded when the sensor noise became two-level (block sums, then
+# residuals per block row), which changed every noisy pixel and made a
+# noisy crop equal the same slice of the full frame.
 NOISE_FREE_DIGEST = "a584984e43bf241916b1f2a173789e29e021c1f477d90698f2a58736c6defdd2"
-NOISY_DIGEST = "483217807c92decd1b31e24789947b5b7ca3d667aa15f55a821472fb07d1b262"
+NOISY_DIGEST = "5dc4ef952a732e886cda598259d6a86460a7e4952091a1f5f3e962c2ec38dc5b"
 
 
 def _digest(reports) -> str:

@@ -11,13 +11,16 @@ from acoustrap.errors import ConfigurationError
 from acoustrap.vision import (
     ImageFrame,
     Window,
+    _block_contrast,
+    _block_sums,
     _box_mean,
     _close3,
+    _disc,
     _largest_blob,
+    _sensor_noise,
     background_image,
-    crop_frame,
     extract_feature,
-    find_particle,
+    first_sight,
     project,
     render_frame,
     tracking_window,
@@ -207,13 +210,14 @@ class TestExtractFeature:
 # Windowed extraction is checked against the full frame on a small sensor,
 # so that 200 full-frame extractions per case stay fast. The camera scale
 # and particle size are the default ones; the sides (158 x 131 px) are not
-# multiples of the 4 px search block or of the 3 px window stride, so crops
-# clamped at every sensor edge and the unsearched border are exercised.
+# multiples of the 4 px noise and search block or of the 3 px window
+# stride, so crops clamped at every sensor edge, the noise drawn past the
+# last whole block and the unsearched border are exercised.
 SMALL = (158, 131)
-# Largest centre difference allowed between a crop cut from a noisy frame
-# and the whole frame. Measured: 0.0 px over the 740 held noisy crops below
-# (a predicted and a block-search crop per position) and over 730 more on
-# another seed. The bound allows for a tie in binarization near the crop
+# Largest centre difference allowed between a noisy crop and the whole
+# frame. Measured: 0.0 px over the 746 held noisy crops below (a predicted
+# and a first-sight crop per position) and over 739 more on another seed.
+# The bound allows for a tie in binarization near the crop
 # edge flipping one faint edge pixel of the blob, which would move the
 # centre by a few hundredths of a pixel.
 NOISY_TOLERANCE_PX = 0.05
@@ -242,16 +246,13 @@ def test_windowed_extraction_matches_full_frame(sigma, index):
         ref = extract_feature(full, bg, d, CFG.vision)
         # a prediction off by up to one diameter on each axis
         window = tracking_window(cam.image_size, tuple(uv + rng.uniform(-1, 1, 2) * math.ceil(d)), d)
-        if sigma == 0:
-            crop = render_frame(cam, particle, 0.0, seed=k, window=window)
-            assert np.array_equal(crop.pixels, full.pixels[window.slices])
+        hit = tracking_window(cam.image_size, first_sight(cam, particle, k), d)
+        for win in (window, hit):
+            crop = render_frame(cam, particle, 0.0, seed=k, window=win)
+            assert np.array_equal(crop.pixels, full.pixels[win.slices])
             assert crop.clipped == full.clipped
-        else:
-            crop = crop_frame(full, window)
-        assert crop.origin == (window.c0, window.r0)
-        hit = tracking_window(cam.image_size, find_particle(full, cam), d)
-        for win, frame in ((window, crop), (hit, crop_frame(full, hit))):
-            obs = extract_feature(frame, bg[win.slices], d, CFG.vision)
+            assert crop.origin == (win.c0, win.r0)
+            obs = extract_feature(crop, bg[win.slices], d, CFG.vision)
             holds = window_holds(obs, win, cam.image_size, d)
             assert holds or not ref.valid, (k, uv, obs)
             if sigma == 0:
@@ -406,3 +407,55 @@ class TestKernelsMatchReferences:
             if want is not None:
                 assert np.array_equal(got, want), mask.astype(int)
         assert _largest_blob(_TIED)[0, 5] and not _largest_blob(_TIED)[3, 0]
+
+
+class TestSensorNoise:
+    """The two-level noise field against iid N(0, sigma^2) pixels."""
+
+    SIGMA = 5.0
+    # 152 x 128 whole blocks, then 3 columns and 1 row past them
+    SIZE = (611, 513)
+    FULL = Window(0, 0, *SIZE)
+    WHOLE = (512, 608)  # rows and columns inside whole blocks
+
+    @staticmethod
+    def _block_sum(a):
+        return a.reshape(a.shape[0] // 4, 4, a.shape[1] // 4, 4).sum(axis=(1, 3))
+
+    def _variance_is_sigma2(self, x):
+        # sum(x^2) / sigma^2 is chi-square with x.size degrees of freedom;
+        # allow 5 standard deviations of its mean
+        ratio = float(np.sum(x**2)) / self.SIGMA**2 / x.size
+        return abs(ratio - 1.0) < 5.0 * math.sqrt(2.0 / x.size)
+
+    def test_distribution(self):
+        noise = _sensor_noise(self.SIZE, self.SIGMA, 2024, self.FULL)
+        rows, cols = self.WHOLE
+        whole = noise[:rows, :cols]
+        sums = _block_sums(self.SIZE, self.SIGMA, 2024)
+        assert np.max(np.abs(self._block_sum(whole) - sums)) < 1e-9
+        assert self._variance_is_sigma2(noise)
+        edge = np.concatenate([noise[rows:].ravel(), noise[:rows, cols:].ravel()])
+        assert edge.size == 611 + 3 * 512
+        assert self._variance_is_sigma2(edge)
+        # neighbours inside a block: S/16 alone would correlate them by
+        # 1/17, residuals alone by -1/15
+        for a in (whole.reshape(rows, -1, 4), whole.T.reshape(cols, -1, 4)):
+            left, right = a[..., :3].ravel(), a[..., 1:].ravel()
+            assert abs(np.corrcoef(left, right)[0, 1]) < 5.0 / math.sqrt(left.size)
+
+    def test_first_sight_sums_are_block_sums_of_the_image(self):
+        cam = dataclasses.replace(CAM_H, image_size=self.SIZE, noise_sigma=self.SIGMA)
+        uv = (300.2, 200.7)
+        particle = _particle_at(cam, uv)
+        bg = background_image(cam)
+        _, box, disc = _disc(cam, particle, self.FULL)
+        img = bg.copy()
+        img[box.slices] = disc
+        img += _sensor_noise(self.SIZE, self.SIGMA, 7, self.FULL)
+        frame = render_frame(cam, particle, 0.0, seed=7)
+        assert np.array_equal(frame.pixels, np.clip(np.rint(img), 0, 255).astype(np.uint8))
+        rows, cols = self.WHOLE
+        expected = self._block_sum((img - bg)[:rows, :cols])
+        assert np.max(np.abs(_block_contrast(cam, particle, 7) - expected)) < 1e-9
+        assert math.dist(first_sight(cam, particle, 7), uv) < 4.0
