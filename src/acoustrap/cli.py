@@ -479,6 +479,31 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         ib_repeats,
     )
 
+    # the field kernel over one slice-sized band, a 31x31 xoz grid at
+    # lambda/20 through the trap centre, without and with piston directivity
+    octa = make_octahedral_hologram(config.array, center, diameter, config.medium)
+    step = wavelength(config.medium, config.array) / 20.0
+    band = ((center.x - 15 * step, center.x + 15 * step), (center.z - 15 * step, center.z + 15 * step))
+    band_pairs = 31 * 31 * config.array.element_count
+
+    def band_pairs_per_s(directivity):
+        band_ms = time_call(
+            lambda: field_slice(
+                config.array,
+                octa,
+                PlaneSpec("xoz", center.y),
+                band,
+                step,
+                config.medium,
+                directivity=directivity,
+            ),
+            args.repeats,
+        )
+        return band_pairs / (band_ms / 1e3)
+
+    field_pairs_per_s = band_pairs_per_s(False)
+    directivity_pairs_per_s = band_pairs_per_s(True)
+
     # the frame layer at the configured vision settings, a fresh seed per
     # call so that no call reuses the noise block sums of another
     cam, _ = build_camera_pair(config.vision)
@@ -503,6 +528,8 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         "iterative_to_octahedral_ratio": ib_ms / octa_ms if octa_ms > 0 else None,
         "octahedral_within_transfer_window": octa_ms < config.timing.t_trans * 1e3,
         "octahedral_within_refresh_cadence": octa_ms < 1e3 / config.timing.poh_update_fps,
+        "field_pairs_per_s": field_pairs_per_s,
+        "field_directivity_pairs_per_s": directivity_pairs_per_s,
         "frame_full_ms": full_ms,
         "frame_crop_ms": crop_ms,
         "first_sight_ms": sight_ms,
@@ -517,6 +544,9 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         f"iterative/octahedral ratio: {report['iterative_to_octahedral_ratio']:.1f}x;"
         f" refresh cadence ok: {report['octahedral_within_refresh_cadence']}"
     )
+    print(f"{'field kernel (961 points)':<28}{'pairs/s':>12}")
+    print(f"{'plain':<28}{field_pairs_per_s:>12.3g}")
+    print(f"{'piston directivity':<28}{directivity_pairs_per_s:>12.3g}")
     print(f"{f'frame layer (noise sigma {cam.noise_sigma:g})':<28}{'median ms':>12}")
     print(f"{f'full frame {w}x{h}':<28}{full_ms:>12.3f}")
     print(f"{f'crop {window.c1 - window.c0}x{window.r1 - window.r0}':<28}{crop_ms:>12.3f}")
@@ -619,7 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 
-    bench = sub.add_parser("bench", help="time the synthesis routes and the frame layer")
+    bench = sub.add_parser(
+        "bench", help="time the synthesis routes, the field kernel and the frame layer"
+    )
     bench.add_argument("--repeats", type=_int_at_least(1), default=21)
     bench.add_argument("--ib-iterations", type=int, default=200)
     add_common(bench)

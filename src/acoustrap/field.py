@@ -8,8 +8,9 @@ square-piston far-field directivity factor per element can be switched on
 for pressure values and slices through the field configuration.
 
 One float64 kernel evaluates the sum and, for the Gor'kov potential, the
-gradient of the undirected sum in closed form; it spreads chunks of points
-over threads.
+gradient of the undirected sum in closed form. It spreads chunks of about
+80k source-point pairs over threads, so that each chunk's temporaries stay
+in cache and are reused from the heap.
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ from .hologram import (
     octahedron_vertexes,
 )
 
-# Points per evaluation chunk: each (chunk, elements) temporary stays near
-# 5 MB for the default 2500-element aperture, and calls of a few hundred
-# points still split over more than one CPU.
-_CHUNK = 256
+# Source-point pairs per evaluation chunk: 32 points at the default 2500
+# elements. Each float64 (points, elements) temporary is then about 640 KB,
+# small enough to stay in cache and, once the process has freed a larger
+# array (which raises glibc's trim threshold), to be reused from the heap
+# instead of being mapped and zero-filled afresh on every chunk. Calls of a
+# few dozen points still split over more than one CPU.
+_CHUNK_PAIRS = 80_000
 
 # Most points one field slice may hold: about 80 MB of coordinates and
 # pressures, and over ten times the CLI's default slice of about 170k points.
@@ -93,11 +97,11 @@ def _field(
     ``gradient`` is set, its gradient (N, 3) per mm in closed form. The
     gradient has no piston factor, so it excludes ``directivity``.
 
-    The points are cut into chunks of at most ``_CHUNK`` rows, evaluated on
-    a thread pool sized from the usable CPUs (numpy releases the GIL) and
-    joined in order. The chunks depend only on the number of points, so the
-    result is bit-identical for any worker count. No thread outlives the
-    call.
+    The points are cut into chunks of at most ``_CHUNK_PAIRS`` source-point
+    pairs, evaluated on a thread pool sized from the usable CPUs (numpy
+    releases the GIL) and joined in order. The chunks depend only on the
+    numbers of points and elements, so the result is bit-identical for any
+    worker count. No thread outlives the call.
     """
     if hologram.shape != (array.rows, array.cols):
         raise ConfigurationError(
@@ -117,7 +121,8 @@ def _field(
         piston=array.pitch / lam if directivity else None,
         gradient=gradient,
     )
-    chunks = np.array_split(pts, max(1, math.ceil(pts.shape[0] / _CHUNK)))
+    per_chunk = max(1, _CHUNK_PAIRS // array.element_count)
+    chunks = np.array_split(pts, max(1, math.ceil(pts.shape[0] / per_chunk)))
     workers = min(usable_cpus(), len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -148,7 +153,11 @@ def _field_chunk(
     all at z = ``axes[2]``."""
     # |r - c| = sqrt((dx² + dy²) + dz²) in this order, which the digests pin
     dx2, dy2 = (np.subtract.outer(pts[:, a], axes[a]) for a in (0, 1))
-    dx2 *= dx2  # in place: fewer temporaries, and fewer page faults per chunk
+    if piston is not None:
+        # pi * piston * (r - c) / 2 per row and per column: the piston
+        # factor's half-arguments times d; sinc(0) = 1, as in np.sinc
+        hx, hy = (np.where(o == 0, 1e-20, o * (0.5 * np.pi * piston)) for o in (dx2, dy2))
+    dx2 *= dx2  # in place: fewer temporaries per chunk
     dy2 *= dy2
     d = (dx2[:, :, None] + dy2[:, None, :]).reshape(len(pts), -1)
     d += ((pts[:, 2] - axes[2]) ** 2)[:, None]
@@ -156,21 +165,13 @@ def _field_chunk(
     if np.any(d < MIN_SOURCE_DISTANCE):
         raise SingularityError("field point coincides with an element center")
     inv_d = 1.0 / d
+    weight = inv_d if piston is None else _piston_weight(inv_d, hx, hy)
     half = d  # theta / 2, over the buffer of d
     half *= -0.5 * k
     half += 0.5 * phases
-    e_re, e_im = _cos_sin(half)
-    e_re *= inv_d  # Re exp(j theta) / d
-    e_im *= inv_d
-    if piston is None:
-        t_re, t_im = e_re, e_im
-    else:
-        ux = np.subtract.outer(piston * pts[:, 0], piston * centers[:, 0])
-        ux *= inv_d
-        uy = np.subtract.outer(piston * pts[:, 1], piston * centers[:, 1])
-        uy *= inv_d
-        factor = _sinc(ux) * _sinc(uy)
-        t_re, t_im = e_re * factor, e_im * factor
+    t_re, t_im = _cos_sin(half)
+    t_re *= weight  # Re exp(j theta) D / d
+    t_im *= weight
     p = amplitude * (t_re.sum(axis=1) + 1j * t_im.sum(axis=1))
     if not gradient:
         return p, None
@@ -210,13 +211,27 @@ def _cos_sin(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _sinc(u: np.ndarray) -> np.ndarray:
-    """np.sinc(u) = sin(pi u) / (pi u)."""
-    y = np.where(u == 0, 1e-20, u)  # sinc(0) = 1, as in np.sinc
-    y *= np.pi
-    _, sin = _cos_sin(0.5 * y)
-    sin /= y
-    return sin
+def _piston_weight(w: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """Multiply ``w`` = 1/d (points, rows * cols) in place by the piston
+    factor sinc(2 h_x / pi) * sinc(2 h_y / pi), with half-arguments h = ``hx``
+    (points, rows) or ``hy`` (points, cols) times 1/d, and return it.
+
+    With t = tan(h), sin(2h) / 2h = t / (h (1 + t^2)): one tangent per axis.
+    It stays finite past the tangent's pole at h = pi / 2, where t is near
+    1.6e16 and t^2 stays finite.
+    """
+    w3 = w.reshape(len(w), hx.shape[1], hy.shape[1])
+    h_x = hx[:, :, None] * w3
+    h_y = hy[:, None, :] * w3
+    t = np.empty_like(w3)
+    for h in (h_x, h_y):
+        np.tan(h, out=t)
+        np.divide(t, h, out=h)
+        t *= t
+        t += 1.0
+        h /= t
+        w3 *= h
+    return w
 
 
 def pressure_at_points(

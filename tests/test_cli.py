@@ -589,10 +589,13 @@ class TestBenchCommand:
         assert doc["iterative_to_octahedral_ratio"] > 1.0
         assert doc["octahedral_within_transfer_window"] is True
         assert doc["octahedral_within_refresh_cadence"] is True
+        for key in ("field_pairs_per_s", "field_directivity_pairs_per_s"):
+            assert doc[key] > 0.0
         for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms"):
             assert doc[key] > 0.0
         out_text = capsys.readouterr().out
         assert "synthesis route" in out_text and "frame layer (noise sigma 0)" in out_text
+        assert "field kernel (961 points)" in out_text
 
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

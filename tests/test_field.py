@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestKernel:
             _field(ARR, octa_holo, CENTER.as_array()[None, :], MED, directivity=True, gradient=True)
 
     def test_worker_count_leaves_results_bit_identical(self, octa_holo, monkeypatch):
-        pts = probe_points(15, n=700)  # three chunks
+        pts = probe_points(15, n=80)  # three chunks of at most 32 points
         results = []
         for cpus in (1, 3):
             monkeypatch.setattr(field, "usable_cpus", lambda: cpus)
@@ -169,6 +170,52 @@ class TestKernel:
             results.append((p, grad, pressure_at_points(ARR, octa_holo, pts, MED, directivity=True)))
         for one, three in zip(*results):
             assert np.array_equal(one, three)
+
+    @pytest.mark.parametrize("directivity", [False, True])
+    def test_point_alone_matches_point_in_chunked_call(self, octa_holo, directivity, monkeypatch):
+        monkeypatch.setattr(field, "usable_cpus", lambda: 2)
+        per_chunk = field._CHUNK_PAIRS // ARR.element_count
+        pts = probe_points(17, n=2 * per_chunk + 6)  # three chunks, the last one shorter
+        together = pressure_at_points(ARR, octa_holo, pts, MED, directivity=directivity)
+        alone = [
+            pressure_at_points(ARR, octa_holo, p[None, :], MED, directivity=directivity)[0]
+            for p in pts
+        ]
+        assert np.array_equal(together, alone)
+
+    def test_directivity_above_element_rows_and_columns(self, focus_holo):
+        # x == cx or y == cy makes a sinc argument exactly zero
+        centres = ARR.element_centers()
+        cx, cy = centres[:, 0].min() + 25.0 * ARR.pitch, centres[:, 1].min() + 10.0 * ARR.pitch
+        pts = np.array([[cx, 30.2, 12.0], [7.3, cy, 20.0], [cx, cy, 35.0], [cx, cy, 0.8]])
+        got = pressure_at_points(ARR, focus_holo, pts, MED, directivity=True)
+        ref = direct_pressure(ARR, focus_holo, pts, MED, directivity=True)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_directivity_past_the_first_sinc_zero(self, focus_holo):
+        # low, off-centre points: for most elements |x - cx| / d or |y - cy| / d
+        # exceeds lambda / pitch, where the piston factor's half-angle tangent
+        # has passed its pole
+        pts = np.array([[25.3, 25.7, 2.0], [3.2, 47.9, 1.5], [44.1, 6.6, 4.0], [-6.0, 60.0, 3.0]])
+        delta = pts[:, None, :] - ARR.element_centers()
+        sin_theta = np.abs(delta[..., :2]) / np.linalg.norm(delta, axis=2)[..., None]
+        assert np.mean(np.any(sin_theta > LAM / ARR.pitch, axis=2)) > 0.9
+        got = pressure_at_points(ARR, focus_holo, pts, MED, directivity=True)
+        ref = direct_pressure(ARR, focus_holo, pts, MED, directivity=True)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_working_memory_is_bounded(self, octa_holo, monkeypatch):
+        # two worker threads, each holding five (32, 2500) float64 arrays at
+        # its peak, trace about 6.7 MB; chunks of 256 points traced about 51 MB
+        monkeypatch.setattr(field, "usable_cpus", lambda: 2)
+        pts = probe_points(18, n=2000)
+        tracemalloc.start()
+        try:
+            pressure_at_points(ARR, octa_holo, pts, MED, directivity=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_singularity_in_worker_thread_reaches_caller(self, focus_holo, monkeypatch):
         monkeypatch.setattr(field, "usable_cpus", lambda: 2)
