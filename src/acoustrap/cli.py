@@ -83,9 +83,12 @@ from .vision import (
 )
 
 # Upper bounds on count options: a batch holds every scenario and report in
-# memory, and each rendered frame writes one PGM file per camera.
+# memory, a frame writes a PGM file per camera, an iterative-baseline
+# iteration a cost row, and a bench repeat times every layer once more.
 MAX_BATCH_SCENARIOS = 10_000
 MAX_RENDER_FRAMES = 100
+MAX_IB_ITERATIONS = 10_000
+MAX_BENCH_REPEATS = 1_000
 
 
 def _parse_vec3(text: str) -> Vec3:
@@ -157,6 +160,8 @@ def _finish(args, config: SimulatorConfig, outputs: list[str]) -> None:
 
 
 def cmd_hologram(args, config: SimulatorConfig) -> int:
+    if args.mode == "ib":
+        _check_at_most("--iterations", args.iterations, MAX_IB_ITERATIONS)
     out = _out_dir(args)
     outputs = ["hologram.csv"]
     if args.mode == "focus":
@@ -453,6 +458,8 @@ def cmd_simulate(args, config: SimulatorConfig) -> int:
 
 
 def cmd_bench(args, config: SimulatorConfig) -> int:
+    _check_at_most("--repeats", args.repeats, MAX_BENCH_REPEATS)
+    _check_at_most("--ib-iterations", args.ib_iterations, MAX_IB_ITERATIONS)
     out = _out_dir(args)
     center = config.workspace.center
     diameter = config.trap.octahedron_diameter
@@ -517,6 +524,13 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     full_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds)), args.repeats)
     crop_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds), window), args.repeats)
     sight_ms = time_call(lambda: first_sight(cam, particle, next(seeds)), args.repeats)
+    bg = background_image(cam)
+    frame = render_frame(cam, particle, 0.0, 0)
+    crop = render_frame(cam, particle, 0.0, 0, window)
+    extract_full_ms = time_call(lambda: extract_feature(frame, bg, expected_px, config.vision), args.repeats)
+    extract_crop_ms = time_call(
+        lambda: extract_feature(crop, bg[window.slices], expected_px, config.vision), args.repeats
+    )
 
     report = {
         "elements": config.array.element_count,
@@ -533,6 +547,8 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         "frame_full_ms": full_ms,
         "frame_crop_ms": crop_ms,
         "first_sight_ms": sight_ms,
+        "extract_full_ms": extract_full_ms,
+        "extract_crop_ms": extract_crop_ms,
     }
     (out / "bench.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _finish(args, config, ["bench.json"])
@@ -551,6 +567,8 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     print(f"{f'full frame {w}x{h}':<28}{full_ms:>12.3f}")
     print(f"{f'crop {window.c1 - window.c0}x{window.r1 - window.r0}':<28}{crop_ms:>12.3f}")
     print(f"{'first sight':<28}{sight_ms:>12.3f}")
+    print(f"{'extract full frame':<28}{extract_full_ms:>12.3f}")
+    print(f"{'extract crop':<28}{extract_crop_ms:>12.3f}")
     return 0
 
 
@@ -598,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     ib.add_argument(
         "--targets", type=_parse_targets, required=True, metavar="X,Y,Z;X,Y,Z;...",
     )
-    ib.add_argument("--iterations", type=int, default=200)
+    ib.add_argument("--iterations", type=_int_at_least(1), default=200)
     add_common(ib)
     ib.set_defaults(func=cmd_hologram)
 
@@ -653,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="time the synthesis routes, the field kernel and the frame layer"
     )
     bench.add_argument("--repeats", type=_int_at_least(1), default=21)
-    bench.add_argument("--ib-iterations", type=int, default=200)
+    bench.add_argument("--ib-iterations", type=_int_at_least(1), default=200)
     add_common(bench)
     bench.set_defaults(func=cmd_bench)
 

@@ -287,12 +287,12 @@ class _Attempt:
                 observed.append(None)
                 continue
             obs = self.observe(camera, track, t, seed)
-            if obs.valid:
-                observed.append((obs.u + du, obs.v + dv))
-                track.append((t, *observed[-1]))
-            else:
+            if obs is None:
                 observed.append(None)
                 track.clear()
+            else:
+                observed.append((obs.u + du, obs.v + dv))
+                track.append((t, *observed[-1]))
         if None in observed:
             return observed[0], observed[1], None
         loc = localize(self.world.jacobian, self.world.refs, observed[0], observed[1])
@@ -301,28 +301,24 @@ class _Attempt:
             self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)
         return observed[0], observed[1], _as_tuple(loc)
 
-    def observe(self, camera: tuple, track: deque, t: float, seed: int) -> FeatureObservation:
-        """Render one camera at ``t`` and extract the particle.
+    def observe(self, camera: tuple, track: deque, t: float, seed: int) -> FeatureObservation | None:
+        """Render one camera at ``t`` and extract the particle; None for a
+        miss. Only crops are rendered and searched.
 
         With two observations since the camera's last miss, it renders and
-        searches only a crop around their linear extrapolation to ``t``
+        searches a crop around their linear extrapolation to ``t``
         (dropped frames leave the track as it was). Otherwise, or when that
-        crop does not hold the particle, it looks first where the frame's
-        block sums are largest (``first_sight``) and renders and searches
-        a crop around that block, and as a last resort the whole frame.
+        crop does not hold the particle, it looks where the frame's block
+        sums are largest (``first_sight``) and renders and searches a crop
+        around that block.
         """
-        cam, background, expected_px = camera
         if len(track) == 2:
             (t1, u1, v1), (t2, u2, v2) = track
             ahead = (t - t2) / (t2 - t1)
             obs = self.observe_crop(camera, t, seed, (u2 + (u2 - u1) * ahead, v2 + (v2 - v1) * ahead))
             if obs is not None:
                 return obs
-        obs = self.observe_crop(camera, t, seed, first_sight(cam, self.particle, seed))
-        if obs is not None:
-            return obs
-        frame = render_frame(cam, self.particle, t, seed)
-        return extract_feature(frame, background, expected_px, self.config.vision)
+        return self.observe_crop(camera, t, seed, first_sight(camera[0], self.particle, seed))
 
     def observe_crop(
         self, camera: tuple, t: float, seed: int, centre: tuple[float, float]

@@ -11,16 +11,18 @@ inside its blocks from a stream of its own.
 
 Extraction follows the bench pipeline: background subtraction, adaptive
 binarization against a local mean, a sliding-window search for the
-densest foreground patch and morphological closing. The centre and axes
-then come from the intensity-weighted first and second moments of the
-largest blob; extraction draws no random numbers.
+densest foreground patch and morphological closing; the first two count
+with exact integer box sums. The centre and axes then come from the
+intensity-weighted first and second moments of the largest blob;
+extraction draws no random numbers.
 
 A frame may be a crop of the sensor (a tracking ``Window``): it carries
 its origin, and extraction reports sensor pixels. A crop's pixels, noise
-included, equal the same slice of the full frame; on a noise-free frame,
-extraction on a crop that ``window_holds`` accepts gives bit for bit the
-observation of the full frame. ``first_sight`` finds the particle from the
-block sums alone, without drawing a pixel of noise.
+included, equal the same slice of the full frame, and so does its
+binarization half a binarization window inside its edges; on a noise-free
+frame, extraction on a crop that ``window_holds`` accepts gives bit for
+bit the observation of the full frame. ``first_sight`` finds the particle
+from the block sums alone, without drawing a pixel of noise.
 """
 
 from __future__ import annotations
@@ -119,13 +121,11 @@ class ImageFrame:
     """A rendered 8-bit grayscale frame with its capture timestamp.
 
     ``origin`` is the sensor pixel (u, v) of ``pixels[0, 0]``: (0, 0) for
-    a full frame, the window corner for a crop. ``clipped`` always refers
-    to the full sensor.
+    a full frame, the window corner for a crop.
     """
 
     pixels: np.ndarray
     timestamp: float
-    clipped: bool = False
     origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
@@ -199,18 +199,16 @@ def background_image(camera: CameraModel) -> np.ndarray:
 
 def _disc(
     camera: CameraModel, particle: ParticleState, window: Window
-) -> tuple[bool, Window, np.ndarray | None]:
+) -> tuple[Window, np.ndarray | None]:
     """The particle's anti-aliased dark disc.
 
-    Returns whether the disc crosses the sensor border, its bounding box
-    cut to ``window``, and the float gray levels of background and disc
-    over that box (None when the box is empty). The radius is the particle
-    diameter times the camera's pixel scale, over two.
+    Returns its bounding box cut to ``window`` and the float gray levels
+    of background and disc over that box (None when the box is empty).
+    The radius is the particle diameter times the camera's pixel scale,
+    over two.
     """
     u0, v0 = project(camera, particle.position)
     radius = particle.diameter_um * camera.pixel_scale / 2.0
-    w, h = camera.image_size
-    clipped = not (radius <= u0 <= w - 1 - radius and radius <= v0 <= h - 1 - radius)
     box = Window(
         max(int(math.floor(u0 - radius)) - 2, window.c0),
         max(int(math.floor(v0 - radius)) - 2, window.r0),
@@ -218,12 +216,12 @@ def _disc(
         min(int(math.ceil(v0 + radius)) + 3, window.r1),
     )
     if box.c1 <= box.c0 or box.r1 <= box.r0:
-        return clipped, box, None
+        return box, None
     uu = np.arange(box.c0, box.c1, dtype=float)[None, :]
     vv = np.arange(box.r0, box.r1, dtype=float)[:, None]
     coverage = np.clip(radius - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
     levels = background_image(camera)[box.slices] * (1.0 - coverage) + camera.particle_level * coverage
-    return clipped, box, levels
+    return box, levels
 
 
 _BLOCK = 4
@@ -279,10 +277,10 @@ def render_frame(
 ) -> ImageFrame:
     """Render the particle as an anti-aliased dark disc at time ``t``.
 
-    A disc crossing the image border is rendered partially and the frame
-    is flagged ``clipped``. With a ``window`` only that crop of the sensor
-    is drawn, noise included (``_sensor_noise``), and its pixels equal the
-    same slice of the full frame.
+    A disc crossing the image border is rendered partially. With a
+    ``window`` only that crop of the sensor is drawn, noise included
+    (``_sensor_noise``), and its pixels equal the same slice of the full
+    frame.
     """
     w, h = camera.image_size
     if window is None:
@@ -295,7 +293,7 @@ def render_frame(
         img = background_image(camera)[window.slices].copy()
     else:
         img = _background_pixels((w, h), camera.background)[window.slices].copy()
-    clipped, box, disc = _disc(camera, particle, window)
+    box, disc = _disc(camera, particle, window)
     if disc is not None:
         rows = slice(box.r0 - window.r0, box.r1 - window.r0)
         cols = slice(box.c0 - window.c0, box.c1 - window.c0)
@@ -303,7 +301,7 @@ def render_frame(
     if noisy:
         img += _sensor_noise((w, h), camera.noise_sigma, seed, window)
         img = _to_pixels(img)
-    return ImageFrame(img, t, clipped, (window.c0, window.r0))
+    return ImageFrame(img, t, (window.c0, window.r0))
 
 
 def _block_contrast(camera: CameraModel, particle: ParticleState, seed: int) -> np.ndarray:
@@ -316,7 +314,7 @@ def _block_contrast(camera: CameraModel, particle: ParticleState, seed: int) -> 
         sums = _block_sums((w, h), camera.noise_sigma, seed).copy()
     else:
         sums = np.zeros((h // _BLOCK, w // _BLOCK))
-    _, box, disc = _disc(camera, particle, Window(0, 0, w // _BLOCK * _BLOCK, h // _BLOCK * _BLOCK))
+    box, disc = _disc(camera, particle, Window(0, 0, w // _BLOCK * _BLOCK, h // _BLOCK * _BLOCK))
     if disc is not None:
         rows = np.arange(box.r0, box.r1)[:, None] // _BLOCK
         cols = np.arange(box.c0, box.c1)[None, :] // _BLOCK
@@ -351,23 +349,26 @@ def _stride(expected_diameter_px: float) -> int:
     return max(int(round(expected_diameter_px / 2.0)), 1)
 
 
-def _box_mean(a: np.ndarray, n: int) -> np.ndarray:
-    """Mean over an n x n box (n odd) with edges replicated: a running mean
-    along axis 0, then axis 1, that sums the first window in order, adds the
-    steps ``in[i + n - 1] - in[i - 1]`` and divides by n once. ``_binarize``
-    compares integers with these means, so this order decides ties."""
-    r = n // 2
-    for _ in range(2):
-        a = a.T
-        ext = a[:, np.clip(np.arange(-r, a.shape[1] + r), 0, a.shape[1] - 1)]
-        steps = np.concatenate([ext[:, :n], ext[:, n:] - ext[:, :-n]], axis=1)
-        a = np.cumsum(steps, axis=1, out=steps)[:, n - 1 :] / n
-    return a
+def _box_sums(a: np.ndarray, n: int) -> np.ndarray:
+    """Exact sum of every n x n window of an integer or boolean array,
+    (h - n + 1, w - n + 1), from one int64 summed-area table."""
+    h, w = a.shape
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+    sat[1:, 1:] = a
+    np.cumsum(np.cumsum(sat, axis=0, out=sat), axis=1, out=sat)
+    return sat[n:, n:] - sat[:-n, n:] - sat[n:, :-n] + sat[:-n, :-n]
 
 
 def _binarize(diff: np.ndarray, expected_diameter_px: float, offset: float) -> np.ndarray:
-    local_mean = _box_mean(diff, _binarize_window(expected_diameter_px))
-    return diff > local_mean + offset
+    """Pixels of an integer ``diff`` above the mean of the n x n box around
+    them (edges replicated) plus ``offset``: (diff - offset) n^2 > box sum."""
+    n = _binarize_window(expected_diameter_px)
+    r = n // 2
+    h, w = diff.shape
+    rows = np.clip(np.arange(-r, h + r), 0, h - 1)
+    cols = np.clip(np.arange(-r, w + r), 0, w - 1)
+    sums = _box_sums(diff.take(rows, axis=0).take(cols, axis=1), n)
+    return (diff - offset) * (n * n) > sums
 
 
 def _close3(mask: np.ndarray) -> np.ndarray:
@@ -426,20 +427,13 @@ def _best_window(
     h, w = fg.shape
     size = min(max(_patch_half(expected_diameter_px), 3), h, w)
     stride = _stride(expected_diameter_px)
-    # summed-area table with a zero border
-    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(fg, axis=0), axis=1, out=sat[1:, 1:])
     rows = list(range(0, h - size + 1, stride))
     cols = list(range(0, w - size + 1, stride))
     if rows[-1] != h - size:
         rows.append(h - size)
     if cols[-1] != w - size:
         cols.append(w - size)
-    ri = np.array(rows)[:, None]
-    ci = np.array(cols)[None, :]
-    counts = (
-        sat[ri + size, ci + size] - sat[ri, ci + size] - sat[ri + size, ci] + sat[ri, ci]
-    )
+    counts = _box_sums(fg, size)[np.array(rows)[:, None], cols]
     best = np.unravel_index(int(np.argmax(counts)), counts.shape)
     if counts[best] < _area_floor(expected_diameter_px, min_fraction):
         return None
@@ -454,25 +448,24 @@ def extract_feature(
 ) -> FeatureObservation:
     """Locate the particle in a frame against a known background.
 
-    ``background`` may be an ImageFrame or a raw gray-level array of the
-    same shape. The centre is the background-difference-weighted mean of
-    the largest closed blob, and the axes are four standard deviations
-    along the principal directions of its weighted covariance (the
-    diameter, for a uniform disc). Returns an invalid observation (never
-    raises) when any stage fails to find a usable candidate.
+    ``background`` is a gray-level array of the frame's shape. The centre
+    is the background-difference-weighted mean of the largest closed
+    blob, and the axes are four standard deviations along the principal
+    directions of its weighted covariance (the diameter, for a uniform
+    disc). Returns an invalid observation (never raises) when any stage
+    fails to find a usable candidate.
     """
     if not 3 < expected_diameter_px <= min(frame.pixels.shape):  # also rejects NaN
         raise ConfigurationError(
             f"expected_diameter_px must exceed 3 and fit the frame, got {expected_diameter_px}"
         )
     img = frame.pixels.astype(np.int16)
-    bg = background.pixels if isinstance(background, ImageFrame) else np.asarray(background)
-    bg = np.rint(bg).astype(np.int16)
+    bg = np.rint(background).astype(np.int16)
     if bg.shape != img.shape:
         raise ConfigurationError(
             f"background shape {bg.shape} does not match frame {img.shape}"
         )
-    diff = np.abs(img - bg).astype(float)
+    diff = np.abs(img - bg)
     fg = _binarize(diff, expected_diameter_px, config.binarize_offset)
 
     window = _best_window(fg, expected_diameter_px, config.min_foreground_fraction)
@@ -488,7 +481,7 @@ def extract_feature(
     if blob is None:
         return _invalid("empty_after_morphology")
     rows, cols = np.nonzero(blob)
-    weights = diff[rows + cr0, cols + cc0]
+    weights = diff[rows + cr0, cols + cc0].astype(float)
     mass = float(weights.sum())
     # a blob with no contrast against the background carries no position
     if rows.size < _area_floor(expected_diameter_px, config.min_foreground_fraction) or mass <= 0:
@@ -543,9 +536,9 @@ def window_holds(
     expected_diameter_px: float,
 ) -> bool:
     """True when a crop observation is valid and lies ``_tracking_margin``
-    inside every crop edge that is not a sensor edge. Such a crop of a
-    noise-free frame binarizes, picks and closes the particle exactly as
-    the full frame does."""
+    inside every crop edge that is not a sensor edge; the loop keeps only
+    observations that hold. Such a crop of a noise-free frame binarizes,
+    picks and closes the particle exactly as the full frame does."""
     if not obs.valid:
         return False
     w, h = image_size

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 import yaml
 
+from acoustrap import cli
 from acoustrap.calibration import default_calibration, lattice_points, load_calibration
 from acoustrap.cli import (
     MAX_BATCH_SCENARIOS,
+    MAX_BENCH_REPEATS,
+    MAX_IB_ITERATIONS,
     MAX_RENDER_FRAMES,
     _check_at_most,
     _scenario_from_yaml,
@@ -568,11 +571,51 @@ class TestCountBounds:
         assert err.count("\n") == 1 and f"{option} 1,000,000,000,000" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("limit", [MAX_BATCH_SCENARIOS, MAX_RENDER_FRAMES])
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            MAX_BATCH_SCENARIOS,
+            MAX_RENDER_FRAMES,
+            pytest.param(MAX_IB_ITERATIONS, id="ib_iterations"),
+            pytest.param(MAX_BENCH_REPEATS, id="bench_repeats"),
+        ],
+    )
     def test_bound_is_inclusive(self, limit):
         _check_at_most("--count", limit, limit)
         with pytest.raises(ConfigurationError, match="--count"):
             _check_at_most("--count", limit + 1, limit)
+
+    @pytest.mark.parametrize(
+        "argv, option, bound",
+        [
+            (("hologram", "ib", "--targets", "25,25,40", "--iterations", "4"), "--iterations", "MAX_IB_ITERATIONS"),
+            (("bench", "--repeats", "4"), "--repeats", "MAX_BENCH_REPEATS"),
+            (("bench", "--ib-iterations", "4"), "--ib-iterations", "MAX_IB_ITERATIONS"),
+        ],
+    )
+    def test_iteration_and_repeat_counts_are_bounded(self, tmp_path, capsys, monkeypatch, argv, option, bound):
+        # a bound of 3 stands in for the real one, so no large count runs
+        monkeypatch.setattr(cli, bound, 3)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{option} 4 is more than 3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("hologram", "ib", "--targets", "25,25,40", "--iterations", "0"), "--iterations"),
+            (("bench", "--ib-iterations", "0"), "--ib-iterations"),
+        ],
+    )
+    def test_zero_iterations_is_usage_error(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out-dir", str(out))
+        assert exc.value.code == 2
+        assert f"{option}: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchCommand:
@@ -591,7 +634,7 @@ class TestBenchCommand:
         assert doc["octahedral_within_refresh_cadence"] is True
         for key in ("field_pairs_per_s", "field_directivity_pairs_per_s"):
             assert doc[key] > 0.0
-        for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms"):
+        for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms", "extract_full_ms", "extract_crop_ms"):
             assert doc[key] > 0.0
         out_text = capsys.readouterr().out
         assert "synthesis route" in out_text and "frame layer (noise sigma 0)" in out_text

@@ -263,6 +263,15 @@ class TestTrackingWindow:
         for window in windows:
             assert window.c1 - window.c0 <= 64 and window.r1 - window.r0 <= 64
 
+        # misses, lost tracks and failed attempts render crops too
+        windows.clear()
+        scenarios = make_batch_scenarios(
+            world.config.workspace, 8, base_seed=5, pixel_noise_sigma=3.0, dropout_prob=0.3, fall_speed=60.0
+        )
+        reasons = {run_trap_loop(s, world).failure_reason for s in scenarios}
+        assert reasons == {"detection_starvation", "target_outside_workspace", "left_fov"}
+        assert len(windows) > 8 and None not in windows
+
 
 class TestBatches:
     def test_scenarios_deterministic(self, config):
