@@ -11,6 +11,16 @@ One float64 kernel evaluates the sum and, for the Gor'kov potential, the
 gradient of the undirected sum in closed form. It spreads chunks of about
 80k source-point pairs over threads, so that each chunk's temporaries stay
 in cache and are reused from the heap.
+
+A pressure call whose points all share an x (or y) coordinate folds the
+array's rows (or columns) first: elements at equal distance from that
+coordinate, such as mirror twins about a slice plane through the array's
+centre line, become one source with their summed drive. Within such a
+class d is equal and the piston factor even, so the terms differ only in
+their drives. An xoz slice on the centre line then costs half the
+source-point pairs and an axial line scan above the centre a quarter. The
+result is exact up to rounding. The gradient never folds, since (r - c)
+differs in sign across a twin pair.
 """
 
 from __future__ import annotations
@@ -100,8 +110,12 @@ def _field(
     The points are cut into chunks of at most ``_CHUNK_PAIRS`` source-point
     pairs, evaluated on a thread pool sized from the usable CPUs (numpy
     releases the GIL) and joined in order. The chunks depend only on the
-    numbers of points and elements, so the result is bit-identical for any
-    worker count. No thread outlives the call.
+    numbers of points and of folded elements, so the result is
+    bit-identical for any worker count. No thread outlives the call.
+
+    Without ``gradient``, equidistant elements fold first (see the module
+    docstring). When no two elements tie, nothing folds and the arithmetic
+    is unchanged.
     """
     if hologram.shape != (array.rows, array.cols):
         raise ConfigurationError(
@@ -111,17 +125,31 @@ def _field(
         raise ConfigurationError("the closed-form gradient has no piston directivity")
     lam = wavelength(medium, array)
     grid = array.element_centers().reshape(array.rows, array.cols, 3)
+    axes = [grid[:, 0, 0], grid[0, :, 1]]
+    phases, magnitudes = hologram.phases.reshape(-1), None
+    # (r - c) is odd across a twin pair, so the gradient never folds
+    folds = [None, None] if gradient else [_fold_axis(pts[:, a], axes[a]) for a in (0, 1)]
+    if any(folds):
+        classes = [np.arange(len(ax)) if f is None else f[0] for f, ax in zip(folds, axes)]
+        axes = [ax if f is None else f[1] for f, ax in zip(folds, axes)]
+        # one drive per class: the sum of its members' exp(j phi)
+        flat = (classes[0][:, None] * len(axes[1]) + classes[1]).reshape(-1)
+        n = len(axes[0]) * len(axes[1])
+        re, im = _cos_sin(0.5 * phases)
+        re, im = np.bincount(flat, re, n), np.bincount(flat, im, n)
+        phases, magnitudes = np.arctan2(im, re), np.hypot(re, im)
     evaluate = partial(
         _field_chunk,
         centers=grid.reshape(-1, 3),
-        axes=(grid[:, 0, 0], grid[0, :, 1], grid[0, 0, 2]),
-        phases=hologram.phases.reshape(-1),
+        axes=(axes[0], axes[1], grid[0, 0, 2]),
+        phases=phases,
+        magnitudes=magnitudes,
         amplitude=array.emission_amplitude,
         k=TWO_PI / lam,
         piston=array.pitch / lam if directivity else None,
         gradient=gradient,
     )
-    per_chunk = max(1, _CHUNK_PAIRS // array.element_count)
+    per_chunk = max(1, _CHUNK_PAIRS // len(phases))
     chunks = np.array_split(pts, max(1, math.ceil(pts.shape[0] / per_chunk)))
     workers = min(usable_cpus(), len(chunks))
     if workers > 1:
@@ -134,12 +162,29 @@ def _field(
     return p, grad
 
 
+def _fold_axis(v: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Fold one array axis, element coordinates ``axis``, for points whose
+    coordinates on it are ``v``: (class of each element, one member's
+    coordinate per class), where a class holds the elements at the same
+    distance from the points. None when the points differ on the axis or
+    no two elements tie."""
+    if not (len(v) and v.min() == v.max()):  # also None for NaN
+        return None
+    gap = np.abs(v[0] - axis)
+    ordered = np.sort(gap)  # cheaper than np.unique when nothing ties
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    _, first, cls = np.unique(gap, return_index=True, return_inverse=True)
+    return cls, axis[first]
+
+
 def _field_chunk(
     pts: np.ndarray,
     *,
     centers: np.ndarray,
     axes: tuple[np.ndarray, np.ndarray, float],
     phases: np.ndarray,
+    magnitudes: np.ndarray | None,
     amplitude: float,
     k: float,
     piston: float | None,
@@ -148,9 +193,12 @@ def _field_chunk(
     """Sum the element terms T_i = A / d_i * exp(j * (phi_i - k * d_i)) * D_i
     over one chunk of points, and their gradients when asked. D_i is the
     piston factor when ``piston`` (element side over wavelength) is given,
-    else 1; the gradient is only asked for with D_i = 1. The ``centers``
-    form a grid: x from ``axes[0]`` by row, y from ``axes[1]`` by column,
-    all at z = ``axes[2]``."""
+    else 1; the gradient is only asked for with D_i = 1. ``magnitudes``, when
+    given, scales each term: element i then stands for a folded class with
+    drive magnitudes_i * exp(j * phi_i). The element positions form a grid:
+    x from ``axes[0]`` by row, y from ``axes[1]`` by column, all at
+    z = ``axes[2]``; ``centers`` lists them for the gradient, which never
+    folds."""
     # |r - c| = sqrt((dx² + dy²) + dz²) in this order, which the digests pin
     dx2, dy2 = (np.subtract.outer(pts[:, a], axes[a]) for a in (0, 1))
     if piston is not None:
@@ -166,6 +214,8 @@ def _field_chunk(
         raise SingularityError("field point coincides with an element center")
     inv_d = 1.0 / d
     weight = inv_d if piston is None else _piston_weight(inv_d, hx, hy)
+    if magnitudes is not None:
+        weight *= magnitudes
     half = d  # theta / 2, over the buffer of d
     half *= -0.5 * k
     half += 0.5 * phases

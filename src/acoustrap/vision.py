@@ -466,7 +466,13 @@ def extract_feature(
             f"background shape {bg.shape} does not match frame {img.shape}"
         )
     diff = np.abs(img - bg)
-    fg = _binarize(diff, expected_diameter_px, config.binarize_offset)
+    # below 2 sigma of the sensor noise, the offset lets clusters of noise
+    # pixels through, and a noise patch can fill a particle's area floor;
+    # a noise-free sensor keeps any offset, a negative one too
+    offset = config.binarize_offset
+    if config.noise_sigma > 0:
+        offset = max(offset, 2.0 * config.noise_sigma)
+    fg = _binarize(diff, expected_diameter_px, offset)
 
     window = _best_window(fg, expected_diameter_px, config.min_foreground_fraction)
     if window is None:

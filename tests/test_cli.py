@@ -632,7 +632,7 @@ class TestBenchCommand:
         assert doc["iterative_to_octahedral_ratio"] > 1.0
         assert doc["octahedral_within_transfer_window"] is True
         assert doc["octahedral_within_refresh_cadence"] is True
-        for key in ("field_pairs_per_s", "field_directivity_pairs_per_s"):
+        for key in ("field_pairs_per_s", "field_directivity_pairs_per_s", "field_unfolded_pairs_per_s"):
             assert doc[key] > 0.0
         for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms", "extract_full_ms", "extract_crop_ms"):
             assert doc[key] > 0.0

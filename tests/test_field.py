@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acoustrap import field
+from acoustrap import cli, field
 from acoustrap.core import (
     DEFAULT_OCTAHEDRON_DIAMETER,
     TWO_PI,
@@ -18,6 +18,7 @@ from acoustrap.core import (
     wavenumber,
 )
 from acoustrap.errors import ConfigurationError, GeometryError, SingularityError
+from acoustrap.formats import load_hologram_csv, save_hologram_csv
 from acoustrap.field import (
     FieldSlice,
     FocusTrap,
@@ -224,6 +225,118 @@ class TestKernel:
         with pytest.raises(SingularityError, match="coincides") as excinfo:
             pressure_at_points(ARR, focus_holo, pts, MED)
         assert excinfo.type is SingularityError
+
+
+def magnitude_sum(array, points):
+    """A * sum(1 / d_i) per point: the element terms' magnitudes summed,
+    which also bounds them with directivity (|D_i| <= 1)."""
+    d = np.linalg.norm(points[:, None, :] - array.element_centers(), axis=2)
+    return array.emission_amplitude * np.sum(1.0 / d, axis=1)
+
+
+def fold_case(name):
+    """Points of one folding call and its (row, column) class counts, None
+    for an axis that does not fold; the default array's mirror lines are
+    x = 25 and y = 25."""
+    a, z = np.meshgrid(np.linspace(15.0, 35.0, 21), np.linspace(5.0, 55.0, 26), indexing="ij")
+    a, z = a.ravel(), z.ravel()
+    line = np.linspace(1.0, 60.0, 60)
+    cases = {
+        "xoz_y25": (np.column_stack([a, np.full_like(a, 25.0), z]), (None, 25)),
+        "yoz_x25": (np.column_stack([np.full_like(a, 25.0), a, z]), (25, None)),
+        "z_line_x25_y25": (np.column_stack([np.full_like(line, 25.0), np.full_like(line, 25.0), line]), (25, 25)),
+        # 23 row pairs about x = 23 and the 4 rows beyond x = 46
+        "xoz_line_x23": (np.column_stack([np.full_like(line, 23.0), np.full_like(line, 25.0), line]), (27, 25)),
+    }
+    return cases[name]
+
+
+class TestFold:
+    """Calls whose points share an x or y coordinate fold equidistant
+    elements into one source each."""
+
+    @pytest.mark.parametrize("directivity", [False, True])
+    @pytest.mark.parametrize("case", ["xoz_y25", "yoz_x25", "z_line_x25_y25", "xoz_line_x23"])
+    def test_folded_call_matches_direct_sum(self, octa_holo, case, directivity):
+        pts, classes = fold_case(case)
+        grid = ARR.element_centers().reshape(ARR.rows, ARR.cols, 3)
+        folds = (field._fold_axis(pts[:, 0], grid[:, 0, 0]), field._fold_axis(pts[:, 1], grid[0, :, 1]))
+        assert tuple(None if f is None else len(f[1]) for f in folds) == classes
+        got = pressure_at_points(ARR, octa_holo, pts, MED, directivity=directivity)
+        ref = direct_pressure(ARR, octa_holo, pts, MED, directivity=directivity)
+        # The reference rounds phi - k d per element and the fold per class,
+        # each to about ulp(k d) ~ 6e-14 rad. Both sums are off the exact one
+        # by about 1e-15 of sum |T_i|, which near a null exceeds 1e-12 of |p|.
+        tol = 1e-12 * np.abs(ref) + 1e-14 * magnitude_sum(ARR, pts)
+        assert np.all(np.abs(got - ref) <= tol)
+
+    def test_folded_slice_is_bit_identical_across_worker_counts(self, octa_holo, monkeypatch):
+        # 169 points: three chunks of at most 64 points at 50 x 25 classes
+        bounds = ((24.0, 26.0), (39.0, 41.0))
+        results = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(field, "usable_cpus", lambda: cpus)
+            results.append(
+                [
+                    field_slice(ARR, octa_holo, PlaneSpec("xoz", 25.0), bounds, LAM / 4, MED, directivity=d).values
+                    for d in (False, True)
+                ]
+            )
+        assert results[0][0].size == 169
+        for one, three in zip(*results):
+            assert np.array_equal(one, three)
+
+    def test_working_memory_is_bounded_when_folded(self, octa_holo, monkeypatch):
+        monkeypatch.setattr(field, "usable_cpus", lambda: 2)
+        bounds = ((20.0, 23.9), (30.0, 34.9))
+        tracemalloc.start()
+        try:
+            sl = field_slice(ARR, octa_holo, PlaneSpec("xoz", 25.0), bounds, 0.1, MED, directivity=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sl.values.size == 2000
+        assert peak < 12e6
+
+    def test_gradient_does_not_fold(self, octa_holo):
+        pts = probe_points(19, n=40)
+        pts[:, 1] = 25.0
+        p, grad = _field(ARR, octa_holo, pts, MED, gradient=True)
+        folded = pressure_at_points(ARR, octa_holo, pts, MED)
+        # the same sum, rounded per element and per column class
+        assert np.all(np.abs(p - folded) <= 1e-13 * np.abs(folded) + 1e-14 * magnitude_sum(ARR, pts))
+        h = 1e-5
+        central = np.stack(
+            [
+                (
+                    pressure_at_points(ARR, octa_holo, pts + h * e, MED)
+                    - pressure_at_points(ARR, octa_holo, pts - h * e, MED)
+                )
+                / (2 * h)
+                for e in np.eye(3)
+            ],
+            axis=1,
+        )
+        err = np.linalg.norm(grad - central, axis=1) / np.linalg.norm(central, axis=1)
+        assert err.max() < 1e-6
+
+    def test_cli_default_plane_matches_direct_sum(self, octa_holo, tmp_path):
+        # without --offset the xoz plane runs through the workspace centre,
+        # on the array's mirror line y = 25
+        holo_csv, out = tmp_path / "hologram.csv", tmp_path / "field"
+        save_hologram_csv(holo_csv, octa_holo)
+        argv = ["field", "--hologram", str(holo_csv), "--plane", "xoz", "--resolution", "1", "--out-dir", str(out)]
+        with pytest.warns(UserWarning, match="quarter wavelength"):
+            rc = cli.main(argv)
+        assert rc == 0
+        assert (out / "slice.csv").read_text().startswith("# plane=xoz offset=25 ")
+        table = np.loadtxt(out / "slice.csv", delimiter=",")
+        rows = table[np.random.default_rng(20).choice(len(table), 50, replace=False)]
+        pts = np.column_stack([rows[:, 0], np.full(len(rows), 25.0), rows[:, 1]])
+        ref = direct_pressure(ARR, load_hologram_csv(holo_csv), pts, MED)
+        # 9 significant digits per written value
+        np.testing.assert_allclose(rows[:, 2] + 1j * rows[:, 3], ref, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(rows[:, 4], np.abs(ref), rtol=1e-8, atol=0)
 
 
 class TestFieldSlice:

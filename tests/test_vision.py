@@ -293,6 +293,46 @@ def test_crop_binarizes_as_full_frame(sigma):
             assert np.array_equal(crop[r:-r, r:-r], fg[inner]), (k, win)
 
 
+def _off_sensor(rng, w, h):
+    """A pixel 1 to 20 px beyond a random edge of a w x h sensor."""
+    t, out = rng.uniform(0.0, 1.0), rng.uniform(1.0, 20.0)
+    return [(-out, t * h), (w + out, t * h), (t * w, -out), (t * w, h + out)][rng.integers(4)]
+
+
+@pytest.mark.parametrize("sigma", [8.0, 12.0])
+def test_noise_patch_is_not_a_particle(sigma):
+    # with the binarization offset of 10 gray levels, a noise patch passed
+    # as a particle in about 50 of 60 such frames at sigma 8 and 60 of 60 at 12
+    cam = dataclasses.replace(CAM_H, noise_sigma=sigma)
+    vision = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    bg = background_image(cam)
+    w, h = cam.image_size
+    rng = np.random.default_rng(int(sigma))
+    for seed in range(12):
+        off = _particle_at(cam, _off_sensor(rng, w, h))
+        assert not extract_feature(render_frame(cam, off, 0.0, seed), bg, D_PX, vision).valid
+        uv = rng.uniform([40.0, 40.0], [w - 40.0, h - 40.0])
+        obs = extract_feature(render_frame(cam, _particle_at(cam, uv), 0.0, seed + 100), bg, D_PX, vision)
+        assert obs.valid and math.hypot(obs.u - uv[0], obs.v - uv[1]) < 0.5
+
+
+@pytest.mark.parametrize("sigma", [2.0, 5.0])
+def test_offset_floor_leaves_low_noise_alone(sigma):
+    # 2 sigma stays at or below the offset of 10, so extraction is what it
+    # was without the floor (config noise_sigma 0), and the digests hold
+    cam = dataclasses.replace(CAM_H, noise_sigma=sigma)
+    floored = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    bg = background_image(cam)
+    w, h = cam.image_size
+    rng = np.random.default_rng(int(sigma))
+    for seed in range(6):
+        for uv in (_off_sensor(rng, w, h), rng.uniform([0.0, 0.0], [w, h])):
+            frame = render_frame(cam, _particle_at(cam, uv), 0.0, seed)
+            a = extract_feature(frame, bg, D_PX, floored)
+            b = extract_feature(frame, bg, D_PX, CFG.vision)
+            assert a == b or (not a.valid and a.reason == b.reason)
+
+
 class TestWindows:
     def test_partial_disc_in_corner_crop(self):
         w, h = CAM_H.image_size
