@@ -332,38 +332,25 @@ def build_camera_pair(
 
     The calibration is taken to be at native resolution; Jacobian rows and
     reference pixels shrink by ``vision.scale`` so that rendered frames,
-    projections, and localization all agree.
+    projections, and localization all agree. Both cameras are anchored at
+    the reference set's centroid, which is the point itself for a set of one.
     """
     if jacobian is None or refs is None:
         jac0, refs0 = default_calibration()
         jacobian = jacobian or jac0
         refs = refs or refs0
-    anchor = refs.points[0] if len(refs.points) == 1 else None
-    if anchor is None:
-        # synthesize the anchor pose from centroids
-        centroid_px = refs.pixel_centroid
-        anchor = ReferencePoint(
-            refs.world_centroid,
-            (float(centroid_px[0]), float(centroid_px[1])),
-            (float(centroid_px[2]), float(centroid_px[3])),
-        )
     s = vision.scale
-    common = dict(
-        image_size=vision.image_size,
-        noise_sigma=vision.noise_sigma,
-        background=vision.background,
-        particle_level=vision.particle_level,
-    )
-    cam_h = CameraModel(
-        jacobian.camera_rows("h") * s,
-        np.array(anchor.pixel_h) * s,
-        anchor.world,
-        **common,
-    )
-    cam_v = CameraModel(
-        jacobian.camera_rows("v") * s,
-        np.array(anchor.pixel_v) * s,
-        anchor.world,
-        **common,
+    ref_pixels = refs.pixel_centroid * s
+    cam_h, cam_v = (
+        CameraModel(
+            jacobian.camera_rows(which) * s,
+            ref_pixels[k : k + 2],
+            refs.world_centroid,
+            image_size=vision.image_size,
+            noise_sigma=vision.noise_sigma,
+            background=vision.background,
+            particle_level=vision.particle_level,
+        )
+        for k, which in ((0, "h"), (2, "v"))
     )
     return cam_h, cam_v

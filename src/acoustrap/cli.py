@@ -60,7 +60,6 @@ from .field import PlaneSpec, field_slice
 from .formats import (
     load_frame_pgm,
     load_hologram_csv,
-    load_pgm,
     save_field_slice_csv,
     save_hologram_csv,
     save_pgm,
@@ -281,7 +280,7 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
     out = _out_dir(args)
     if args.mode == "extract":
         frame = load_frame_pgm(args.frame)
-        background = load_pgm(args.background)
+        background = load_frame_pgm(args.background).pixels
         obs = extract_feature(frame, background, args.diameter_px, config.vision)
         record = _observation_record(obs, camera=None, frame_name=Path(args.frame).name, t=None)
         (out / "observation.json").write_text(json.dumps(record, sort_keys=True) + "\n")
@@ -297,6 +296,15 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         args.diameter_um,
         Contrast.POSITIVE,
     )
+    # motion is linear and the tank convex, so the first and last frames
+    # bound every frame; Python floats overflow to inf, never to a warning
+    start = particle.position.as_array().tolist()
+    dt = (args.frames - 1) / config.timing.camera_fps
+    end = [p + dt * v for p, v in zip(start, particle.velocity.as_array().tolist())]
+    if not config.workspace.tank_contains_points(np.array([start, end])):
+        raise GeometryError(
+            f"the particle leaves the tank: frame 0 at {start}, frame {args.frames - 1} at {end}"
+        )
     cameras = {"h": cam_h, "v": cam_v} if args.camera == "both" else (
         {"h": cam_h} if args.camera == "h" else {"v": cam_v}
     )

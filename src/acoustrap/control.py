@@ -370,6 +370,8 @@ class _Attempt:
 
 def run_trap_loop(scenario: SimScenario, world: TrapWorld) -> TrapReport:
     """Run one closed-loop trapping attempt to a terminal state."""
+    if scenario.timing != world.config.timing:
+        raise ConfigurationError("scenario.timing must equal the configuration's timing section")
     run = _Attempt(scenario, world)
     frames: list[FrameRecord] = []
     for k in range(world.config.control.frame_budget):

@@ -174,14 +174,6 @@ def _background(image_size: tuple[int, int], background: Background) -> np.ndarr
     return img
 
 
-@lru_cache(maxsize=8)
-def _background_pixels(image_size: tuple[int, int], background: Background) -> np.ndarray:
-    """The background as a noise-free frame records it."""
-    pixels = _to_pixels(_background(image_size, background).copy())
-    pixels.flags.writeable = False
-    return pixels
-
-
 def _to_pixels(img: np.ndarray) -> np.ndarray:
     """8-bit gray levels of a float image; rounds and clips ``img`` in place."""
     np.rint(img, out=img)
@@ -280,28 +272,22 @@ def render_frame(
     A disc crossing the image border is rendered partially. With a
     ``window`` only that crop of the sensor is drawn, noise included
     (``_sensor_noise``), and its pixels equal the same slice of the full
-    frame.
+    frame: the float image is rounded once, pixel by pixel.
     """
     w, h = camera.image_size
     if window is None:
         window = Window(0, 0, w, h)
     elif not (0 <= window.c0 < window.c1 <= w and 0 <= window.r0 < window.r1 <= h):
         raise ConfigurationError(f"render window {window} does not fit the {w}x{h} sensor")
-    noisy = camera.noise_sigma > 0
-    # Without noise only the disc's pixels need the float background.
-    if noisy:
-        img = background_image(camera)[window.slices].copy()
-    else:
-        img = _background_pixels((w, h), camera.background)[window.slices].copy()
+    img = background_image(camera)[window.slices].copy()
     box, disc = _disc(camera, particle, window)
     if disc is not None:
         rows = slice(box.r0 - window.r0, box.r1 - window.r0)
         cols = slice(box.c0 - window.c0, box.c1 - window.c0)
-        img[rows, cols] = disc if noisy else _to_pixels(disc)
-    if noisy:
+        img[rows, cols] = disc
+    if camera.noise_sigma > 0:
         img += _sensor_noise((w, h), camera.noise_sigma, seed, window)
-        img = _to_pixels(img)
-    return ImageFrame(img, t, (window.c0, window.r0))
+    return ImageFrame(_to_pixels(img), t, (window.c0, window.r0))
 
 
 def _block_contrast(camera: CameraModel, particle: ParticleState, seed: int) -> np.ndarray:

@@ -321,3 +321,27 @@ class TestBuildCameraPair:
         jac, refs = default_calibration()
         cam_h, _ = build_camera_pair(VisionConfig(scale=1.0), jac, refs)
         assert np.allclose(cam_h.rows_of_j, jac.matrix[:2])
+
+    def test_one_point_set_anchors_at_that_point_exactly(self):
+        vis = SimulatorConfig().vision
+        jac, refs = default_calibration()
+        assert len(refs.points) == 1
+        (point,) = refs.points
+        cam_h, cam_v = build_camera_pair(vis, jac, refs)
+        for cam, pixel in ((cam_h, point.pixel_h), (cam_v, point.pixel_v)):
+            assert cam.ref_pixel.tolist() == (np.array(pixel) * vis.scale).tolist()
+            assert cam.ref_world == point.world
+
+    def test_multi_point_set_anchors_at_its_centroid(self):
+        vis = VisionConfig(scale=0.5)
+        jac, _ = default_calibration()
+        refs = ReferenceSet(
+            (
+                ReferencePoint(Vec3(24.0, 25.0, 40.0), (100.0, 200.0), (300.0, 400.0)),
+                ReferencePoint(Vec3(26.0, 27.0, 43.0), (110.0, 230.0), (320.0, 390.0)),
+            )
+        )
+        cam_h, cam_v = build_camera_pair(vis, jac, refs)
+        assert cam_h.ref_pixel.tolist() == [52.5, 107.5]
+        assert cam_v.ref_pixel.tolist() == [155.0, 197.5]
+        assert cam_h.ref_world == cam_v.ref_world == Vec3(25.0, 26.0, 41.5)

@@ -27,7 +27,7 @@ from acoustrap.cli import (
 from acoustrap.config import SimulatorConfig, config_from_dict
 from acoustrap.core import MediumConfig, TransducerArray, Vec3, wavelength
 from acoustrap.errors import ConfigurationError
-from acoustrap.formats import load_hologram_csv, load_pgm
+from acoustrap.formats import load_hologram_csv, load_pgm, save_pgm
 from acoustrap.hologram import make_focus_hologram, make_octahedral_hologram
 
 
@@ -327,6 +327,30 @@ class TestVisionCommand:
         rc = self._extract(tmp_path, frame, frame)
         assert rc == 2
         assert "truncated" in capsys.readouterr().err
+
+    def test_extract_16_bit_background_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "vis"
+        run_cli("vision", "render", "--position", "25,25,40", "--camera", "h", "--out-dir", str(out))
+        # a 16-bit copy of the background would wrap in extraction's int16 arithmetic
+        wide = tmp_path / "bg16.pgm"
+        save_pgm(wide, load_pgm(out / "background_h.pgm").astype(np.uint16) * 257)
+        capsys.readouterr()
+        rc = self._extract(tmp_path, out / "frame_h_000.pgm", wide)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bg16.pgm is not an 8-bit frame" in err
+        assert not (tmp_path / "x" / "observation.json").exists()
+
+    @pytest.mark.parametrize(
+        "motion",
+        [["--position", "1e306,25,40"], ["--position", "25,25,40", "--velocity", "1e308,0,0", "--frames", "3"]],
+        ids=["position", "velocity"],
+    )
+    def test_render_outside_tank_is_geometry_error(self, tmp_path, capsys, motion):
+        rc = run_cli("vision", "render", *motion, "--camera", "h", "--out-dir", str(tmp_path / "o"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "leaves the tank" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("diameter", ["nan", "inf", "1e9", "3"])
     def test_extract_bad_diameter_is_config_error(self, tmp_path, capsys, diameter):

@@ -132,6 +132,13 @@ class TestScenarioValidation:
                 refs=refs,
             )
 
+    def test_loop_rejects_timing_other_than_the_world_config(self, world):
+        scenario = SimScenario(particle=falling_particle(), seed=7, timing=TimingConfig(camera_fps=30.0))
+        with pytest.raises(ConfigurationError, match="scenario.timing"):
+            run_trap_loop(scenario, world)
+        with pytest.raises(ConfigurationError, match="scenario.timing"):
+            run_batch([scenario], world)
+
 
 class TestNoiselessRun:
     def test_traps_with_small_deviation(self, noiseless_report):
