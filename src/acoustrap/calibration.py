@@ -1,12 +1,15 @@
 """Eye-to-hand calibration between the trap frame and the camera pair.
 
-A single 4x3 image Jacobian stacks both cameras' pixel sensitivities to
-world motion (rows u_h, v_h, u_v, v_v; pixel per micrometer). Localization
-inverts it through the Moore-Penrose pseudo-inverse around the reference
-set's centroid: world = centroid_world + pinv(J) @ (pixels -
-centroid_pixels). The packaged factory calibration reproduces the
-reference bench at native sensor resolution; scale it down when the
-cameras render at reduced resolution.
+A calibration is a 4x3 image Jacobian, stacking both cameras' pixel
+sensitivities to world motion (rows u_h, v_h, u_v, v_v; pixel per
+micrometer), and a reference set whose centroid anchors it. Calibrations
+are stored at native sensor resolution, the packaged factory one and
+those ``acoustrap calibrate`` writes alike. ``build_camera_pair`` turns
+one into the camera pair at the rendered scale, and that pair is the only
+hand-eye model the simulation uses. It renders the frames, and
+``localize`` inverts its stacked rows J through the Moore-Penrose
+pseudo-inverse around the cameras' shared anchor:
+world = anchor_world + pinv(J) @ (pixels - anchor_pixels).
 """
 
 from __future__ import annotations
@@ -60,21 +63,6 @@ class JacobianMatrix:
         s = np.linalg.svd(self.matrix, compute_uv=False)
         return float(s[0] / s[-1])
 
-    def pseudo_inverse(self) -> np.ndarray:
-        """(3, 4) Moore-Penrose pseudo-inverse, micrometer per pixel."""
-        return np.linalg.pinv(self.matrix)
-
-    def camera_rows(self, which: str) -> np.ndarray:
-        """(2, 3) block for camera 'h' or 'v'."""
-        if which == "h":
-            return self.matrix[0:2]
-        if which == "v":
-            return self.matrix[2:4]
-        raise ConfigurationError(f"camera selector must be 'h' or 'v', got {which!r}")
-
-    def scaled(self, factor: float) -> "JacobianMatrix":
-        return JacobianMatrix(self.matrix * factor)
-
 
 @dataclass(frozen=True)
 class ReferencePoint:
@@ -110,18 +98,6 @@ class ReferenceSet:
             dtype=float,
         )
         return stacked.mean(axis=0)
-
-    def scaled(self, factor: float) -> "ReferenceSet":
-        return ReferenceSet(
-            tuple(
-                ReferencePoint(
-                    p.world,
-                    (p.pixel_h[0] * factor, p.pixel_h[1] * factor),
-                    (p.pixel_v[0] * factor, p.pixel_v[1] * factor),
-                )
-                for p in self.points
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -166,15 +142,21 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
 
 
 def localize(
-    jacobian: JacobianMatrix,
-    refs: ReferenceSet,
+    cameras: tuple[CameraModel, CameraModel],
     pixel_h: tuple[float, float],
     pixel_v: tuple[float, float],
 ) -> Vec3:
-    """World position (mm) from one observation per camera."""
+    """World position (mm) from one observation per camera of the pair."""
+    cam_h, cam_v = cameras
+    if cam_h.ref_world != cam_v.ref_world:
+        raise ConfigurationError(
+            f"the cameras are anchored at different world points, {cam_h.ref_world} and"
+            f" {cam_v.ref_world}; build the pair with build_camera_pair"
+        )
     observed = np.array([pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]], dtype=float)
-    delta_um = jacobian.pseudo_inverse() @ (observed - refs.pixel_centroid)
-    return refs.world_centroid + Vec3.from_array(delta_um / 1e3)
+    anchor = np.concatenate([cam_h.ref_pixel, cam_v.ref_pixel])
+    delta_um = np.linalg.pinv(np.vstack([cam_h.rows_of_j, cam_v.rows_of_j])) @ (observed - anchor)
+    return cam_h.ref_world + Vec3.from_array(delta_um / 1e3)
 
 
 def acquire_reference(
@@ -325,25 +307,23 @@ def default_calibration() -> tuple[JacobianMatrix, ReferenceSet]:
 
 def build_camera_pair(
     vision: VisionConfig,
-    jacobian: JacobianMatrix | None = None,
-    refs: ReferenceSet | None = None,
+    calibration: tuple[JacobianMatrix, ReferenceSet] | None = None,
 ) -> tuple[CameraModel, CameraModel]:
-    """Camera models consistent with a calibration at the configured scale.
+    """The camera pair of a native calibration, as ``default_calibration``
+    and ``load_calibration`` return it (the factory one when None), at the
+    configured scale.
 
-    The calibration is taken to be at native resolution; Jacobian rows and
-    reference pixels shrink by ``vision.scale`` so that rendered frames,
-    projections, and localization all agree. Both cameras are anchored at
-    the reference set's centroid, which is the point itself for a set of one.
+    Jacobian rows and reference pixels shrink by ``vision.scale`` so that
+    rendered frames, projections and localization all agree. Both cameras
+    are anchored at the reference set's centroid, which is the point itself
+    for a set of one.
     """
-    if jacobian is None or refs is None:
-        jac0, refs0 = default_calibration()
-        jacobian = jacobian or jac0
-        refs = refs or refs0
+    jacobian, refs = calibration or default_calibration()
     s = vision.scale
-    ref_pixels = refs.pixel_centroid * s
+    rows, ref_pixels = jacobian.matrix * s, refs.pixel_centroid * s
     cam_h, cam_v = (
         CameraModel(
-            jacobian.camera_rows(which) * s,
+            rows[k : k + 2],
             ref_pixels[k : k + 2],
             refs.world_centroid,
             image_size=vision.image_size,
@@ -351,6 +331,6 @@ def build_camera_pair(
             background=vision.background,
             particle_level=vision.particle_level,
         )
-        for k, which in ((0, "h"), (2, "v"))
+        for k in (0, 2)
     )
     return cam_h, cam_v

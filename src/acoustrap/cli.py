@@ -249,7 +249,8 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
     poses = lattice_points(config.workspace.center, args.lattice, args.spacing)
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
-    cameras = build_camera_pair(config.vision)
+    # acquire at native resolution, so that the file is native like the factory one
+    cameras = build_camera_pair(dataclasses.replace(config.vision, scale=1.0))
     ref_set = ReferenceSet(tuple(
         acquire_reference(
             config.array, config.medium, point, cameras, pixel_noise_sigma=args.noise_px, rng=rng
@@ -649,7 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="reference lattice counts (default 2,3,4)",
     )
     cal.add_argument("--spacing", type=_positive_float, default=2.0, help="lattice spacing, mm")
-    cal.add_argument("--noise-px", type=float, default=0.0, help="pixel noise sigma")
+    cal.add_argument(
+        "--noise-px", type=float, default=0.0, help="pixel noise sigma, in native sensor pixels"
+    )
     add_common(cal)
     cal.set_defaults(func=cmd_calibrate)
 

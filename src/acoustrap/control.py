@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import JacobianMatrix, ReferenceSet, build_camera_pair, default_calibration, localize
+from .calibration import JacobianMatrix, ReferenceSet, build_camera_pair, localize
 from .config import SimulatorConfig
 from .core import Contrast, ParticleState, TimingConfig, Vec3, WorkspaceConfig, usable_cpus, wavelength
 from .errors import AcoustrapError, ConfigurationError, GeometryError
@@ -119,36 +119,20 @@ class SimScenario:
 @dataclass(frozen=True)
 class TrapWorld:
     """Static simulation context shared by every scenario: the configuration
-    plus the camera pair and the localization calibration at its scale."""
+    and the camera pair, which both renders the frames and localizes."""
 
     config: SimulatorConfig
-    camera_h: CameraModel
-    camera_v: CameraModel
-    jacobian: JacobianMatrix
-    refs: ReferenceSet
-
-    def __post_init__(self) -> None:
-        for cam, block in ((self.camera_h, "h"), (self.camera_v, "v")):
-            if not np.allclose(cam.rows_of_j, self.jacobian.camera_rows(block), rtol=1e-9, atol=0):
-                raise ConfigurationError(
-                    f"camera_{block} rows do not match the localization jacobian;"
-                    " build both from the same calibration and scale"
-                )
+    cameras: tuple[CameraModel, CameraModel]
 
     @classmethod
     def from_config(
         cls,
         config: SimulatorConfig,
-        jacobian: JacobianMatrix | None = None,
-        refs: ReferenceSet | None = None,
+        calibration: tuple[JacobianMatrix, ReferenceSet] | None = None,
     ) -> "TrapWorld":
-        if jacobian is None or refs is None:
-            jac0, refs0 = default_calibration()
-            jacobian = jacobian or jac0
-            refs = refs or refs0
-        cam_h, cam_v = build_camera_pair(config.vision, jacobian, refs)
-        s = config.vision.scale
-        return cls(config, cam_h, cam_v, jacobian.scaled(s), refs.scaled(s))
+        """The world of ``config`` with the cameras of a native calibration
+        (the factory one when None)."""
+        return cls(config, build_camera_pair(config.vision, calibration))
 
     def containment_tolerance(self) -> float:
         if self.config.trap.containment_tol is not None:
@@ -223,7 +207,7 @@ class _Attempt:
         self.tol = world.containment_tolerance()
         self.cameras = tuple(
             (cam, background_image(cam), scenario.particle.diameter_um * cam.pixel_scale)
-            for cam in (world.camera_h, world.camera_v)
+            for cam in world.cameras
         )
         # per camera, the last two valid observed (t, u, v): the loop's own
         # view of the particle, from which it predicts where to look next
@@ -295,7 +279,7 @@ class _Attempt:
                 track.append((t, *observed[-1]))
         if None in observed:
             return observed[0], observed[1], None
-        loc = localize(self.world.jacobian, self.world.refs, observed[0], observed[1])
+        loc = localize(self.world.cameras, observed[0], observed[1])
         self.samples.append(TrackSample(loc, t))
         if len(self.samples) == 3 and confirm_track(list(self.samples), self.config.control.confirm_tol):
             self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)

@@ -201,11 +201,6 @@ def wavelength(medium: MediumConfig, array: TransducerArray) -> float:
     return lam
 
 
-def wavenumber(medium: MediumConfig, array: TransducerArray) -> float:
-    """Angular wavenumber 2*pi/lambda in rad/mm."""
-    return TWO_PI / wavelength(medium, array)
-
-
 @dataclass(frozen=True)
 class TimingConfig:
     """Latency and cadence constants of the pipeline.

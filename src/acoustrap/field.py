@@ -19,8 +19,9 @@ centre line, become one source with their summed drive. Within such a
 class d is equal and the piston factor even, so the terms differ only in
 their drives. An xoz slice on the centre line then costs half the
 source-point pairs and an axial line scan above the centre a quarter. The
-result is exact up to rounding. The gradient never folds, since (r - c)
-differs in sign across a twin pair.
+result is exact up to rounding. A call of a few points does not fold,
+since folding has a fixed cost that only many points repay. The gradient
+never folds, since (r - c) differs in sign across a twin pair.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ from .hologram import (
 # instead of being mapped and zero-filled afresh on every chunk. Calls of a
 # few dozen points still split over more than one CPU.
 _CHUNK_PAIRS = 80_000
+
+# A fold runs only when it saves more source-point pairs than this. Its
+# fixed cost (the tie search, the class sums and each class's drive) is
+# about 60 to 180 us. Timed against the unfolded call at the default 2,500
+# elements (best of 5 x 30 calls, 5 alternating rounds, 2-core x86-64),
+# folding both axes cost 1.06x at 6 points (11,250 pairs saved) and 0.64x
+# at 7 (13,125); folding one axis cost 1.09x at 7 points (8,750) and 0.71x
+# at 8 (10,000). No call of 6 points or fewer folds.
+_FOLD_MIN_SAVED_PAIRS = 12_000
 
 # Most points one field slice may hold: about 80 MB of coordinates and
 # pressures, and over ten times the CLI's default slice of about 170k points.
@@ -114,8 +124,8 @@ def _field(
     bit-identical for any worker count. No thread outlives the call.
 
     Without ``gradient``, equidistant elements fold first (see the module
-    docstring). When no two elements tie, nothing folds and the arithmetic
-    is unchanged.
+    docstring) when that saves more than ``_FOLD_MIN_SAVED_PAIRS`` pairs.
+    When nothing folds, the arithmetic is unchanged.
     """
     if hologram.shape != (array.rows, array.cols):
         raise ConfigurationError(
@@ -129,7 +139,8 @@ def _field(
     phases, magnitudes = hologram.phases.reshape(-1), None
     # (r - c) is odd across a twin pair, so the gradient never folds
     folds = [None, None] if gradient else [_fold_axis(pts[:, a], axes[a]) for a in (0, 1)]
-    if any(folds):
+    kept = [len(ax) if f is None else len(f[1]) for f, ax in zip(folds, axes)]
+    if len(pts) * (len(phases) - kept[0] * kept[1]) > _FOLD_MIN_SAVED_PAIRS:
         classes = [np.arange(len(ax)) if f is None else f[0] for f, ax in zip(folds, axes)]
         axes = [ax if f is None else f[1] for f, ax in zip(folds, axes)]
         # one drive per class: the sum of its members' exp(j phi)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from acoustrap.core import MediumConfig, TransducerArray, Vec3
 from acoustrap.errors import CalibrationError, ConfigurationError
 from acoustrap.field import pressure_at_points
 from acoustrap.hologram import make_focus_hologram
+from acoustrap.vision import project
 
 # factory sensitivity values, pixel per micrometer, rows in ROW_ORDER
 FACTORY_J = np.array(
@@ -46,25 +48,10 @@ class TestJacobianMatrix:
         with pytest.raises(CalibrationError):
             JacobianMatrix(degenerate)
 
-    def test_pseudo_inverse_round_trip(self):
-        jac = JacobianMatrix(FACTORY_J)
-        delta = np.array([120.0, -340.0, 55.0])
-        pix = FACTORY_J @ delta
-        back = jac.pseudo_inverse() @ pix
-        assert np.allclose(back, delta, atol=1e-9)
-
     def test_condition_number_finite(self):
         jac = JacobianMatrix(FACTORY_J)
         assert 1.0 <= jac.condition_number < 10.0
 
-    def test_camera_rows(self):
-        jac = JacobianMatrix(FACTORY_J)
-        assert np.allclose(jac.camera_rows("h"), FACTORY_J[:2])
-        assert np.allclose(jac.camera_rows("v"), FACTORY_J[2:])
-
-    def test_scaled(self):
-        jac = JacobianMatrix(FACTORY_J)
-        assert np.allclose(jac.scaled(0.25).matrix, FACTORY_J * 0.25)
 
 
 class TestDefaultCalibration:
@@ -82,22 +69,37 @@ class TestDefaultCalibration:
 
 
 class TestLocalize:
+    """Localization inverts the camera pair that renders the frames."""
+
+    # the factory calibration at native resolution
+    NATIVE = build_camera_pair(VisionConfig(scale=1.0))
+
     def test_round_trip_exact(self):
-        jac, refs = default_calibration()
+        cam_h, cam_v = self.NATIVE
         rng = np.random.default_rng(0)
-        c_pix = refs.pixel_centroid
         for _ in range(50):
             p = Vec3(*rng.uniform([6.5, 10.0, 25.0], [43.5, 40.0, 55.0]))
-            d_um = (p.as_array() - refs.world_centroid.as_array()) * 1e3
-            pix = c_pix + jac.matrix @ d_um
-            got = localize(jac, refs, (pix[0], pix[1]), (pix[2], pix[3]))
+            got = localize(self.NATIVE, project(cam_h, p), project(cam_v, p))
             assert got.distance_to(p) < 1e-9
 
+    @pytest.mark.parametrize("scale", [0.25, 0.5])
+    def test_inverts_projection_at_reduced_scale(self, scale):
+        cameras = cam_h, cam_v = build_camera_pair(VisionConfig(scale=scale))
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            w = Vec3(*rng.uniform([6.5, 10.0, 25.0], [43.5, 40.0, 55.0]))
+            assert localize(cameras, project(cam_h, w), project(cam_v, w)).distance_to(w) < 1e-9
+
     def test_reference_maps_to_itself(self):
-        jac, refs = default_calibration()
-        c = refs.pixel_centroid
-        got = localize(jac, refs, (c[0], c[1]), (c[2], c[3]))
-        assert got.distance_to(refs.world_centroid) < 1e-12
+        cam_h, cam_v = self.NATIVE
+        got = localize(self.NATIVE, tuple(cam_h.ref_pixel), tuple(cam_v.ref_pixel))
+        assert got.distance_to(cam_h.ref_world) < 1e-12
+
+    def test_rejects_cameras_with_different_anchors(self):
+        cam_h, cam_v = self.NATIVE
+        moved = dataclasses.replace(cam_v, ref_world=cam_v.ref_world + Vec3(0.0, 0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="different world points"):
+            localize((cam_h, moved), project(cam_h, cam_h.ref_world), project(moved, cam_h.ref_world))
 
 
 class TestCalibrateJacobian:
@@ -153,11 +155,6 @@ class TestReferenceSet:
         with pytest.raises(CalibrationError):
             ReferenceSet(())
 
-    def test_scaled(self):
-        _, refs = default_calibration()
-        half = refs.scaled(0.5)
-        assert np.allclose(half.pixel_centroid, refs.pixel_centroid * 0.5)
-        assert half.world_centroid == refs.world_centroid
 
 
 class TestPersistence:
@@ -221,8 +218,6 @@ class TestAcquireReference:
         ref = acquire_reference(arr, med, focus, cameras, scan_extent=1.0, scan_step=0.25)
         assert ref.world.distance_to(focus) <= 0.3
         # the reported pixels sit where the cameras project the found point
-        from acoustrap.vision import project
-
         u, v = project(cameras[0], ref.world)
         assert (u, v) == pytest.approx(ref.pixel_h, abs=1e-6)
 
@@ -312,14 +307,21 @@ class TestBuildCameraPair:
     def test_rows_match_scaled_jacobian(self):
         vis = SimulatorConfig().vision
         jac, refs = default_calibration()
-        cam_h, cam_v = build_camera_pair(vis, jac, refs)
+        cam_h, cam_v = build_camera_pair(vis, (jac, refs))
         assert np.allclose(cam_h.rows_of_j, jac.matrix[:2] * vis.scale)
         assert np.allclose(cam_v.rows_of_j, jac.matrix[2:] * vis.scale)
         assert np.allclose(cam_h.ref_pixel, np.array(refs.points[0].pixel_h) * vis.scale)
 
+    def test_factory_calibration_is_the_default(self):
+        vis = SimulatorConfig().vision
+        for got, factory in zip(build_camera_pair(vis), build_camera_pair(vis, default_calibration())):
+            assert got.rows_of_j.tolist() == factory.rows_of_j.tolist()
+            assert got.ref_pixel.tolist() == factory.ref_pixel.tolist()
+            assert got.ref_world == factory.ref_world
+
     def test_full_scale_keeps_native_values(self):
         jac, refs = default_calibration()
-        cam_h, _ = build_camera_pair(VisionConfig(scale=1.0), jac, refs)
+        cam_h, _ = build_camera_pair(VisionConfig(scale=1.0), (jac, refs))
         assert np.allclose(cam_h.rows_of_j, jac.matrix[:2])
 
     def test_one_point_set_anchors_at_that_point_exactly(self):
@@ -327,7 +329,7 @@ class TestBuildCameraPair:
         jac, refs = default_calibration()
         assert len(refs.points) == 1
         (point,) = refs.points
-        cam_h, cam_v = build_camera_pair(vis, jac, refs)
+        cam_h, cam_v = build_camera_pair(vis, (jac, refs))
         for cam, pixel in ((cam_h, point.pixel_h), (cam_v, point.pixel_v)):
             assert cam.ref_pixel.tolist() == (np.array(pixel) * vis.scale).tolist()
             assert cam.ref_world == point.world
@@ -341,7 +343,7 @@ class TestBuildCameraPair:
                 ReferencePoint(Vec3(26.0, 27.0, 43.0), (110.0, 230.0), (320.0, 390.0)),
             )
         )
-        cam_h, cam_v = build_camera_pair(vis, jac, refs)
+        cam_h, cam_v = build_camera_pair(vis, (jac, refs))
         assert cam_h.ref_pixel.tolist() == [52.5, 107.5]
         assert cam_v.ref_pixel.tolist() == [155.0, 197.5]
         assert cam_h.ref_world == cam_v.ref_world == Vec3(25.0, 26.0, 41.5)

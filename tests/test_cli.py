@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from acoustrap import cli
-from acoustrap.calibration import default_calibration, lattice_points, load_calibration
+from acoustrap.calibration import build_camera_pair, default_calibration, lattice_points, load_calibration
 from acoustrap.cli import (
     MAX_BATCH_SCENARIOS,
     MAX_BENCH_REPEATS,
@@ -24,11 +24,12 @@ from acoustrap.cli import (
     build_parser,
     main,
 )
-from acoustrap.config import SimulatorConfig, config_from_dict
+from acoustrap.config import SimulatorConfig, VisionConfig, config_from_dict
 from acoustrap.core import MediumConfig, TransducerArray, Vec3, wavelength
 from acoustrap.errors import ConfigurationError
 from acoustrap.formats import load_hologram_csv, load_pgm, save_pgm
 from acoustrap.hologram import make_focus_hologram, make_octahedral_hologram
+from acoustrap.vision import project
 
 
 def run_cli(*argv):
@@ -207,7 +208,7 @@ class TestCalibrateCommand:
         assert rc == 0
         jac, refs = load_calibration(out / "calibration.json")
         factory, _ = default_calibration()
-        assert np.allclose(jac.matrix, factory.scaled(0.25).matrix, atol=1e-8)
+        assert np.allclose(jac.matrix, factory.matrix, atol=1e-8)
         assert len(refs.points) == 8
         assert "residual RMS" in capsys.readouterr().out
 
@@ -216,13 +217,29 @@ class TestCalibrateCommand:
         assert run_cli("calibrate", "--out-dir", str(out)) == 0
         jac, refs = load_calibration(out / "calibration.json")
         factory, _ = default_calibration()
-        assert np.allclose(jac.matrix, factory.scaled(0.25).matrix, atol=1e-8)
+        assert np.allclose(jac.matrix, factory.matrix, atol=1e-8)
         commanded = lattice_points(Vec3(25.0, 25.0, 40.0), (2, 3, 4), 2.0)
         assert len(refs.points) == len(commanded)
         for ref, point in zip(refs.points, commanded):
             # the poses are the |p| peaks, below the commanded foci
             assert 0.04 < point.z - ref.world.z < 0.1
             assert abs(ref.world.x - point.x) < 0.005 and abs(ref.world.y - point.y) < 0.005
+
+    @pytest.mark.parametrize("scale", [0.25, 0.5])
+    def test_file_is_native_at_any_scale(self, tmp_path, scale):
+        # the file loads back into the factory cameras at the configured scale
+        out = tmp_path / "cal"
+        rc = run_cli(
+            "calibrate", "--lattice", "2,2,2", "--set", f"vision.scale={scale}",
+            "--out-dir", str(out),
+        )
+        assert rc == 0
+        vision = VisionConfig(scale=scale)
+        fitted = build_camera_pair(vision, load_calibration(out / "calibration.json"))
+        for cam, factory in zip(fitted, build_camera_pair(vision)):
+            assert np.allclose(cam.rows_of_j, factory.rows_of_j, rtol=0, atol=1e-8)
+            # anchored elsewhere (the lattice centroid), the same affine map
+            assert np.allclose(project(cam, factory.ref_world), factory.ref_pixel, rtol=0, atol=1e-8)
 
     def test_lattice_not_spanning_3d_names_direction(self, tmp_path, capsys):
         rc = run_cli("calibrate", "--lattice", "1,1,2", "--out-dir", str(tmp_path))

@@ -120,18 +120,6 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             SimScenario(particle=falling_particle(), dropout_prob=1.0)
 
-    def test_world_rejects_mismatched_cameras(self, config):
-        jac, refs = default_calibration()
-        world = TrapWorld.from_config(config)
-        with pytest.raises(ConfigurationError, match="jacobian"):
-            TrapWorld(
-                config=world.config,
-                camera_h=world.camera_h,
-                camera_v=world.camera_v,
-                jacobian=jac,  # full-scale rows vs quarter-scale cameras
-                refs=refs,
-            )
-
     def test_loop_rejects_timing_other_than_the_world_config(self, world):
         scenario = SimScenario(particle=falling_particle(), seed=7, timing=TimingConfig(camera_fps=30.0))
         with pytest.raises(ConfigurationError, match="scenario.timing"):
@@ -236,7 +224,7 @@ class TestFailureModes:
         low = SimulatorConfig(
             workspace=WorkspaceConfig(center=Vec3(25, 25, 1.2), extent=Vec3(10, 10, 2.0))
         )
-        world = TrapWorld.from_config(low, jac, refs)
+        world = TrapWorld.from_config(low, (jac, refs))
         scenario = SimScenario(
             particle=ParticleState(
                 Vec3(25, 25, 1.2), Vec3(0, 0, 0.0), 400.0, Contrast.POSITIVE
@@ -429,7 +417,7 @@ def _failure_mode_reports() -> list:
         workspace=WorkspaceConfig(center=Vec3(25, 25, 1.2), extent=Vec3(10, 10, 2.0))
     )
     still = ParticleState(Vec3(25, 25, 1.2), Vec3(0, 0, 0.0), 400.0, Contrast.POSITIVE)
-    low_world = TrapWorld.from_config(low, jac, low_refs)
+    low_world = TrapWorld.from_config(low, (jac, low_refs))
     reports.append(run_trap_loop(SimScenario(particle=still, seed=11), low_world))
     return reports
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +13,6 @@ from acoustrap.core import (
     Vec3,
     WorkspaceConfig,
     wavelength,
-    wavenumber,
 )
 from acoustrap.errors import (
     AcoustrapError,
@@ -105,10 +102,6 @@ class TestMediumAndWaves:
     def test_wavelength_in_water(self):
         lam = wavelength(MediumConfig(), TransducerArray())
         assert lam == pytest.approx(0.6521739130434783, abs=1e-12)
-
-    def test_wavenumber_consistent(self):
-        med, arr = MediumConfig(), TransducerArray()
-        assert wavenumber(med, arr) == pytest.approx(2 * math.pi / wavelength(med, arr))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -15,7 +15,6 @@ from acoustrap.core import (
     Vec3,
     WorkspaceConfig,
     wavelength,
-    wavenumber,
 )
 from acoustrap.errors import ConfigurationError, GeometryError, SingularityError
 from acoustrap.formats import load_hologram_csv, save_hologram_csv
@@ -81,7 +80,7 @@ class TestPressureModel:
         point = Vec3(0.5, 0.5, 10.0)  # 10 mm above the only element
         p = pressure_at_points(one, holo, point.as_array()[None, :], MED)[0]
         assert abs(p) == pytest.approx(0.1, rel=1e-12)
-        k = wavenumber(MED, one)
+        k = TWO_PI / wavelength(MED, one)
         expected_phase = (-k * 10.0) % TWO_PI
         assert np.angle(p) % TWO_PI == pytest.approx(expected_phase, abs=1e-9)
 
@@ -269,6 +268,33 @@ class TestFold:
         # by about 1e-15 of sum |T_i|, which near a null exceeds 1e-12 of |p|.
         tol = 1e-12 * np.abs(ref) + 1e-14 * magnitude_sum(ARR, pts)
         assert np.all(np.abs(got - ref) <= tol)
+
+    @staticmethod
+    def _sources_per_chunk(monkeypatch):
+        """Record the number of sources each kernel chunk sums over."""
+        sources = []
+
+        def recording(pts, **kwargs):
+            sources.append(len(kwargs["phases"]))
+            return kernel(pts, **kwargs)
+
+        kernel = field._field_chunk
+        monkeypatch.setattr(field, "_field_chunk", recording)
+        return sources
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_calls_of_few_points_do_not_fold(self, octa_holo, monkeypatch, n):
+        # on both mirror lines, where folding would save the most pairs
+        pts = np.column_stack([np.full(n, 25.0), np.full(n, 25.0), np.linspace(30.0, 50.0, n)])
+        sources = self._sources_per_chunk(monkeypatch)
+        pressure_at_points(ARR, octa_holo, pts, MED)
+        assert sources == [ARR.element_count]
+
+    def test_slice_band_folds(self, octa_holo, monkeypatch):
+        # an 806-point band of an xoz slice on the mirror line y = 25
+        sources = self._sources_per_chunk(monkeypatch)
+        field_slice(ARR, octa_holo, PlaneSpec("xoz", 25.0), ((20.0, 30.0), (39.0, 41.0)), LAM / 4, MED)
+        assert set(sources) == {ARR.element_count // 2}
 
     def test_folded_slice_is_bit_identical_across_worker_counts(self, octa_holo, monkeypatch):
         # 169 points: three chunks of at most 64 points at 50 x 25 classes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acoustrap.core import TWO_PI, MediumConfig, TransducerArray, Vec3, wavenumber
+from acoustrap.core import TWO_PI, MediumConfig, TransducerArray, Vec3, wavelength
 from acoustrap.errors import ConfigurationError, GeometryError
 from acoustrap.hologram import (
     FocusTrap,
@@ -28,7 +28,7 @@ OFFSET_ARR = TransducerArray(rows=7, cols=11, pitch=1.3, origin=Vec3(1.0, -2.0, 
 
 def arrival_residuals(array, hologram, point, medium):
     """Distance of each element's arrival phase from 0 (mod 2*pi)."""
-    k = wavenumber(medium, array)
+    k = TWO_PI / wavelength(medium, array)
     d = np.linalg.norm(array.element_centers() - point.as_array(), axis=1)
     arrival = np.mod(hologram.phases.ravel() - k * d, TWO_PI)
     return np.minimum(arrival, TWO_PI - arrival)
@@ -134,7 +134,7 @@ class TestMultiplexedHologram:
             i, j = np.indices((array.rows, array.cols))
             own = verts[((i % 2) * 3 + j % 3).ravel()]
             d = np.linalg.norm(array.element_centers() - own, axis=1)
-            arrival = np.mod(holo.phases.ravel() - wavenumber(MED, array) * d, TWO_PI)
+            arrival = np.mod(holo.phases.ravel() - TWO_PI / wavelength(MED, array) * d, TWO_PI)
             assert np.minimum(arrival, TWO_PI - arrival).max() < 1e-9
 
     def test_zero_diameter_degenerates_to_focus(self):
