@@ -48,10 +48,18 @@ class TestJacobianMatrix:
         with pytest.raises(CalibrationError):
             JacobianMatrix(degenerate)
 
+    def test_pseudo_inverse_round_trip(self):
+        # localize applies the pseudo-inverse of the Jacobian that built the pair
+        _, refs = default_calibration()
+        cameras = build_camera_pair(VisionConfig(scale=1.0), (JacobianMatrix(FACTORY_J), refs))
+        delta = np.array([120.0, -340.0, 55.0])
+        pix = np.concatenate([c.ref_pixel for c in cameras]) + FACTORY_J @ delta
+        back = localize(cameras, tuple(pix[:2]), tuple(pix[2:]))
+        assert np.allclose((back - refs.world_centroid).as_array() * 1e3, delta, atol=1e-9)
+
     def test_condition_number_finite(self):
         jac = JacobianMatrix(FACTORY_J)
         assert 1.0 <= jac.condition_number < 10.0
-
 
 
 class TestDefaultCalibration:
@@ -154,7 +162,6 @@ class TestReferenceSet:
     def test_needs_at_least_one_point(self):
         with pytest.raises(CalibrationError):
             ReferenceSet(())
-
 
 
 class TestPersistence:
