@@ -15,7 +15,6 @@ world = anchor_world + pinv(J) @ (pixels - anchor_pixels).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -178,12 +177,17 @@ def acquire_reference(
     raises |p|, else halve the step, until it is below 1 um. Leaving the
     cube of span ``scan_extent`` (mm) around the command raises
     CalibrationError. The peak is projected through both cameras,
-    optionally with pixel noise drawn from ``rng``, which must then be given.
+    optionally with pixel noise drawn from ``rng``, which must then be given
+    and at most the larger side of the cameras' sensor.
     """
     if not (scan_step > 0 and scan_extent > 0 and np.isfinite([scan_step, scan_extent]).all()):
         raise ConfigurationError("scan extent and step must be finite and > 0")
-    if not 0 <= pixel_noise_sigma < math.inf:  # also rejects NaN
-        raise ConfigurationError(f"pixel_noise_sigma must be >= 0 and finite, got {pixel_noise_sigma}")
+    sensor_px = max(max(cam.image_size) for cam in cameras)
+    if not 0 <= pixel_noise_sigma <= sensor_px:  # also rejects NaN
+        raise ConfigurationError(
+            f"pixel_noise_sigma must be >= 0 and at most the sensor's {sensor_px} px,"
+            f" got {pixel_noise_sigma}"
+        )
     if pixel_noise_sigma > 0 and rng is None:
         raise ConfigurationError("pixel_noise_sigma > 0 needs a seeded rng, so that reruns agree")
     holo = make_focus_hologram(array, commanded_focus, medium)

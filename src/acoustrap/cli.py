@@ -525,7 +525,7 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     unfolded_pairs_per_s = band_pairs_per_s(True, center.y + config.array.pitch / 4)
 
     # the frame layer at the configured vision settings, a fresh seed per
-    # call so that no call reuses the noise block sums of another
+    # call so that no call reuses the noise of another
     cam, _ = build_camera_pair(config.vision)
     particle = ParticleState(center)
     expected_px = particle.diameter_um * cam.pixel_scale
@@ -536,7 +536,7 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     seeds = itertools.count()
     full_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds)), args.repeats)
     crop_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds), window), args.repeats)
-    sight_ms = time_call(lambda: first_sight(cam, particle, next(seeds)), args.repeats)
+    sight_ms = time_call(lambda: first_sight(cam, particle), args.repeats)
     bg = background_image(cam)
     frame = render_frame(cam, particle, 0.0, 0)
     crop = render_frame(cam, particle, 0.0, 0, window)

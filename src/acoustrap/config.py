@@ -138,6 +138,10 @@ class TrapConfig:
             )
 
 
+# Most frames one loop may take; the loop keeps a record of every frame.
+MAX_FRAME_BUDGET = 10_000
+
+
 @dataclass(frozen=True)
 class ControlConfig:
     """Closed-loop controller settings."""
@@ -148,9 +152,9 @@ class ControlConfig:
     hold_ticks: int = 3             # consecutive contained ticks => trapped
 
     def __post_init__(self) -> None:
-        if self.frame_budget < 1:
+        if not 1 <= self.frame_budget <= MAX_FRAME_BUDGET:
             raise ConfigurationError(
-                f"control.frame_budget must be >= 1, got {self.frame_budget}"
+                f"control.frame_budget must be within [1, {MAX_FRAME_BUDGET:,}], got {self.frame_budget}"
             )
         if self.confirm_tol <= 0:
             raise ConfigurationError(f"control.confirm_tol must be > 0, got {self.confirm_tol}")

@@ -292,9 +292,9 @@ class _Attempt:
         With two observations since the camera's last miss, it renders and
         searches a crop around their linear extrapolation to ``t``
         (dropped frames leave the track as it was). Otherwise, or when that
-        crop does not hold the particle, it looks where the frame's block
-        sums are largest (``first_sight``) and renders and searches a crop
-        around that block.
+        crop does not hold the particle, it looks where the noise-free
+        frame's block contrast is largest (``first_sight``, which draws no
+        noise) and renders and searches a crop around that block.
         """
         if len(track) == 2:
             (t1, u1, v1), (t2, u2, v2) = track
@@ -302,7 +302,7 @@ class _Attempt:
             obs = self.observe_crop(camera, t, seed, (u2 + (u2 - u1) * ahead, v2 + (v2 - v1) * ahead))
             if obs is not None:
                 return obs
-        return self.observe_crop(camera, t, seed, first_sight(camera[0], self.particle, seed))
+        return self.observe_crop(camera, t, seed, first_sight(camera[0], self.particle))
 
     def observe_crop(
         self, camera: tuple, t: float, seed: int, centre: tuple[float, float]

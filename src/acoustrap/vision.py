@@ -5,9 +5,8 @@ Each camera is an affine orthographic projection around a reference pose:
 pixel = rows_of_j @ (world - ref_world) + ref_pixel, with the Jacobian
 rows in pixel per micrometer. Rendering draws the particle as an
 anti-aliased dark disc over the configured background and adds seeded
-Gaussian sensor noise, drawn in two levels: one stream gives the noise sum
-of every whole 4x4 block, and each row of blocks draws the residuals
-inside its blocks from a stream of its own.
+Gaussian sensor noise, each fixed square tile of the sensor drawing iid
+pixels from a stream of its own.
 
 Extraction follows the bench pipeline: background subtraction, adaptive
 binarization against a local mean, a sliding-window search for the
@@ -22,7 +21,7 @@ included, equal the same slice of the full frame, and so does its
 binarization half a binarization window inside its edges; on a noise-free
 frame, extraction on a crop that ``window_holds`` accepts gives bit for
 bit the observation of the full frame. ``first_sight`` finds the particle
-from the block sums alone, without drawing a pixel of noise.
+from the block sums of the noise-free frame, without drawing a pixel.
 """
 
 from __future__ import annotations
@@ -165,7 +164,7 @@ def _invalid(reason: str) -> FeatureObservation:
 def _background(image_size: tuple[int, int], background: Background) -> np.ndarray:
     w, h = image_size
     if background.kind == "flat":
-        img = np.full((h, w), background.level, dtype=float)
+        img = np.broadcast_to(float(background.level), (h, w))
     else:
         u = np.arange(w, dtype=float) / max(w - 1, 1)
         v = np.arange(h, dtype=float) / max(h - 1, 1)
@@ -184,7 +183,8 @@ def background_image(camera: CameraModel) -> np.ndarray:
     """Noise-free background for the camera, float gray levels (h, w).
 
     Built once per process for each image size and background model; the
-    array is shared and read-only.
+    array is shared and read-only. A flat background is its level broadcast
+    over the sensor, which holds no pixel memory.
     """
     return _background(tuple(camera.image_size), camera.background)
 
@@ -216,48 +216,31 @@ def _disc(
     return box, levels
 
 
-_BLOCK = 4
+# Side of the square sensor tiles, counted from pixel (0, 0), that draw
+# their noise from streams of their own. Of 16, 32 and 64 px, 64 draws a
+# full frame's noise fastest and a tracking crop's within 5% of 32 px,
+# from at most 4 streams at the default scale.
+_TILE = 64
 
 
-@lru_cache(maxsize=4)
-def _block_sums(image_size: tuple[int, int], sigma: float, seed: int) -> np.ndarray:
-    """Sensor-noise sums S ~ N(0, 16 sigma^2) of every whole 4x4 block,
-    (h // 4, w // 4), from one stream of ``seed``. Shared and read-only, so
-    that first sight and the crop rendered after it draw them once."""
-    w, h = image_size
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    sums = rng.normal(0.0, _BLOCK * sigma, (h // _BLOCK, w // _BLOCK))
-    sums.flags.writeable = False
-    return sums
+def _sensor_noise(sigma: float, seed: int, window: Window) -> np.ndarray:
+    """Sensor noise over ``window``: iid N(0, sigma^2) pixels.
 
-
-def _sensor_noise(image_size: tuple[int, int], sigma: float, seed: int, window: Window) -> np.ndarray:
-    """Sensor noise over ``window``: iid N(0, sigma^2) pixels, equal to the
-    same slice of the full sensor's noise.
-
-    Block row k (sensor rows 4k to 4k + 3) draws Z ~ N(0, sigma^2) over the
-    sensor width from its own stream, so a window draws only the block
-    rows it covers. A whole 4x4 block takes S/16 + (Z - mean of Z over the
-    block), with S from ``_block_sums``: exactly iid N(0, sigma^2), since a
-    block's sum is independent of its residuals. Pixels past the last
-    whole block row or column take Z alone.
+    Tile (i, j) draws its pixels from ``SeedSequence(seed, spawn_key=(i,
+    j))`` in full, past the sensor edge too, so a window draws only the
+    tiles it covers and equals the same slice of the full sensor's noise.
     """
-    w, h = image_size
-    k0, k1 = window.r0 // _BLOCK, -(-window.r1 // _BLOCK)
-    z = np.empty((min(_BLOCK * k1, h) - _BLOCK * k0, w))
-    for k in range(k0, k1):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
-        rng.standard_normal(out=z[_BLOCK * (k - k0) : _BLOCK * (k + 1 - k0)])
+    i0, j0 = window.r0 // _TILE, window.c0 // _TILE
+    i1, j1 = -(-window.r1 // _TILE), -(-window.c1 // _TILE)
+    z = np.empty(((i1 - i0) * _TILE, (j1 - j0) * _TILE))
+    for i in range(i0, i1):
+        for j in range(j0, j1):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, j)))
+            r, c = (i - i0) * _TILE, (j - j0) * _TILE
+            z[r : r + _TILE, c : c + _TILE] = rng.standard_normal((_TILE, _TILE))
     z *= sigma
-    rows, cols = min(k1, h // _BLOCK) - k0, w // _BLOCK
-    if rows > 0:
-        whole = z[: rows * _BLOCK, : cols * _BLOCK]
-        # strided sums in a fixed order, so every window adds the same floats
-        zsum = sum(whole[i::_BLOCK] for i in range(_BLOCK))
-        zsum = sum(zsum[:, j::_BLOCK] for j in range(_BLOCK))
-        shift = (_block_sums(image_size, sigma, seed)[k0 : k0 + rows] - zsum) / _BLOCK**2
-        whole += np.repeat(np.repeat(shift, _BLOCK, axis=0), _BLOCK, axis=1)
-    return z[window.r0 - _BLOCK * k0 : window.r1 - _BLOCK * k0, window.c0 : window.c1]
+    r, c = window.r0 - i0 * _TILE, window.c0 - j0 * _TILE
+    return z[r : r + window.r1 - window.r0, c : c + window.c1 - window.c0]
 
 
 def render_frame(
@@ -286,20 +269,18 @@ def render_frame(
         cols = slice(box.c0 - window.c0, box.c1 - window.c0)
         img[rows, cols] = disc
     if camera.noise_sigma > 0:
-        img += _sensor_noise((w, h), camera.noise_sigma, seed, window)
+        img += _sensor_noise(camera.noise_sigma, seed, window)
     return ImageFrame(_to_pixels(img), t, (window.c0, window.r0))
 
 
-def _block_contrast(camera: CameraModel, particle: ParticleState, seed: int) -> np.ndarray:
+_BLOCK = 4
+
+
+def _block_contrast(camera: CameraModel, particle: ParticleState) -> np.ndarray:
     """Sums of (image - background) over every whole 4x4 block of the
-    frame that ``render_frame`` draws with ``seed``, before rounding:
-    the noise-free disc's block sums plus the noise's block sums S (0 on a
-    noise-free sensor). Draws no pixel noise."""
+    noise-free frame, before rounding: the disc's block contrast."""
     w, h = camera.image_size
-    if camera.noise_sigma > 0:
-        sums = _block_sums((w, h), camera.noise_sigma, seed).copy()
-    else:
-        sums = np.zeros((h // _BLOCK, w // _BLOCK))
+    sums = np.zeros((h // _BLOCK, w // _BLOCK))
     box, disc = _disc(camera, particle, Window(0, 0, w // _BLOCK * _BLOCK, h // _BLOCK * _BLOCK))
     if disc is not None:
         rows = np.arange(box.r0, box.r1)[:, None] // _BLOCK
@@ -308,11 +289,11 @@ def _block_contrast(camera: CameraModel, particle: ParticleState, seed: int) -> 
     return sums
 
 
-def first_sight(camera: CameraModel, particle: ParticleState, seed: int) -> tuple[float, float]:
+def first_sight(camera: CameraModel, particle: ParticleState) -> tuple[float, float]:
     """Centre (u, v) of the whole 4x4 block whose ``_block_contrast`` is
-    largest in magnitude: where a camera with no track looks first. Pixels
-    past the last whole block are not searched."""
-    sums = np.abs(_block_contrast(camera, particle, seed))
+    largest in magnitude, the raster-first on a tie: where a camera with no
+    track looks first. Pixels past the last whole block are not searched."""
+    sums = np.abs(_block_contrast(camera, particle))
     bi, bj = np.unravel_index(int(np.argmax(sums)), sums.shape)
     return (bj + 0.5) * _BLOCK - 0.5, (bi + 0.5) * _BLOCK - 0.5
 
@@ -446,7 +427,8 @@ def extract_feature(
             f"expected_diameter_px must exceed 3 and fit the frame, got {expected_diameter_px}"
         )
     img = frame.pixels.astype(np.int16)
-    bg = np.rint(background).astype(np.int16)
+    # the background as the sensor records it, so that int16 cannot wrap
+    bg = np.rint(np.clip(background, 0, 255)).astype(np.int16)
     if bg.shape != img.shape:
         raise ConfigurationError(
             f"background shape {bg.shape} does not match frame {img.shape}"

@@ -259,6 +259,14 @@ class TestCalibrateCommand:
         assert rc == 2
         assert "pixel_noise_sigma" in capsys.readouterr().err
 
+    def test_noise_beyond_the_sensor_is_config_error(self, tmp_path, capsys):
+        # squaring residuals of 1e160 px used to overflow into an infinite RMS
+        rc = run_cli("calibrate", "--noise-px", "1e160", "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at most the sensor's 2448 px" in err
+        assert not (tmp_path / "calibration.json").exists()
+
     def test_bad_lattice_is_config_error(self, tmp_path):
         # parsed by argparse now: a usage error, still exit code 2
         with pytest.raises(SystemExit) as exc:
@@ -681,6 +689,17 @@ class TestBenchCommand:
         assert "synthesis route" in out_text and "frame layer (noise sigma 0)" in out_text
         assert "field kernel (961 points)" in out_text
 
+    def test_bench_noisy_frame_layer(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        rc = run_cli(
+            "bench", "--repeats", "3", "--ib-iterations", "5",
+            "--set", "vision.noise_sigma=5", "--out-dir", str(out),
+        )
+        assert rc == 0
+        doc = json.loads((out / "bench.json").read_text())
+        for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms"):
+            assert doc[key] > 0.0
+        assert "frame layer (noise sigma 5)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from acoustrap.config import (
     ENV_CONFIG_VAR,
     FULL_IMAGE_SIZE,
+    MAX_FRAME_BUDGET,
     Background,
     ControlConfig,
     FieldConfig,
@@ -207,6 +208,12 @@ class TestValidation:
         for rows, cols in ((101, 100), (100_000, 50)):
             with pytest.raises(ConfigurationError, match=r"array\.rows x array\.cols must be at most"):
                 config_from_dict({"array": {"rows": rows, "cols": cols}})
+
+    def test_frame_budget_bounded(self):
+        assert ControlConfig(frame_budget=MAX_FRAME_BUDGET).frame_budget == MAX_FRAME_BUDGET
+        for budget in (0, MAX_FRAME_BUDGET + 1, 10**11):
+            with pytest.raises(ConfigurationError, match=r"control\.frame_budget must be within \[1, 10,000\]"):
+                ControlConfig(frame_budget=budget)
 
     def test_vec3_fields_parse_lists_only(self):
         cfg = config_from_dict({"workspace": {"center": [25, 25, 41]}})

@@ -17,11 +17,11 @@ from acoustrap.vision import (
     _binarize,
     _binarize_window,
     _block_contrast,
-    _block_sums,
     _close3,
     _disc,
     _largest_blob,
     _patch_half,
+    _TILE,
     _sensor_noise,
     _stride,
     background_image,
@@ -193,6 +193,16 @@ class TestExtractFeature:
             u, v = project(cam, pos)
             assert np.hypot(obs.u - u, obs.v - v) <= 2.0
 
+    @pytest.mark.parametrize("du", [40000.0, 1e300])
+    def test_background_past_white_is_clipped(self, du):
+        # a background past 255 gray levels used to wrap round in int16, or
+        # fail the cast, and hide a particle the sensor records against white
+        cam = dataclasses.replace(CAM_H, background=Background(kind="gradient", level=200.0, du=du))
+        frame = render_frame(cam, STATE, 0.0, seed=0)
+        obs = extract_feature(frame, background_image(cam), D_PX, CFG.vision)
+        assert obs.valid, obs.reason
+        assert math.dist((obs.u, obs.v), project(cam, CENTER)) <= 0.2
+
     def test_tilted_ellipse_axes_and_order(self):
         # 28 x 16 px ellipse tilted by 30 degrees, anti-aliased by 8x8
         # supersampling of each pixel's coverage
@@ -220,9 +230,9 @@ class TestExtractFeature:
 # Windowed extraction is checked against the full frame on a small sensor,
 # so that 200 full-frame extractions per case stay fast. The camera scale
 # and particle size are the default ones; the sides (158 x 131 px) are not
-# multiples of the 4 px noise and search block or of the 3 px window
-# stride, so crops clamped at every sensor edge, the noise drawn past the
-# last whole block and the unsearched border are exercised.
+# multiples of the 64 px noise tile, the 4 px search block or the 3 px
+# window stride, so crops clamped at every sensor edge, the noise tiles cut
+# by the sensor edge and the unsearched border are exercised.
 SMALL = (158, 131)
 
 
@@ -249,7 +259,7 @@ def test_windowed_extraction_matches_full_frame(sigma, index):
         ref = extract_feature(full, bg, d, CFG.vision)
         # a prediction off by up to one diameter on each axis
         window = tracking_window(cam.image_size, tuple(uv + rng.uniform(-1, 1, 2) * math.ceil(d)), d)
-        hit = tracking_window(cam.image_size, first_sight(cam, particle, k), d)
+        hit = tracking_window(cam.image_size, first_sight(cam, particle), d)
         for win in (window, hit):
             crop = render_frame(cam, particle, 0.0, seed=k, window=win)
             assert np.array_equal(crop.pixels, full.pixels[win.slices])
@@ -505,17 +515,12 @@ class TestKernelsMatchReferences:
 
 
 class TestSensorNoise:
-    """The two-level noise field against iid N(0, sigma^2) pixels."""
+    """The per-tile noise field against iid N(0, sigma^2) pixels."""
 
     SIGMA = 5.0
-    # 152 x 128 whole blocks, then 3 columns and 1 row past them
+    # neither side is a multiple of the tile side
     SIZE = (611, 513)
     FULL = Window(0, 0, *SIZE)
-    WHOLE = (512, 608)  # rows and columns inside whole blocks
-
-    @staticmethod
-    def _block_sum(a):
-        return a.reshape(a.shape[0] // 4, 4, a.shape[1] // 4, 4).sum(axis=(1, 3))
 
     def _variance_is_sigma2(self, x):
         # sum(x^2) / sigma^2 is chi-square with x.size degrees of freedom;
@@ -523,21 +528,34 @@ class TestSensorNoise:
         ratio = float(np.sum(x**2)) / self.SIGMA**2 / x.size
         return abs(ratio - 1.0) < 5.0 * math.sqrt(2.0 / x.size)
 
+    @staticmethod
+    def _uncorrelated(left, right):
+        left, right = left.ravel(), right.ravel()
+        return abs(np.corrcoef(left, right)[0, 1]) < 5.0 / math.sqrt(left.size)
+
     def test_distribution(self):
-        noise = _sensor_noise(self.SIZE, self.SIGMA, 2024, self.FULL)
-        rows, cols = self.WHOLE
-        whole = noise[:rows, :cols]
-        sums = _block_sums(self.SIZE, self.SIGMA, 2024)
-        assert np.max(np.abs(self._block_sum(whole) - sums)) < 1e-9
+        noise = _sensor_noise(self.SIGMA, 2024, self.FULL)
+        assert noise.shape == (513, 611)
         assert self._variance_is_sigma2(noise)
-        edge = np.concatenate([noise[rows:].ravel(), noise[:rows, cols:].ravel()])
-        assert edge.size == 611 + 3 * 512
-        assert self._variance_is_sigma2(edge)
-        # neighbours inside a block: S/16 alone would correlate them by
-        # 1/17, residuals alone by -1/15
-        for a in (whole.reshape(rows, -1, 4), whole.T.reshape(cols, -1, 4)):
-            left, right = a[..., :3].ravel(), a[..., 1:].ravel()
-            assert abs(np.corrcoef(left, right)[0, 1]) < 5.0 / math.sqrt(left.size)
+        assert abs(float(noise.mean())) < 5.0 * self.SIGMA / math.sqrt(noise.size)
+        for a in (noise, noise.T):  # along rows, then along columns
+            # neighbours anywhere, and the neighbours on either side of a
+            # tile border
+            assert self._uncorrelated(a[:, :-1], a[:, 1:])
+            n = (a.shape[1] - 1) // _TILE
+            assert self._uncorrelated(a[:, _TILE - 1 :: _TILE][:, :n], a[:, _TILE::_TILE][:, :n])
+            # pixels one tile apart: adjacent tiles draw different streams
+            assert self._uncorrelated(a[:, :-_TILE], a[:, _TILE:])
+
+    def test_window_is_slice_of_full_sensor(self):
+        full = _sensor_noise(self.SIGMA, 7, self.FULL)
+        rng = np.random.default_rng(3)
+        w, h = self.SIZE
+        for _ in range(200):
+            c0, c1 = sorted(rng.choice(w + 1, 2, replace=False))
+            r0, r1 = sorted(rng.choice(h + 1, 2, replace=False))
+            win = Window(int(c0), int(r0), int(c1), int(r1))
+            assert np.array_equal(_sensor_noise(self.SIGMA, 7, win), full[win.slices]), win
 
     def test_first_sight_sums_are_block_sums_of_the_image(self):
         cam = dataclasses.replace(CAM_H, image_size=self.SIZE, noise_sigma=self.SIGMA)
@@ -547,10 +565,22 @@ class TestSensorNoise:
         box, disc = _disc(cam, particle, self.FULL)
         img = bg.copy()
         img[box.slices] = disc
-        img += _sensor_noise(self.SIZE, self.SIGMA, 7, self.FULL)
-        frame = render_frame(cam, particle, 0.0, seed=7)
+        clean = dataclasses.replace(cam, noise_sigma=0.0)
+        frame = render_frame(clean, particle, 0.0, seed=7)
         assert np.array_equal(frame.pixels, np.clip(np.rint(img), 0, 255).astype(np.uint8))
-        rows, cols = self.WHOLE
-        expected = self._block_sum((img - bg)[:rows, :cols])
-        assert np.max(np.abs(_block_contrast(cam, particle, 7) - expected)) < 1e-9
-        assert math.dist(first_sight(cam, particle, 7), uv) < 4.0
+        rows, cols = 513 // 4 * 4, 611 // 4 * 4
+        blocks = (img - bg)[:rows, :cols].reshape(rows // 4, 4, cols // 4, 4).sum(axis=(1, 3))
+        assert np.max(np.abs(_block_contrast(cam, particle) - blocks)) < 1e-9
+        assert math.dist(first_sight(cam, particle), uv) < 4.0
+
+    def test_first_sight_ignores_sensor_noise(self):
+        clean = dataclasses.replace(CAM_H, image_size=self.SIZE, noise_sigma=0.0)
+        w, h = self.SIZE
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            uvs = rng.uniform([-4.0, -4.0], [w + 3.0, h + 3.0], (10, 2))
+            particles = [_particle_at(clean, uv) for uv in uvs]
+            for sigma in (2.0, 5.0, 12.0):
+                noisy = dataclasses.replace(clean, noise_sigma=sigma)
+                for particle in particles:
+                    assert first_sight(noisy, particle) == first_sight(clean, particle)
