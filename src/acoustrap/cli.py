@@ -144,6 +144,13 @@ def _check_at_most(option: str, value: int, limit: int) -> None:
         raise ConfigurationError(f"{option} {value:,} is more than {limit:,}")
 
 
+def _check_in_tank(config: SimulatorConfig, what: str, points: list[Vec3]) -> None:
+    """Reject points outside the tank before any field arithmetic on them
+    can overflow."""
+    if not config.workspace.tank_contains_points(np.array([p.as_array() for p in points])):
+        raise GeometryError(f"{what} must lie inside the tank")
+
+
 def _parse_targets(text: str) -> list[Vec3]:
     return [_parse_vec3(part) for part in text.split(";") if part.strip()]
 
@@ -161,14 +168,19 @@ def _finish(args, config: SimulatorConfig, outputs: list[str]) -> None:
 def cmd_hologram(args, config: SimulatorConfig) -> int:
     if args.mode == "ib":
         _check_at_most("--iterations", args.iterations, MAX_IB_ITERATIONS)
+        _check_in_tank(config, "every target", args.targets)
+    elif args.mode == "focus":
+        _check_in_tank(config, "the focal point", [args.at])
+    else:
+        diameter = config.trap.octahedron_diameter if args.diameter is None else args.diameter
+        vertexes = octahedron_vertexes(args.center, diameter)
+        _check_in_tank(config, "the cage centre and every vertex", [args.center, *vertexes])
     out = _out_dir(args)
     outputs = ["hologram.csv"]
     if args.mode == "focus":
         holo = make_focus_hologram(config.array, args.at, config.medium)
     elif args.mode == "octa":
-        diameter = config.trap.octahedron_diameter if args.diameter is None else args.diameter
         holo = make_octahedral_hologram(config.array, args.center, diameter, config.medium)
-        vertexes = octahedron_vertexes(args.center, diameter)
         (out / "vertexes.json").write_text(
             json.dumps(
                 {
@@ -247,6 +259,7 @@ def _parse_bounds(text: str):
 
 def cmd_calibrate(args, config: SimulatorConfig) -> int:
     poses = lattice_points(config.workspace.center, args.lattice, args.spacing)
+    _check_in_tank(config, "every lattice pose", poses)
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     # acquire at native resolution, so that the file is native like the factory one

@@ -7,10 +7,9 @@ ground truth, then runs one step of the loop:
 - acquiring: render and extract the particle on both cameras, localize
   it, and once three samples form a straight track, predict where it will
   be after the processing and transfer latency, synthesize the hologram
-  for that point and schedule the field switch-on (-> dispatching). A
-  camera that has seen the particle twice since its last miss renders and
-  searches only a crop around their extrapolation, and any other camera
-  a crop around the block its first sight picks (``_Attempt.observe``);
+  for that point and schedule the field switch-on (-> dispatching). Each
+  camera renders and searches only a crop around the block its first
+  sight picks (``_Attempt.observe``);
 - dispatching: wait; the field switches on at exactly the predicted
   instant, inside the ground-truth advance (-> verifying);
 - verifying: check containment against ground truth until the particle
@@ -209,9 +208,6 @@ class _Attempt:
             (cam, background_image(cam), scenario.particle.diameter_um * cam.pixel_scale)
             for cam in world.cameras
         )
-        # per camera, the last two valid observed (t, u, v): the loop's own
-        # view of the particle, from which it predicts where to look next
-        self.tracks = tuple(deque(maxlen=2) for _ in self.cameras)
         # streams[1] is unused; the render, jitter and dropout streams keep
         # their indices so each seed's draws stay fixed.
         streams = np.random.SeedSequence(scenario.seed).spawn(5)
@@ -266,17 +262,9 @@ class _Attempt:
         jitter = self.jitter_rng.normal(0.0, self.scenario.pixel_noise_sigma, size=(2, 2))
         dropped = [self.dropout_rng.uniform() < self.scenario.dropout_prob for _ in self.cameras]
         observed = []
-        for camera, track, seed, drop, (du, dv) in zip(self.cameras, self.tracks, seeds, dropped, jitter):
-            if drop:
-                observed.append(None)
-                continue
-            obs = self.observe(camera, track, t, seed)
-            if obs is None:
-                observed.append(None)
-                track.clear()
-            else:
-                observed.append((obs.u + du, obs.v + dv))
-                track.append((t, *observed[-1]))
+        for camera, seed, drop, (du, dv) in zip(self.cameras, seeds, dropped, jitter):
+            obs = None if drop else self.observe(camera, t, seed)
+            observed.append(None if obs is None else (obs.u + du, obs.v + dv))
         if None in observed:
             return observed[0], observed[1], None
         loc = localize(self.world.cameras, observed[0], observed[1])
@@ -285,32 +273,15 @@ class _Attempt:
             self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)
         return observed[0], observed[1], _as_tuple(loc)
 
-    def observe(self, camera: tuple, track: deque, t: float, seed: int) -> FeatureObservation | None:
+    def observe(self, camera: tuple, t: float, seed: int) -> FeatureObservation | None:
         """Render one camera at ``t`` and extract the particle; None for a
-        miss. Only crops are rendered and searched.
-
-        With two observations since the camera's last miss, it renders and
-        searches a crop around their linear extrapolation to ``t``
-        (dropped frames leave the track as it was). Otherwise, or when that
-        crop does not hold the particle, it looks where the noise-free
-        frame's block contrast is largest (``first_sight``, which draws no
-        noise) and renders and searches a crop around that block.
+        miss. Only a crop is rendered and searched: the tracking window
+        around the block where the noise-free frame's block contrast is
+        largest (``first_sight``, which draws no noise). The observation
+        counts only when that crop holds it (``window_holds``).
         """
-        if len(track) == 2:
-            (t1, u1, v1), (t2, u2, v2) = track
-            ahead = (t - t2) / (t2 - t1)
-            obs = self.observe_crop(camera, t, seed, (u2 + (u2 - u1) * ahead, v2 + (v2 - v1) * ahead))
-            if obs is not None:
-                return obs
-        return self.observe_crop(camera, t, seed, first_sight(camera[0], self.particle))
-
-    def observe_crop(
-        self, camera: tuple, t: float, seed: int, centre: tuple[float, float]
-    ) -> FeatureObservation | None:
-        """The observation on a crop around ``centre``, or None when the
-        crop does not fit or does not hold the particle."""
         cam, background, expected_px = camera
-        window = tracking_window(cam.image_size, centre, expected_px)
+        window = tracking_window(cam.image_size, first_sight(cam, self.particle), expected_px)
         if window is None:
             return None
         frame = render_frame(cam, self.particle, t, seed, window)

@@ -88,8 +88,10 @@ CONTRAST_COEFFS = {
 
 def check_grid_size(spans, step: float, what: str) -> None:
     """Reject a grid of ``arange(lo, lo + span + step / 2, step)`` axes with
-    more than MAX_GRID_POINTS points; counted before anything is allocated."""
-    points = math.prod((span + step / 2) / step for span in spans)
+    more than MAX_GRID_POINTS points; counted before anything is allocated,
+    in Python floats, which overflow to inf without a warning."""
+    step = float(step)
+    points = math.prod((float(span) + step / 2) / step for span in spans)
     if points > MAX_GRID_POINTS:
         raise ConfigurationError(
             f"{what} would hold about {points:.3g} points, more than the limit of"

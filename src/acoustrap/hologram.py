@@ -66,7 +66,10 @@ class PhaseHologram:
     @classmethod
     def from_radians(cls, values) -> "PhaseHologram":
         """Build a hologram from unwrapped phase values."""
-        return cls(wrap_phase(np.asarray(values, dtype=float)))
+        values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError("hologram phases must be finite")
+        return cls(wrap_phase(values))
 
     @property
     def shape(self) -> tuple[int, int]:

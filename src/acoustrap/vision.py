@@ -276,25 +276,38 @@ def render_frame(
 _BLOCK = 4
 
 
-def _block_contrast(camera: CameraModel, particle: ParticleState) -> np.ndarray:
-    """Sums of (image - background) over every whole 4x4 block of the
-    noise-free frame, before rounding: the disc's block contrast."""
+def _block_contrast(camera: CameraModel, particle: ParticleState) -> tuple[int, int, np.ndarray]:
+    """Sums of (image - background) over the whole 4x4 blocks of the
+    noise-free frame that the disc's box touches, before rounding: the
+    disc's block contrast. Returns the first block row and column and the
+    sums; every other block sums to 0."""
     w, h = camera.image_size
-    sums = np.zeros((h // _BLOCK, w // _BLOCK))
     box, disc = _disc(camera, particle, Window(0, 0, w // _BLOCK * _BLOCK, h // _BLOCK * _BLOCK))
-    if disc is not None:
-        rows = np.arange(box.r0, box.r1)[:, None] // _BLOCK
-        cols = np.arange(box.c0, box.c1)[None, :] // _BLOCK
-        np.add.at(sums, (rows, cols), disc - background_image(camera)[box.slices])
-    return sums
+    if disc is None:
+        return 0, 0, np.zeros((0, 0))
+    bi, bj = box.r0 // _BLOCK, box.c0 // _BLOCK
+    rows = np.arange(box.r0, box.r1) // _BLOCK - bi
+    cols = np.arange(box.c0, box.c1) // _BLOCK - bj
+    shape = (int(rows[-1]) + 1, int(cols[-1]) + 1)
+    # bincount adds in raster order, as np.add.at does, so each sum is
+    # bit-identical to a full-sensor accumulation
+    contrast = disc - background_image(camera)[box.slices]
+    sums = np.bincount((rows[:, None] * shape[1] + cols).ravel(), contrast.ravel(), shape[0] * shape[1])
+    return bi, bj, sums.reshape(shape)
 
 
 def first_sight(camera: CameraModel, particle: ParticleState) -> tuple[float, float]:
     """Centre (u, v) of the whole 4x4 block whose ``_block_contrast`` is
-    largest in magnitude, the raster-first on a tie: where a camera with no
-    track looks first. Pixels past the last whole block are not searched."""
-    sums = np.abs(_block_contrast(camera, particle))
-    bi, bj = np.unravel_index(int(np.argmax(sums)), sums.shape)
+    largest in magnitude, the raster-first on a tie, and block (0, 0) when
+    no block has any: where a camera looks for the particle. Pixels past
+    the last whole block are not searched."""
+    bi, bj, sums = _block_contrast(camera, particle)
+    sums = np.abs(sums)
+    if np.any(sums):
+        i, j = np.unravel_index(int(np.argmax(sums)), sums.shape)
+        bi, bj = bi + int(i), bj + int(j)
+    else:
+        bi = bj = 0
     return (bj + 0.5) * _BLOCK - 0.5, (bi + 0.5) * _BLOCK - 0.5
 
 
@@ -481,8 +494,8 @@ def _tracking_margin(expected_diameter_px: float) -> int:
 def tracking_window(
     image_size: tuple[int, int], centre: tuple[float, float], expected_diameter_px: float
 ) -> Window | None:
-    """Crop around a predicted pixel ``centre``, or None when the crop
-    would not fit a particle on the sensor.
+    """Crop around a pixel ``centre``, or None when the crop would not fit
+    a particle on the sensor.
 
     The crop reaches ``_tracking_margin`` plus two diameters of prediction
     slack past the centre, and its origin snaps down to the candidate

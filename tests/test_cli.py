@@ -604,6 +604,29 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     assert "--seed: must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("hologram", "focus", "--at", "25,25,1e300"), 3),
+        (("hologram", "octa", "--center", "25,25,1e300"), 3),
+        (("hologram", "ib", "--targets", "25,25,1e300"), 3),
+        (("calibrate", "--spacing", "1e200", "--lattice", "2,1,1"), 3),
+        (("field", "--hologram", "{inf}"), 2),
+        (("field", "--hologram", "{zero}", "--resolution", "1e-300"), 2),
+    ],
+    ids=["focus", "octa", "ib", "calibrate", "inf_hologram", "tiny_resolution"],
+)
+def test_far_off_or_non_finite_input_exits_with_one_line(tmp_path, capsys, argv, code):
+    # each used to warn of an overflow or an invalid value before its error
+    phases = np.zeros((50, 50))
+    np.savetxt(tmp_path / "zero.csv", phases, delimiter=",")
+    phases[3, 4] = np.inf
+    np.savetxt(tmp_path / "inf.csv", phases, delimiter=",")
+    argv = [a.format(inf=tmp_path / "inf.csv", zero=tmp_path / "zero.csv") for a in argv]
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == code
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 class TestCountBounds:
     @pytest.mark.parametrize(
         "argv, option",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from acoustrap.calibration import ReferencePoint, ReferenceSet, default_calibration
@@ -20,7 +21,7 @@ from acoustrap.control import (
 from acoustrap.core import Contrast, ParticleState, TimingConfig, Vec3, wavelength
 from acoustrap.errors import AcoustrapError, ConfigurationError
 from acoustrap.hologram import FocusTrap, OctahedralTrap
-from acoustrap.vision import render_frame
+from acoustrap.vision import first_sight, render_frame, tracking_window
 
 
 def falling_particle(start=Vec3(25.0, 25.0, 50.0), speed=10.0, contrast=Contrast.POSITIVE):
@@ -235,37 +236,50 @@ class TestFailureModes:
         assert r.failure_reason == "trap_geometry"
 
 
+def _undropped_cameras(scenario: SimScenario, report) -> int:
+    """Cameras not dropped over the ticks that acquire, replayed from the
+    scenario's dropout stream (spawned child 3, two draws per such tick).
+    A tick that finds the particle outside the workspace draws nothing."""
+    dropout = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(5)[3])
+    count, state = 0, "acquiring"
+    for k, frame in enumerate(report.frames):
+        last = k == len(report.frames) - 1
+        starved = last and frame.state == "failed" and report.failure_reason == "detection_starvation"
+        if state == "acquiring" and not starved:
+            count += sum(dropout.uniform() >= scenario.dropout_prob for _ in range(2))
+        state = frame.state
+    return count
+
+
 class TestTrackingWindow:
     @pytest.mark.parametrize("sigma", [0.0, 5.0])
     def test_tracked_frames_render_crops(self, monkeypatch, sigma):
         from acoustrap import control
 
         world = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(noise_sigma=sigma)))
-        windows = []
+        renders = []
 
         def recording_render(camera, particle, t, seed, window=None):
-            windows.append(window)
+            renders.append((camera, particle, window))
             return render_frame(camera, particle, t, seed, window)
 
         monkeypatch.setattr(control, "render_frame", recording_render)
-        report = run_trap_loop(SimScenario(particle=falling_particle(), seed=7), world)
-        acquired = [f for f in report.frames if f.observed_h is not None]
-        # the first two ticks of each camera render a crop around its first
-        # sight, and every later one a crop around the extrapolated pixel;
-        # with every crop holding the particle, no full frame is rendered
-        assert len(acquired) == 3
-        assert len(windows) == 6 and None not in windows
-        for window in windows:
-            assert window.c1 - window.c0 <= 64 and window.r1 - window.r0 <= 64
-
-        # misses, lost tracks and failed attempts render crops too
-        windows.clear()
-        scenarios = make_batch_scenarios(
+        scenarios = [SimScenario(particle=falling_particle(), seed=7)] + make_batch_scenarios(
             world.config.workspace, 8, base_seed=5, pixel_noise_sigma=3.0, dropout_prob=0.3, fall_speed=60.0
         )
-        reasons = {run_trap_loop(s, world).failure_reason for s in scenarios}
-        assert reasons == {"detection_starvation", "target_outside_workspace", "left_fov"}
-        assert len(windows) > 8 and None not in windows
+        reports = [run_trap_loop(s, world) for s in scenarios]
+        assert len([f for f in reports[0].frames if f.observed_h is not None]) == 3
+        # misses, lost particles and failed attempts
+        assert {r.failure_reason for r in reports[1:]} == {"detection_starvation", "target_outside_workspace", "left_fov"}
+
+        # exactly one crop per acquiring tick and undropped camera: the
+        # tracking window around first sight, and never a full frame
+        expected = sum(_undropped_cameras(s, r) for s, r in zip(scenarios, reports))
+        assert len(renders) == expected > 8
+        for camera, particle, window in renders:
+            d = particle.diameter_um * camera.pixel_scale
+            assert window == tracking_window(camera.image_size, first_sight(camera, particle), d)
+            assert window.c1 - window.c0 <= 64 and window.r1 - window.r0 <= 64
 
 
 class TestBatches:

@@ -477,7 +477,38 @@ def _random_masks(count, rng):
         yield rng.random((h, w)) < rng.random()
 
 
+def _first_sight_reference(camera, particle):
+    """Block sums over the whole sensor through ``np.add.at``, and the
+    centre of their raster-first largest magnitude."""
+    w, h = camera.image_size
+    sums = np.zeros((h // 4, w // 4))
+    box, disc = _disc(camera, particle, Window(0, 0, w // 4 * 4, h // 4 * 4))
+    if disc is not None:
+        rows = np.arange(box.r0, box.r1)[:, None] // 4
+        cols = np.arange(box.c0, box.c1)[None, :] // 4
+        np.add.at(sums, (rows, cols), disc - background_image(camera)[box.slices])
+    bi, bj = np.unravel_index(int(np.argmax(np.abs(sums))), sums.shape)
+    return (bj + 0.5) * 4 - 0.5, (bi + 0.5) * 4 - 0.5
+
+
 class TestKernelsMatchReferences:
+    @pytest.mark.parametrize("scale", [0.1, 0.25, 0.5])
+    def test_first_sight(self, scale):
+        gradient = Background("gradient", 120.0, 60.0, -40.0)
+        rng = np.random.default_rng(int(scale * 100))
+        for k, cam in enumerate(build_camera_pair(VisionConfig(scale=scale)) * 2):
+            if k >= 2:
+                cam = dataclasses.replace(cam, background=gradient)
+            w, h = cam.image_size
+            for _ in range(100):
+                # discs on the sensor and partly or wholly off it
+                uv = rng.uniform([-20.0, -20.0], [w + 20.0, h + 20.0])
+                particle = dataclasses.replace(_particle_at(cam, uv), diameter_um=float(rng.uniform(50, 800)))
+                assert first_sight(cam, particle) == _first_sight_reference(cam, particle), (scale, k, uv)
+        # no contrast anywhere: block (0, 0), as the full-sensor argmax gives
+        invisible = dataclasses.replace(cam, background=Background(), particle_level=Background().level)
+        assert first_sight(invisible, _particle_at(invisible, (w / 2, h / 2))) == (1.5, 1.5)
+
     def test_binarize(self):
         rng = np.random.default_rng(11)
         for k in range(300):
@@ -570,7 +601,11 @@ class TestSensorNoise:
         assert np.array_equal(frame.pixels, np.clip(np.rint(img), 0, 255).astype(np.uint8))
         rows, cols = 513 // 4 * 4, 611 // 4 * 4
         blocks = (img - bg)[:rows, :cols].reshape(rows // 4, 4, cols // 4, 4).sum(axis=(1, 3))
-        assert np.max(np.abs(_block_contrast(cam, particle) - blocks)) < 1e-9
+        bi, bj, sums = _block_contrast(cam, particle)
+        touched = (slice(bi, bi + sums.shape[0]), slice(bj, bj + sums.shape[1]))
+        assert np.max(np.abs(sums - blocks[touched])) < 1e-9
+        blocks[touched] = 0.0
+        assert np.max(np.abs(blocks)) < 1e-9
         assert math.dist(first_sight(cam, particle), uv) < 4.0
 
     def test_first_sight_ignores_sensor_noise(self):
