@@ -75,7 +75,6 @@ from .hologram import (
 from .vision import (
     background_image,
     extract_feature,
-    first_sight,
     project,
     render_frame,
     tracking_window,
@@ -538,7 +537,8 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     unfolded_pairs_per_s = band_pairs_per_s(True, center.y + config.array.pitch / 4)
 
     # the frame layer at the configured vision settings, a fresh seed per
-    # call so that no call reuses the noise of another
+    # call so that no call reuses the noise of another; the crop is the
+    # loop's, the tracking window around the particle's projection
     cam, _ = build_camera_pair(config.vision)
     particle = ParticleState(center)
     expected_px = particle.diameter_um * cam.pixel_scale
@@ -549,7 +549,6 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     seeds = itertools.count()
     full_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds)), args.repeats)
     crop_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds), window), args.repeats)
-    sight_ms = time_call(lambda: first_sight(cam, particle), args.repeats)
     bg = background_image(cam)
     frame = render_frame(cam, particle, 0.0, 0)
     crop = render_frame(cam, particle, 0.0, 0, window)
@@ -573,7 +572,6 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         "field_unfolded_pairs_per_s": unfolded_pairs_per_s,
         "frame_full_ms": full_ms,
         "frame_crop_ms": crop_ms,
-        "first_sight_ms": sight_ms,
         "extract_full_ms": extract_full_ms,
         "extract_crop_ms": extract_crop_ms,
     }
@@ -594,7 +592,6 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     print(f"{f'frame layer (noise sigma {cam.noise_sigma:g})':<28}{'median ms':>12}")
     print(f"{f'full frame {w}x{h}':<28}{full_ms:>12.3f}")
     print(f"{f'crop {window.c1 - window.c0}x{window.r1 - window.r0}':<28}{crop_ms:>12.3f}")
-    print(f"{'first sight':<28}{sight_ms:>12.3f}")
     print(f"{'extract full frame':<28}{extract_full_ms:>12.3f}")
     print(f"{'extract crop':<28}{extract_crop_ms:>12.3f}")
     return 0

@@ -8,8 +8,8 @@ ground truth, then runs one step of the loop:
   it, and once three samples form a straight track, predict where it will
   be after the processing and transfer latency, synthesize the hologram
   for that point and schedule the field switch-on (-> dispatching). Each
-  camera renders and searches only a crop around the block its first
-  sight picks (``_Attempt.observe``);
+  camera renders and searches only a crop around the particle's
+  projection (``_Attempt.observe``);
 - dispatching: wait; the field switches on at exactly the predicted
   instant, inside the ground-truth advance (-> verifying);
 - verifying: check containment against ground truth until the particle
@@ -55,7 +55,7 @@ from .vision import (
     FeatureObservation,
     background_image,
     extract_feature,
-    first_sight,
+    project,
     render_frame,
     tracking_window,
     window_holds,
@@ -276,12 +276,12 @@ class _Attempt:
     def observe(self, camera: tuple, t: float, seed: int) -> FeatureObservation | None:
         """Render one camera at ``t`` and extract the particle; None for a
         miss. Only a crop is rendered and searched: the tracking window
-        around the block where the noise-free frame's block contrast is
-        largest (``first_sight``, which draws no noise). The observation
-        counts only when that crop holds it (``window_holds``).
+        around the particle's projection, where the frame draws its disc.
+        The observation counts only when that crop holds it
+        (``window_holds``).
         """
         cam, background, expected_px = camera
-        window = tracking_window(cam.image_size, first_sight(cam, self.particle), expected_px)
+        window = tracking_window(cam.image_size, project(cam, self.particle.position), expected_px)
         if window is None:
             return None
         frame = render_frame(cam, self.particle, t, seed, window)

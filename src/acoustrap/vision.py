@@ -20,15 +20,16 @@ its origin, and extraction reports sensor pixels. A crop's pixels, noise
 included, equal the same slice of the full frame, and so does its
 binarization half a binarization window inside its edges; on a noise-free
 frame, extraction on a crop that ``window_holds`` accepts gives bit for
-bit the observation of the full frame. ``first_sight`` finds the particle
-from the block sums of the noise-free frame, without drawing a pixel.
+bit the observation of the full frame. The closed loop centres each crop
+on the particle's projection (``project``), where the frame draws the
+disc.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -88,7 +89,7 @@ class CameraModel:
         object.__setattr__(self, "rows_of_j", rows)
         object.__setattr__(self, "ref_pixel", refp)
 
-    @property
+    @cached_property
     def pixel_scale(self) -> float:
         """Pixels per micrometer of in-plane motion (mean over both rows)."""
         return float(np.mean(np.max(np.abs(self.rows_of_j), axis=1)))
@@ -189,33 +190,6 @@ def background_image(camera: CameraModel) -> np.ndarray:
     return _background(tuple(camera.image_size), camera.background)
 
 
-def _disc(
-    camera: CameraModel, particle: ParticleState, window: Window
-) -> tuple[Window, np.ndarray | None]:
-    """The particle's anti-aliased dark disc.
-
-    Returns its bounding box cut to ``window`` and the float gray levels
-    of background and disc over that box (None when the box is empty).
-    The radius is the particle diameter times the camera's pixel scale,
-    over two.
-    """
-    u0, v0 = project(camera, particle.position)
-    radius = particle.diameter_um * camera.pixel_scale / 2.0
-    box = Window(
-        max(int(math.floor(u0 - radius)) - 2, window.c0),
-        max(int(math.floor(v0 - radius)) - 2, window.r0),
-        min(int(math.ceil(u0 + radius)) + 3, window.c1),
-        min(int(math.ceil(v0 + radius)) + 3, window.r1),
-    )
-    if box.c1 <= box.c0 or box.r1 <= box.r0:
-        return box, None
-    uu = np.arange(box.c0, box.c1, dtype=float)[None, :]
-    vv = np.arange(box.r0, box.r1, dtype=float)[:, None]
-    coverage = np.clip(radius - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
-    levels = background_image(camera)[box.slices] * (1.0 - coverage) + camera.particle_level * coverage
-    return box, levels
-
-
 # Side of the square sensor tiles, counted from pixel (0, 0), that draw
 # their noise from streams of their own. Of 16, 32 and 64 px, 64 draws a
 # full frame's noise fastest and a tracking crop's within 5% of 32 px,
@@ -252,7 +226,9 @@ def render_frame(
 ) -> ImageFrame:
     """Render the particle as an anti-aliased dark disc at time ``t``.
 
-    A disc crossing the image border is rendered partially. With a
+    The disc is centred on the particle's projection, with a radius of
+    the particle diameter times the camera's pixel scale, over two; one
+    crossing the image border is rendered partially. With a
     ``window`` only that crop of the sensor is drawn, noise included
     (``_sensor_noise``), and its pixels equal the same slice of the full
     frame: the float image is rounded once, pixel by pixel.
@@ -263,52 +239,22 @@ def render_frame(
     elif not (0 <= window.c0 < window.c1 <= w and 0 <= window.r0 < window.r1 <= h):
         raise ConfigurationError(f"render window {window} does not fit the {w}x{h} sensor")
     img = background_image(camera)[window.slices].copy()
-    box, disc = _disc(camera, particle, window)
-    if disc is not None:
-        rows = slice(box.r0 - window.r0, box.r1 - window.r0)
-        cols = slice(box.c0 - window.c0, box.c1 - window.c0)
-        img[rows, cols] = disc
+    u0, v0 = project(camera, particle.position)
+    radius = particle.diameter_um * camera.pixel_scale / 2.0
+    c0 = max(int(math.floor(u0 - radius)) - 2, window.c0)
+    r0 = max(int(math.floor(v0 - radius)) - 2, window.r0)
+    c1 = min(int(math.ceil(u0 + radius)) + 3, window.c1)
+    r1 = min(int(math.ceil(v0 + radius)) + 3, window.r1)
+    if c1 > c0 and r1 > r0:
+        uu = np.arange(c0, c1, dtype=float)[None, :]
+        vv = np.arange(r0, r1, dtype=float)[:, None]
+        coverage = np.clip(radius - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
+        disc = img[r0 - window.r0 : r1 - window.r0, c0 - window.c0 : c1 - window.c0]
+        disc *= 1.0 - coverage
+        disc += camera.particle_level * coverage
     if camera.noise_sigma > 0:
         img += _sensor_noise(camera.noise_sigma, seed, window)
     return ImageFrame(_to_pixels(img), t, (window.c0, window.r0))
-
-
-_BLOCK = 4
-
-
-def _block_contrast(camera: CameraModel, particle: ParticleState) -> tuple[int, int, np.ndarray]:
-    """Sums of (image - background) over the whole 4x4 blocks of the
-    noise-free frame that the disc's box touches, before rounding: the
-    disc's block contrast. Returns the first block row and column and the
-    sums; every other block sums to 0."""
-    w, h = camera.image_size
-    box, disc = _disc(camera, particle, Window(0, 0, w // _BLOCK * _BLOCK, h // _BLOCK * _BLOCK))
-    if disc is None:
-        return 0, 0, np.zeros((0, 0))
-    bi, bj = box.r0 // _BLOCK, box.c0 // _BLOCK
-    rows = np.arange(box.r0, box.r1) // _BLOCK - bi
-    cols = np.arange(box.c0, box.c1) // _BLOCK - bj
-    shape = (int(rows[-1]) + 1, int(cols[-1]) + 1)
-    # bincount adds in raster order, as np.add.at does, so each sum is
-    # bit-identical to a full-sensor accumulation
-    contrast = disc - background_image(camera)[box.slices]
-    sums = np.bincount((rows[:, None] * shape[1] + cols).ravel(), contrast.ravel(), shape[0] * shape[1])
-    return bi, bj, sums.reshape(shape)
-
-
-def first_sight(camera: CameraModel, particle: ParticleState) -> tuple[float, float]:
-    """Centre (u, v) of the whole 4x4 block whose ``_block_contrast`` is
-    largest in magnitude, the raster-first on a tie, and block (0, 0) when
-    no block has any: where a camera looks for the particle. Pixels past
-    the last whole block are not searched."""
-    bi, bj, sums = _block_contrast(camera, particle)
-    sums = np.abs(sums)
-    if np.any(sums):
-        i, j = np.unravel_index(int(np.argmax(sums)), sums.shape)
-        bi, bj = bi + int(i), bj + int(j)
-    else:
-        bi = bj = 0
-    return (bj + 0.5) * _BLOCK - 0.5, (bi + 0.5) * _BLOCK - 0.5
 
 
 def _odd(n: int) -> int:
@@ -497,9 +443,13 @@ def tracking_window(
     """Crop around a pixel ``centre``, or None when the crop would not fit
     a particle on the sensor.
 
-    The crop reaches ``_tracking_margin`` plus two diameters of prediction
-    slack past the centre, and its origin snaps down to the candidate
-    window stride so its candidate windows are those of the full frame.
+    The crop reaches ``_tracking_margin`` plus two diameters of slack past
+    the centre, and its origin snaps down to the candidate window stride
+    so its candidate windows are those of the full frame. The slack once
+    covered the error of a predicted centre; the loop now centres crops on
+    the projection, but a smaller crop searches fewer candidate windows of
+    a noisy frame and could move its reports, so the slack is kept as it
+    is.
     """
     w, h = image_size
     u, v = centre

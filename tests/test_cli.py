@@ -706,7 +706,7 @@ class TestBenchCommand:
         assert doc["octahedral_within_refresh_cadence"] is True
         for key in ("field_pairs_per_s", "field_directivity_pairs_per_s", "field_unfolded_pairs_per_s"):
             assert doc[key] > 0.0
-        for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms", "extract_full_ms", "extract_crop_ms"):
+        for key in ("frame_full_ms", "frame_crop_ms", "extract_full_ms", "extract_crop_ms"):
             assert doc[key] > 0.0
         out_text = capsys.readouterr().out
         assert "synthesis route" in out_text and "frame layer (noise sigma 0)" in out_text
@@ -720,7 +720,7 @@ class TestBenchCommand:
         )
         assert rc == 0
         doc = json.loads((out / "bench.json").read_text())
-        for key in ("frame_full_ms", "frame_crop_ms", "first_sight_ms"):
+        for key in ("frame_full_ms", "frame_crop_ms"):
             assert doc[key] > 0.0
         assert "frame layer (noise sigma 5)" in capsys.readouterr().out
 

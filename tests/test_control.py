@@ -21,7 +21,7 @@ from acoustrap.control import (
 from acoustrap.core import Contrast, ParticleState, TimingConfig, Vec3, wavelength
 from acoustrap.errors import AcoustrapError, ConfigurationError
 from acoustrap.hologram import FocusTrap, OctahedralTrap
-from acoustrap.vision import first_sight, render_frame, tracking_window
+from acoustrap.vision import Window, project, render_frame, tracking_window
 
 
 def falling_particle(start=Vec3(25.0, 25.0, 50.0), speed=10.0, contrast=Contrast.POSITIVE):
@@ -273,12 +273,12 @@ class TestTrackingWindow:
         assert {r.failure_reason for r in reports[1:]} == {"detection_starvation", "target_outside_workspace", "left_fov"}
 
         # exactly one crop per acquiring tick and undropped camera: the
-        # tracking window around first sight, and never a full frame
+        # tracking window around the projection, and never a full frame
         expected = sum(_undropped_cameras(s, r) for s, r in zip(scenarios, reports))
         assert len(renders) == expected > 8
         for camera, particle, window in renders:
             d = particle.diameter_um * camera.pixel_scale
-            assert window == tracking_window(camera.image_size, first_sight(camera, particle), d)
+            assert window == tracking_window(camera.image_size, project(camera, particle.position), d)
             assert window.c1 - window.c0 <= 64 and window.r1 - window.r0 <= 64
 
 
@@ -371,7 +371,7 @@ class TestBatches:
 # any change to a report byte (state names, ordering, float values,
 # serializer) changes it. The noise-free pin covers the clean-sensor batch
 # and the five failure modes and was recorded before the closed loop was
-# restructured; windowed vision and first sight from block sums kept it.
+# restructured; windowed vision and each way of centring its crops kept it.
 # The noisy pin covers the same batch at ``vision.noise_sigma=5``; it was
 # last re-recorded when each 64 px sensor tile came to draw its noise from
 # a stream of its own, which changed every noisy pixel: the observed
@@ -456,6 +456,18 @@ def test_noisy_reports_match_golden_digest():
     reports = _batch_reports(VisionConfig(noise_sigma=5.0))
     assert len(reports) == 12
     assert _digest(reports) == NOISY_DIGEST
+
+
+@pytest.mark.parametrize("sigma", [0.0, 5.0])
+def test_crops_report_as_the_whole_sensor(monkeypatch, sigma):
+    # the reference: every crop is the whole sensor, so every crop edge is
+    # a sensor edge and window_holds keeps any valid observation
+    from acoustrap import control
+
+    vision = VisionConfig(noise_sigma=sigma)
+    cropped = [r.to_json() for r in _batch_reports(vision)]
+    monkeypatch.setattr(control, "tracking_window", lambda size, centre, d: Window(0, 0, *size))
+    assert [r.to_json() for r in _batch_reports(vision)] == cropped
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0])

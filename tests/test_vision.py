@@ -16,9 +16,7 @@ from acoustrap.vision import (
     _best_window,
     _binarize,
     _binarize_window,
-    _block_contrast,
     _close3,
-    _disc,
     _largest_blob,
     _patch_half,
     _TILE,
@@ -26,7 +24,6 @@ from acoustrap.vision import (
     _stride,
     background_image,
     extract_feature,
-    first_sight,
     project,
     render_frame,
     tracking_window,
@@ -103,8 +100,8 @@ class TestRenderFrame:
         assert np.sum(wider.pixels[:, w:] < bg[0, 0] - 1.0) >= 5
 
     def test_noise_free_render_matches_float_image(self):
-        # the noise-free path starts from the rounded background and rounds
-        # only the disc; the reference rounds the whole float image
+        # a frame rounds its float image once; the reference builds that
+        # image over the whole sensor, disc coverage included
         cam = dataclasses.replace(
             CAM_H, background=Background(kind="gradient", level=240.0, du=40.0, dv=-30.0)
         )
@@ -259,7 +256,7 @@ def test_windowed_extraction_matches_full_frame(sigma, index):
         ref = extract_feature(full, bg, d, CFG.vision)
         # a prediction off by up to one diameter on each axis
         window = tracking_window(cam.image_size, tuple(uv + rng.uniform(-1, 1, 2) * math.ceil(d)), d)
-        hit = tracking_window(cam.image_size, first_sight(cam, particle), d)
+        hit = tracking_window(cam.image_size, project(cam, particle.position), d)
         for win in (window, hit):
             crop = render_frame(cam, particle, 0.0, seed=k, window=win)
             assert np.array_equal(crop.pixels, full.pixels[win.slices])
@@ -477,38 +474,7 @@ def _random_masks(count, rng):
         yield rng.random((h, w)) < rng.random()
 
 
-def _first_sight_reference(camera, particle):
-    """Block sums over the whole sensor through ``np.add.at``, and the
-    centre of their raster-first largest magnitude."""
-    w, h = camera.image_size
-    sums = np.zeros((h // 4, w // 4))
-    box, disc = _disc(camera, particle, Window(0, 0, w // 4 * 4, h // 4 * 4))
-    if disc is not None:
-        rows = np.arange(box.r0, box.r1)[:, None] // 4
-        cols = np.arange(box.c0, box.c1)[None, :] // 4
-        np.add.at(sums, (rows, cols), disc - background_image(camera)[box.slices])
-    bi, bj = np.unravel_index(int(np.argmax(np.abs(sums))), sums.shape)
-    return (bj + 0.5) * 4 - 0.5, (bi + 0.5) * 4 - 0.5
-
-
 class TestKernelsMatchReferences:
-    @pytest.mark.parametrize("scale", [0.1, 0.25, 0.5])
-    def test_first_sight(self, scale):
-        gradient = Background("gradient", 120.0, 60.0, -40.0)
-        rng = np.random.default_rng(int(scale * 100))
-        for k, cam in enumerate(build_camera_pair(VisionConfig(scale=scale)) * 2):
-            if k >= 2:
-                cam = dataclasses.replace(cam, background=gradient)
-            w, h = cam.image_size
-            for _ in range(100):
-                # discs on the sensor and partly or wholly off it
-                uv = rng.uniform([-20.0, -20.0], [w + 20.0, h + 20.0])
-                particle = dataclasses.replace(_particle_at(cam, uv), diameter_um=float(rng.uniform(50, 800)))
-                assert first_sight(cam, particle) == _first_sight_reference(cam, particle), (scale, k, uv)
-        # no contrast anywhere: block (0, 0), as the full-sensor argmax gives
-        invisible = dataclasses.replace(cam, background=Background(), particle_level=Background().level)
-        assert first_sight(invisible, _particle_at(invisible, (w / 2, h / 2))) == (1.5, 1.5)
-
     def test_binarize(self):
         rng = np.random.default_rng(11)
         for k in range(300):
@@ -587,35 +553,3 @@ class TestSensorNoise:
             r0, r1 = sorted(rng.choice(h + 1, 2, replace=False))
             win = Window(int(c0), int(r0), int(c1), int(r1))
             assert np.array_equal(_sensor_noise(self.SIGMA, 7, win), full[win.slices]), win
-
-    def test_first_sight_sums_are_block_sums_of_the_image(self):
-        cam = dataclasses.replace(CAM_H, image_size=self.SIZE, noise_sigma=self.SIGMA)
-        uv = (300.2, 200.7)
-        particle = _particle_at(cam, uv)
-        bg = background_image(cam)
-        box, disc = _disc(cam, particle, self.FULL)
-        img = bg.copy()
-        img[box.slices] = disc
-        clean = dataclasses.replace(cam, noise_sigma=0.0)
-        frame = render_frame(clean, particle, 0.0, seed=7)
-        assert np.array_equal(frame.pixels, np.clip(np.rint(img), 0, 255).astype(np.uint8))
-        rows, cols = 513 // 4 * 4, 611 // 4 * 4
-        blocks = (img - bg)[:rows, :cols].reshape(rows // 4, 4, cols // 4, 4).sum(axis=(1, 3))
-        bi, bj, sums = _block_contrast(cam, particle)
-        touched = (slice(bi, bi + sums.shape[0]), slice(bj, bj + sums.shape[1]))
-        assert np.max(np.abs(sums - blocks[touched])) < 1e-9
-        blocks[touched] = 0.0
-        assert np.max(np.abs(blocks)) < 1e-9
-        assert math.dist(first_sight(cam, particle), uv) < 4.0
-
-    def test_first_sight_ignores_sensor_noise(self):
-        clean = dataclasses.replace(CAM_H, image_size=self.SIZE, noise_sigma=0.0)
-        w, h = self.SIZE
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            uvs = rng.uniform([-4.0, -4.0], [w + 3.0, h + 3.0], (10, 2))
-            particles = [_particle_at(clean, uv) for uv in uvs]
-            for sigma in (2.0, 5.0, 12.0):
-                noisy = dataclasses.replace(clean, noise_sigma=sigma)
-                for particle in particles:
-                    assert first_sight(noisy, particle) == first_sight(clean, particle)
