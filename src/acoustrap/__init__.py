@@ -30,7 +30,6 @@ from .errors import (
     AcoustrapError,
     CalibrationError,
     ConfigurationError,
-    DetectionError,
     GeometryError,
     SingularityError,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "ConfigurationError",
     "ControlConfig",
     "Contrast",
-    "DetectionError",
     "FieldConfig",
     "GeometryError",
     "MediumConfig",

@@ -53,7 +53,6 @@ from .errors import (
     AcoustrapError,
     CalibrationError,
     ConfigurationError,
-    DetectionError,
     GeometryError,
 )
 from .field import PlaneSpec, field_slice
@@ -331,7 +330,7 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         for k in range(args.frames):
             t = k / config.timing.camera_fps
             state = step_particle(particle, t)
-            frame = render_frame(cam, state, t, int(rng.integers(2**63)))
+            frame = render_frame(cam, state, int(rng.integers(2**63)))
             name = f"frame_{label}_{k:03d}.pgm"
             save_pgm(out / name, frame.pixels)
             outputs.append(name)
@@ -547,11 +546,11 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         cam.image_size, (w / 2, h / 2), expected_px
     )
     seeds = itertools.count()
-    full_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds)), args.repeats)
-    crop_ms = time_call(lambda: render_frame(cam, particle, 0.0, next(seeds), window), args.repeats)
+    full_ms = time_call(lambda: render_frame(cam, particle, next(seeds)), args.repeats)
+    crop_ms = time_call(lambda: render_frame(cam, particle, next(seeds), window), args.repeats)
     bg = background_image(cam)
-    frame = render_frame(cam, particle, 0.0, 0)
-    crop = render_frame(cam, particle, 0.0, 0, window)
+    frame = render_frame(cam, particle, 0)
+    crop = render_frame(cam, particle, 0, window)
     extract_full_ms = time_call(lambda: extract_feature(frame, bg, expected_px, config.vision), args.repeats)
     extract_crop_ms = time_call(
         lambda: extract_feature(crop, bg[window.slices], expected_px, config.vision), args.repeats
@@ -720,9 +719,6 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 3
-    except DetectionError as exc:
-        print(f"detection error: {exc}", file=sys.stderr)
-        return 4
     except CalibrationError as exc:
         print(f"calibration error: {exc}", file=sys.stderr)
         return 2

@@ -6,10 +6,10 @@ ground truth, then runs one step of the loop:
 
 - acquiring: render and extract the particle on both cameras, localize
   it, and once three samples form a straight track, predict where it will
-  be after the processing and transfer latency, synthesize the hologram
-  for that point and schedule the field switch-on (-> dispatching). Each
-  camera renders and searches only a crop around the particle's
-  projection (``_Attempt.observe``);
+  be after the processing and transfer latency, place the trap there and
+  schedule the field switch-on (-> dispatching). Each camera renders and
+  searches only a crop around the particle's projection
+  (``_Attempt.observe``);
 - dispatching: wait; the field switches on at exactly the predicted
   instant, inside the ground-truth advance (-> verifying);
 - verifying: check containment against ground truth until the particle
@@ -17,7 +17,9 @@ ground truth, then runs one step of the loop:
 
 Any step may end in failed. The trap itself is abstracted as a hold: once
 the particle is inside the containment radius while the field is on, its
-velocity is zeroed.
+velocity is zeroed. No hologram is synthesized: ``TrapWorld`` checks once,
+when it is built, that a focus and a cage hologram exist for every point
+of the workspace, and every dispatched trap lies in it.
 
 Determinism: every random draw (render noise, pixel jitter, dropouts)
 comes from streams spawned off the scenario seed, and consumption per
@@ -40,15 +42,12 @@ import numpy as np
 from .calibration import JacobianMatrix, ReferenceSet, build_camera_pair, localize
 from .config import SimulatorConfig
 from .core import Contrast, ParticleState, TimingConfig, Vec3, WorkspaceConfig, usable_cpus, wavelength
-from .errors import AcoustrapError, ConfigurationError, GeometryError
-from .hologram import (
-    FocusTrap,
-    OctahedralTrap,
-    TrapSpec,
-    make_focus_hologram,
-    make_octahedral_hologram,
-    trap_anchor,
-)
+from .errors import AcoustrapError, ConfigurationError
+from .hologram import MIN_SOURCE_DISTANCE, FocusTrap, OctahedralTrap, TrapSpec, trap_anchor
+
+# Unused here, but perfbench/tracing.py patches these two at this lookup
+# site (``PATCHES``) and fails when either name is missing.
+from .hologram import make_focus_hologram, make_octahedral_hologram  # noqa: F401
 from .prediction import TrackSample, confirm_track, predict_position
 from .vision import (
     CameraModel,
@@ -122,6 +121,24 @@ class TrapWorld:
 
     config: SimulatorConfig
     cameras: tuple[CameraModel, CameraModel]
+
+    def __post_init__(self) -> None:
+        # Every dispatched trap lies in the workspace, so its hologram
+        # exists when the lowest cage vertex clears the array plane and the
+        # aperture holds a whole 2x3 multiplexing block.
+        array, workspace = self.config.array, self.config.workspace
+        span = self.config.trap.octahedron_diameter
+        floor = workspace.min_corner.z
+        if floor - span / 2 - array.origin.z <= MIN_SOURCE_DISTANCE:
+            raise ConfigurationError(
+                f"workspace z_min={floor} leaves no room for a trap.octahedron_diameter={span}"
+                f" cage above the array plane z={array.origin.z}"
+            )
+        if span != 0 and (array.rows < 2 or array.cols < 3):
+            raise ConfigurationError(
+                f"trap.octahedron_diameter={span} needs an array of at least 2x3 elements,"
+                f" got {array.rows}x{array.cols}"
+            )
 
     @classmethod
     def from_config(
@@ -263,7 +280,7 @@ class _Attempt:
         dropped = [self.dropout_rng.uniform() < self.scenario.dropout_prob for _ in self.cameras]
         observed = []
         for camera, seed, drop, (du, dv) in zip(self.cameras, seeds, dropped, jitter):
-            obs = None if drop else self.observe(camera, t, seed)
+            obs = None if drop else self.observe(camera, seed)
             observed.append(None if obs is None else (obs.u + du, obs.v + dv))
         if None in observed:
             return observed[0], observed[1], None
@@ -273,41 +290,32 @@ class _Attempt:
             self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)
         return observed[0], observed[1], _as_tuple(loc)
 
-    def observe(self, camera: tuple, t: float, seed: int) -> FeatureObservation | None:
-        """Render one camera at ``t`` and extract the particle; None for a
-        miss. Only a crop is rendered and searched: the tracking window
-        around the particle's projection, where the frame draws its disc.
-        The observation counts only when that crop holds it
-        (``window_holds``).
+    def observe(self, camera: tuple, seed: int) -> FeatureObservation | None:
+        """Render one camera and extract the particle; None for a miss.
+        Only a crop is rendered and searched: the tracking window around
+        the particle's projection, where the frame draws its disc. The
+        observation counts only when that crop holds it (``window_holds``).
         """
         cam, background, expected_px = camera
         window = tracking_window(cam.image_size, project(cam, self.particle.position), expected_px)
         if window is None:
             return None
-        frame = render_frame(cam, self.particle, t, seed, window)
+        frame = render_frame(cam, self.particle, seed, window)
         obs = extract_feature(frame, background[window.slices], expected_px, self.config.vision)
         return obs if window_holds(obs, window, cam.image_size, expected_px) else None
 
     def dispatch(self, t: float, predicted: Vec3) -> None:
-        """Synthesize the hologram at the target and schedule the switch-on."""
+        """Place the trap at the target and schedule the switch-on."""
         target = self.scenario.target_override
         if target is None:
             target = predicted
         if not self.config.workspace.contains(target):
             self.to(LoopState.FAILED, "target_outside_workspace")
             return
-        array, medium = self.config.array, self.config.medium
-        diameter = self.config.trap.octahedron_diameter
-        try:
-            if self.scenario.particle.contrast is Contrast.NEGATIVE:
-                self.trap = FocusTrap(target)
-                make_focus_hologram(array, target, medium)
-            else:
-                self.trap = OctahedralTrap(target, diameter)
-                make_octahedral_hologram(array, target, diameter, medium)
-        except GeometryError:
-            self.to(LoopState.FAILED, "trap_geometry")
-            return
+        if self.scenario.particle.contrast is Contrast.NEGATIVE:
+            self.trap = FocusTrap(target)
+        else:
+            self.trap = OctahedralTrap(target, self.config.trap.octahedron_diameter)
         self.activation_t = t + self.scenario.timing.horizon
         self.to(LoopState.DISPATCHING)
 

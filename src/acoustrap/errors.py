@@ -22,7 +22,3 @@ class SingularityError(GeometryError):
 
 class CalibrationError(AcoustrapError):
     """Calibration input is insufficient or degenerate."""
-
-
-class DetectionError(AcoustrapError):
-    """Feature extraction could not produce a usable observation."""

@@ -74,11 +74,11 @@ def load_pgm(path) -> np.ndarray:
     return arr.reshape(h, w).copy()
 
 
-def load_frame_pgm(path, timestamp: float = 0.0) -> ImageFrame:
+def load_frame_pgm(path) -> ImageFrame:
     arr = load_pgm(path)
     if arr.dtype != np.uint8:
         raise ConfigurationError(f"{path} is not an 8-bit frame")
-    return ImageFrame(arr, timestamp)
+    return ImageFrame(arr)
 
 
 _PLANE_AXIS_NAMES = {"xoy": ("x", "y"), "xoz": ("x", "z"), "yoz": ("y", "z")}

@@ -118,14 +118,13 @@ class Window(NamedTuple):
 
 @dataclass(frozen=True)
 class ImageFrame:
-    """A rendered 8-bit grayscale frame with its capture timestamp.
+    """A rendered 8-bit grayscale frame.
 
     ``origin`` is the sensor pixel (u, v) of ``pixels[0, 0]``: (0, 0) for
     a full frame, the window corner for a crop.
     """
 
     pixels: np.ndarray
-    timestamp: float
     origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
@@ -220,11 +219,10 @@ def _sensor_noise(sigma: float, seed: int, window: Window) -> np.ndarray:
 def render_frame(
     camera: CameraModel,
     particle: ParticleState,
-    t: float,
     seed: int,
     window: Window | None = None,
 ) -> ImageFrame:
-    """Render the particle as an anti-aliased dark disc at time ``t``.
+    """Render the particle as an anti-aliased dark disc.
 
     The disc is centred on the particle's projection, with a radius of
     the particle diameter times the camera's pixel scale, over two; one
@@ -254,7 +252,7 @@ def render_frame(
         disc += camera.particle_level * coverage
     if camera.noise_sigma > 0:
         img += _sensor_noise(camera.noise_sigma, seed, window)
-    return ImageFrame(_to_pixels(img), t, (window.c0, window.r0))
+    return ImageFrame(_to_pixels(img), (window.c0, window.r0))
 
 
 def _odd(n: int) -> int:

@@ -279,7 +279,7 @@ def test_criterion_09_feature_extraction(config, cameras, verdict):
         for dy in np.linspace(-2.0, 2.0, 9):
             pos = Vec3(25.0 + dx * 0.1, 25.0 + dy * 0.1, 40.0 + dx * 0.05)
             state = ParticleState(position=pos)
-            frame = render_frame(cam_h, state, 0.0, seed=0)
+            frame = render_frame(cam_h, state, seed=0)
             obs = extract_feature(frame, background, d_px, config.vision)
             assert obs.valid
             u, v = project(cam_h, pos)
@@ -297,7 +297,7 @@ def test_criterion_09_feature_extraction(config, cameras, verdict):
             40.0,
         )
         state = ParticleState(position=pos)
-        frame = render_frame(noisy_cam, state, 0.0, seed=k)
+        frame = render_frame(noisy_cam, state, seed=k)
         obs = extract_feature(frame, background, d_px, config.vision)
         if not obs.valid:
             continue

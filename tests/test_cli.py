@@ -561,6 +561,17 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert f"{override.partition('=')[0]} must be finite" in err
 
+    def test_workspace_without_room_for_the_cage_is_config_error(self, tmp_path, capsys):
+        rc = run_cli(
+            "simulate", "--batch", "1",
+            "--set", "workspace.center=[25,25,1.2]", "--set", "workspace.extent=[10,10,2]",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "workspace" in err and "trap.octahedron_diameter" in err
+
     def test_too_many_elements_is_config_error(self, tmp_path, capsys):
         rc = run_cli(
             "simulate", "--batch", "1", "--set", "array.rows=100000",

@@ -1,11 +1,11 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from acoustrap.calibration import ReferencePoint, ReferenceSet, default_calibration
-from acoustrap.config import ControlConfig, SimulatorConfig, VisionConfig, WorkspaceConfig
+from acoustrap.config import ControlConfig, SimulatorConfig, TrapConfig, VisionConfig, WorkspaceConfig
 from acoustrap.control import (
     LoopState,
     SimScenario,
@@ -18,9 +18,9 @@ from acoustrap.control import (
     run_trap_loop,
     step_particle,
 )
-from acoustrap.core import Contrast, ParticleState, TimingConfig, Vec3, wavelength
+from acoustrap.core import Contrast, ParticleState, TimingConfig, TransducerArray, Vec3, wavelength
 from acoustrap.errors import AcoustrapError, ConfigurationError
-from acoustrap.hologram import FocusTrap, OctahedralTrap
+from acoustrap.hologram import FocusTrap, OctahedralTrap, make_focus_hologram, make_octahedral_hologram
 from acoustrap.vision import Window, project, render_frame, tracking_window
 
 
@@ -211,29 +211,32 @@ class TestFailureModes:
         assert len(r.frames) == 5
 
     def test_cage_reaching_below_array_plane(self):
-        # workspace hugging the array: bottom cage vertex would dip below it
-        jac, _ = default_calibration()
-        refs = ReferenceSet(
-            points=(
-                ReferencePoint(
-                    world=Vec3(25.0, 25.0, 1.2),
-                    pixel_h=(1328.1, 716.4),
-                    pixel_v=(854.2, 951.4),
-                ),
-            )
-        )
+        # a workspace hugging the array, where the bottom cage vertex would
+        # dip below the plane, is rejected with the world, not at dispatch
         low = SimulatorConfig(
             workspace=WorkspaceConfig(center=Vec3(25, 25, 1.2), extent=Vec3(10, 10, 2.0))
         )
-        world = TrapWorld.from_config(low, (jac, refs))
-        scenario = SimScenario(
-            particle=ParticleState(
-                Vec3(25, 25, 1.2), Vec3(0, 0, 0.0), 400.0, Contrast.POSITIVE
-            ),
-            seed=11,
+        with pytest.raises(ConfigurationError, match="workspace.*trap.octahedron_diameter"):
+            TrapWorld.from_config(low)
+        half_span = low.trap.octahedron_diameter / 2
+        on_bound = WorkspaceConfig(center=Vec3(25, 25, half_span + 1.0), extent=Vec3(10, 10, 2.0))
+        with pytest.raises(ConfigurationError, match="workspace"):
+            TrapWorld.from_config(dataclasses.replace(low, workspace=on_bound))
+        # a floor just above the bound: both holograms exist at its lowest point
+        floor = half_span + 1e-6
+        above = dataclasses.replace(
+            low, workspace=WorkspaceConfig(center=Vec3(25, 25, floor + 1.0), extent=Vec3(10, 10, 2.0))
         )
-        r = run_trap_loop(scenario, world)
-        assert r.failure_reason == "trap_geometry"
+        TrapWorld.from_config(above)
+        lowest = Vec3(25, 25, above.workspace.min_corner.z)
+        make_octahedral_hologram(above.array, lowest, above.trap.octahedron_diameter, above.medium)
+        make_focus_hologram(above.array, lowest, above.medium)
+
+    def test_cage_needs_a_whole_multiplexing_block(self):
+        tiny = SimulatorConfig(array=TransducerArray(rows=1, cols=2))
+        with pytest.raises(ConfigurationError, match="trap.octahedron_diameter.*2x3"):
+            TrapWorld.from_config(tiny)
+        TrapWorld.from_config(dataclasses.replace(tiny, trap=TrapConfig(octahedron_diameter=0.0)))
 
 
 def _undropped_cameras(scenario: SimScenario, report) -> int:
@@ -259,9 +262,9 @@ class TestTrackingWindow:
         world = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(noise_sigma=sigma)))
         renders = []
 
-        def recording_render(camera, particle, t, seed, window=None):
+        def recording_render(camera, particle, seed, window=None):
             renders.append((camera, particle, window))
-            return render_frame(camera, particle, t, seed, window)
+            return render_frame(camera, particle, seed, window)
 
         monkeypatch.setattr(control, "render_frame", recording_render)
         scenarios = [SimScenario(particle=falling_particle(), seed=7)] + make_batch_scenarios(
@@ -370,14 +373,15 @@ class TestBatches:
 # sha256 of the newline-joined ``to_json()`` lines of the golden reports;
 # any change to a report byte (state names, ordering, float values,
 # serializer) changes it. The noise-free pin covers the clean-sensor batch
-# and the five failure modes and was recorded before the closed loop was
-# restructured; windowed vision and each way of centring its crops kept it.
+# and the four runtime failure modes. It was re-recorded once when the
+# trap_geometry outcome became a check on the trap world, over the same
+# 16 reports as before: no report byte moved.
 # The noisy pin covers the same batch at ``vision.noise_sigma=5``; it was
 # last re-recorded when each 64 px sensor tile came to draw its noise from
 # a stream of its own, which changed every noisy pixel: the observed
 # pixels, localizations, trap positions and deviations all moved, and one
 # start position, at 0.328 mm against 0.322 mm, left the trap.
-NOISE_FREE_DIGEST = "a584984e43bf241916b1f2a173789e29e021c1f477d90698f2a58736c6defdd2"
+NOISE_FREE_DIGEST = "f1ee2f545a5f69997a4fda06a050decf2b6fbd84968209365264157bb546b9a1"
 NOISY_DIGEST = "610f96faffc671d8d7c112909092467fc299895cb59e05a972d768c495811986"
 
 
@@ -405,8 +409,7 @@ def _batch_reports(vision: VisionConfig) -> list:
 
 
 def _failure_mode_reports() -> list:
-    """The five TestFailureModes scenarios, one per failure reason."""
-    jac, _ = default_calibration()
+    """The four TestFailureModes scenarios, one per runtime failure reason."""
     reports = []
     world = TrapWorld.from_config(SimulatorConfig())
     upward = ParticleState(Vec3(25, 25, 54), Vec3(0, 0, 30.0), 400.0, Contrast.POSITIVE)
@@ -421,19 +424,6 @@ def _failure_mode_reports() -> list:
     reports.append(run_trap_loop(outside, world))
     short = TrapWorld.from_config(SimulatorConfig(control=ControlConfig(frame_budget=5)))
     reports.append(run_trap_loop(SimScenario(particle=falling_particle(), seed=7), short))
-    low_refs = ReferenceSet(
-        points=(
-            ReferencePoint(
-                world=Vec3(25.0, 25.0, 1.2), pixel_h=(1328.1, 716.4), pixel_v=(854.2, 951.4)
-            ),
-        )
-    )
-    low = SimulatorConfig(
-        workspace=WorkspaceConfig(center=Vec3(25, 25, 1.2), extent=Vec3(10, 10, 2.0))
-    )
-    still = ParticleState(Vec3(25, 25, 1.2), Vec3(0, 0, 0.0), 400.0, Contrast.POSITIVE)
-    low_world = TrapWorld.from_config(low, (jac, low_refs))
-    reports.append(run_trap_loop(SimScenario(particle=still, seed=11), low_world))
     return reports
 
 
@@ -446,9 +436,22 @@ def test_noise_free_reports_match_golden_digest():
         "left_fov",
         "target_outside_workspace",
         "frame_budget_exhausted",
-        "trap_geometry",
     }
-    assert len(reports) == 17
+    assert len(reports) == 16
+    assert _digest(reports) == NOISE_FREE_DIGEST
+
+
+def test_dispatch_synthesizes_no_hologram(monkeypatch):
+    # the world checked the cage geometry when it was built, so the loop
+    # reports the same without ever calling a synthesis route
+    from acoustrap import control
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loop synthesized a hologram")
+
+    monkeypatch.setattr(control, "make_focus_hologram", refuse)
+    monkeypatch.setattr(control, "make_octahedral_hologram", refuse)
+    reports = _batch_reports(VisionConfig()) + _failure_mode_reports()
     assert _digest(reports) == NOISE_FREE_DIGEST
 
 

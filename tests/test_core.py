@@ -18,7 +18,6 @@ from acoustrap.errors import (
     AcoustrapError,
     CalibrationError,
     ConfigurationError,
-    DetectionError,
     GeometryError,
     SingularityError,
 )
@@ -165,6 +164,6 @@ class TestWorkspaceConfig:
 
 class TestErrorHierarchy:
     def test_all_domain_errors_share_base(self):
-        for exc in (ConfigurationError, GeometryError, CalibrationError, DetectionError):
+        for exc in (ConfigurationError, GeometryError, CalibrationError):
             assert issubclass(exc, AcoustrapError)
         assert issubclass(SingularityError, GeometryError)

@@ -118,12 +118,11 @@ class TestPgm:
         particle = ParticleState(
             Vec3(25.0, 25.0, 40.0), Vec3(0, 0, 0), 400.0, Contrast.POSITIVE
         )
-        frame = render_frame(cam_h, particle, 0.25, seed=42)
+        frame = render_frame(cam_h, particle, seed=42)
         path = tmp_path / "frame.pgm"
         save_pgm(path, frame.pixels)
-        back = load_frame_pgm(path, timestamp=0.25)
+        back = load_frame_pgm(path)
         assert np.array_equal(back.pixels, frame.pixels)
-        assert back.timestamp == 0.25
 
     def test_frame_requires_8bit(self, tmp_path):
         save_pgm(tmp_path / "deep.pgm", np.zeros((4, 4), dtype=np.uint16))

@@ -66,21 +66,20 @@ class TestProjection:
 class TestRenderFrame:
     def test_deterministic_given_seed(self):
         cam = dataclasses.replace(CAM_H, noise_sigma=3.0)
-        a = render_frame(cam, STATE, 0.0, seed=42)
-        b = render_frame(cam, STATE, 0.0, seed=42)
-        c = render_frame(cam, STATE, 0.0, seed=43)
+        a = render_frame(cam, STATE, seed=42)
+        b = render_frame(cam, STATE, seed=42)
+        c = render_frame(cam, STATE, seed=43)
         assert np.array_equal(a.pixels, b.pixels)
         assert not np.array_equal(a.pixels, c.pixels)
 
     def test_frame_is_readonly_uint8(self):
-        frame = render_frame(CAM_H, STATE, 0.125, seed=0)
+        frame = render_frame(CAM_H, STATE, seed=0)
         assert frame.pixels.dtype == np.uint8
-        assert frame.timestamp == 0.125
         with pytest.raises(ValueError):
             frame.pixels[0, 0] = 0
 
     def test_disc_darkens_projected_center(self, bg):
-        frame = render_frame(CAM_H, STATE, 0.0, seed=0)
+        frame = render_frame(CAM_H, STATE, seed=0)
         u, v = project(CAM_H, CENTER)
         assert frame.pixels[int(round(v)), int(round(u))] == pytest.approx(
             CAM_H.particle_level, abs=1.0
@@ -93,8 +92,8 @@ class TestRenderFrame:
         # that a sensor 20 px wider shows on the same columns
         w, h = CAM_H.image_size
         particle = _particle_at(CAM_H, (w - 1.0, h / 2))
-        frame = render_frame(CAM_H, particle, 0.0, seed=0)
-        wider = render_frame(dataclasses.replace(CAM_H, image_size=(w + 20, h)), particle, 0.0, seed=0)
+        frame = render_frame(CAM_H, particle, seed=0)
+        wider = render_frame(dataclasses.replace(CAM_H, image_size=(w + 20, h)), particle, seed=0)
         assert np.array_equal(frame.pixels, wider.pixels[:, :w])
         assert np.sum(frame.pixels[:, -1] < bg[:, -1] - 1.0) >= 5
         assert np.sum(wider.pixels[:, w:] < bg[0, 0] - 1.0) >= 5
@@ -107,7 +106,7 @@ class TestRenderFrame:
         )
         w, h = cam.image_size
         for pos in (CENTER, CENTER + Vec3(0.13, -0.21, 0.05), CENTER + Vec3(0.0, -19.2, 0.0)):
-            frame = render_frame(cam, ParticleState(position=pos), 0.0, seed=0)
+            frame = render_frame(cam, ParticleState(position=pos), seed=0)
             u0, v0 = project(cam, pos)
             vv, uu = np.mgrid[0:h, 0:w].astype(float)
             coverage = np.clip(D_PX / 2.0 - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
@@ -128,7 +127,7 @@ class TestExtractFeature:
         worst = 0.0
         for dx, dy in [(-0.21, 0.13), (0.0, 0.0), (0.17, -0.29), (0.08, 0.31)]:
             pos = CENTER + Vec3(dx, dy, dx / 2)
-            frame = render_frame(CAM_H, ParticleState(position=pos), 0.0, seed=0)
+            frame = render_frame(CAM_H, ParticleState(position=pos), seed=0)
             obs = extract_feature(frame, bg, D_PX, CFG.vision)
             assert obs.valid, obs.reason
             u, v = project(CAM_H, pos)
@@ -136,7 +135,7 @@ class TestExtractFeature:
         assert worst <= 0.5
 
     def test_axes_match_disc_diameter(self, bg):
-        frame = render_frame(CAM_H, STATE, 0.0, seed=3)
+        frame = render_frame(CAM_H, STATE, seed=3)
         obs = extract_feature(frame, bg, D_PX, CFG.vision)
         assert obs.valid
         assert obs.major_px == pytest.approx(D_PX, rel=0.10)
@@ -145,13 +144,13 @@ class TestExtractFeature:
 
     def test_deterministic_given_seed(self, bg):
         cam = dataclasses.replace(CAM_H, noise_sigma=5.0)
-        frame = render_frame(cam, STATE, 0.0, seed=9)
+        frame = render_frame(cam, STATE, seed=9)
         a = extract_feature(frame, bg, D_PX, CFG.vision)
         b = extract_feature(frame, bg, D_PX, CFG.vision)
         assert (a.u, a.v, a.major_px, a.minor_px) == (b.u, b.v, b.major_px, b.minor_px)
 
     def test_blank_frame_reports_no_candidate(self, bg):
-        blank = ImageFrame(bg.astype(np.uint8), 0.0)
+        blank = ImageFrame(bg.astype(np.uint8))
         obs = extract_feature(blank, bg, D_PX, CFG.vision)
         assert not obs.valid
         assert obs.reason == "no_candidate_window"
@@ -159,19 +158,19 @@ class TestExtractFeature:
 
     def test_zero_contrast_blob_is_invalid(self, bg):
         # a negative offset binarizes the whole blank frame as foreground
-        blank = ImageFrame(bg.astype(np.uint8), 0.0)
+        blank = ImageFrame(bg.astype(np.uint8))
         loose = dataclasses.replace(CFG.vision, binarize_offset=-5.0)
         obs = extract_feature(blank, bg, D_PX, loose)
         assert not obs.valid
         assert obs.reason == "blob_too_small"
 
     def test_tiny_expected_diameter_rejected(self, bg):
-        frame = render_frame(CAM_H, STATE, 0.0, seed=0)
+        frame = render_frame(CAM_H, STATE, seed=0)
         with pytest.raises(ConfigurationError):
             extract_feature(frame, bg, 3.0, CFG.vision)
 
     def test_shape_mismatch_rejected(self, bg):
-        frame = render_frame(CAM_H, STATE, 0.0, seed=0)
+        frame = render_frame(CAM_H, STATE, seed=0)
         with pytest.raises(ConfigurationError):
             extract_feature(frame, bg[:-1, :], D_PX, CFG.vision)
 
@@ -184,7 +183,7 @@ class TestExtractFeature:
         bg = background_image(cam)
         for k in range(5):
             pos = CENTER + Vec3(0.11 * k - 0.2, 0.07 * k, 0.0)
-            frame = render_frame(cam, ParticleState(position=pos), 0.0, seed=100 + k)
+            frame = render_frame(cam, ParticleState(position=pos), seed=100 + k)
             obs = extract_feature(frame, bg, D_PX, CFG.vision)
             assert obs.valid, obs.reason
             u, v = project(cam, pos)
@@ -195,7 +194,7 @@ class TestExtractFeature:
         # a background past 255 gray levels used to wrap round in int16, or
         # fail the cast, and hide a particle the sensor records against white
         cam = dataclasses.replace(CAM_H, background=Background(kind="gradient", level=200.0, du=du))
-        frame = render_frame(cam, STATE, 0.0, seed=0)
+        frame = render_frame(cam, STATE, seed=0)
         obs = extract_feature(frame, background_image(cam), D_PX, CFG.vision)
         assert obs.valid, obs.reason
         assert math.dist((obs.u, obs.v), project(cam, CENTER)) <= 0.2
@@ -216,7 +215,7 @@ class TestExtractFeature:
         bg = np.full((128, 128), 180.0)
         pixels = np.rint(bg * (1.0 - coverage) + 40.0 * coverage).astype(np.uint8)
 
-        obs = extract_feature(ImageFrame(pixels, 0.0), bg, np.sqrt(major * minor), CFG.vision)
+        obs = extract_feature(ImageFrame(pixels), bg, np.sqrt(major * minor), CFG.vision)
         assert obs.valid, obs.reason
         assert obs.major_px >= obs.minor_px
         assert obs.major_px == pytest.approx(major, rel=0.05)
@@ -252,13 +251,13 @@ def test_windowed_extraction_matches_full_frame(sigma, index):
         # centres from just outside one sensor edge to just outside the other
         uv = rng.uniform([-4.0, -4.0], [w + 3.0, h + 3.0])
         particle = _particle_at(cam, uv)
-        full = render_frame(cam, particle, 0.0, seed=k)
+        full = render_frame(cam, particle, seed=k)
         ref = extract_feature(full, bg, d, CFG.vision)
         # a prediction off by up to one diameter on each axis
         window = tracking_window(cam.image_size, tuple(uv + rng.uniform(-1, 1, 2) * math.ceil(d)), d)
         hit = tracking_window(cam.image_size, project(cam, particle.position), d)
         for win in (window, hit):
-            crop = render_frame(cam, particle, 0.0, seed=k, window=win)
+            crop = render_frame(cam, particle, seed=k, window=win)
             assert np.array_equal(crop.pixels, full.pixels[win.slices])
             assert crop.origin == (win.c0, win.r0)
             obs = extract_feature(crop, bg[win.slices], d, CFG.vision)
@@ -291,7 +290,7 @@ def test_crop_binarizes_as_full_frame(sigma):
     rng = np.random.default_rng(int(sigma))
     for k in range(6):
         particle = _particle_at(cam, rng.uniform([0.0, 0.0], [w, h]))
-        diff = np.abs(render_frame(cam, particle, 0.0, seed=k).pixels.astype(np.int16) - bg)
+        diff = np.abs(render_frame(cam, particle, seed=k).pixels.astype(np.int16) - bg)
         fg = _binarize(diff, D_PX, offset)
         for centre in rng.uniform([0.0, 0.0], [w, h], size=(40, 2)):
             win = tracking_window(cam.image_size, tuple(centre), D_PX)
@@ -317,9 +316,9 @@ def test_noise_patch_is_not_a_particle(sigma):
     rng = np.random.default_rng(int(sigma))
     for seed in range(12):
         off = _particle_at(cam, _off_sensor(rng, w, h))
-        assert not extract_feature(render_frame(cam, off, 0.0, seed), bg, D_PX, vision).valid
+        assert not extract_feature(render_frame(cam, off, seed), bg, D_PX, vision).valid
         uv = rng.uniform([40.0, 40.0], [w - 40.0, h - 40.0])
-        obs = extract_feature(render_frame(cam, _particle_at(cam, uv), 0.0, seed + 100), bg, D_PX, vision)
+        obs = extract_feature(render_frame(cam, _particle_at(cam, uv), seed + 100), bg, D_PX, vision)
         assert obs.valid and math.hypot(obs.u - uv[0], obs.v - uv[1]) < 0.5
 
 
@@ -334,7 +333,7 @@ def test_offset_floor_leaves_low_noise_alone(sigma):
     rng = np.random.default_rng(int(sigma))
     for seed in range(6):
         for uv in (_off_sensor(rng, w, h), rng.uniform([0.0, 0.0], [w, h])):
-            frame = render_frame(cam, _particle_at(cam, uv), 0.0, seed)
+            frame = render_frame(cam, _particle_at(cam, uv), seed)
             a = extract_feature(frame, bg, D_PX, floored)
             b = extract_feature(frame, bg, D_PX, CFG.vision)
             assert a == b or (not a.valid and a.reason == b.reason)
@@ -345,8 +344,8 @@ class TestWindows:
         w, h = CAM_H.image_size
         corner = Window(w - 40, h - 40, w, h)
         particle = _particle_at(CAM_H, (w - 1.0, h - 1.0))
-        crop = render_frame(CAM_H, particle, 0.0, seed=0, window=corner)
-        full = render_frame(CAM_H, particle, 0.0, seed=0)
+        crop = render_frame(CAM_H, particle, seed=0, window=corner)
+        full = render_frame(CAM_H, particle, seed=0)
         assert np.array_equal(crop.pixels, full.pixels[corner.slices])
         assert crop.pixels[-1, -1] == pytest.approx(CAM_H.particle_level, abs=1.0)
         assert crop.pixels[-5, -1] > crop.pixels[-1, -1]
@@ -355,7 +354,7 @@ class TestWindows:
         w, h = CAM_H.image_size
         for window in (Window(-1, 0, 10, 10), Window(0, 0, w + 1, 10), Window(5, 5, 5, 10)):
             with pytest.raises(ConfigurationError, match="window"):
-                render_frame(CAM_H, STATE, 0.0, seed=0, window=window)
+                render_frame(CAM_H, STATE, seed=0, window=window)
 
     def test_window_origin_snaps_to_stride(self):
         w, h = CAM_H.image_size
@@ -371,7 +370,7 @@ class TestWindows:
         assert background_image(CAM_V) is bg
         with pytest.raises(ValueError):
             bg[0, 0] = 0
-        render_frame(CAM_H, STATE, 0.0, seed=0)
+        render_frame(CAM_H, STATE, seed=0)
         assert np.all(bg == CFG.vision.background.level)
 
 
