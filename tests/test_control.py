@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from acoustrap.config import ControlConfig, SimulatorConfig, TrapConfig, VisionConfig, WorkspaceConfig
+from acoustrap.config import Background, ControlConfig, SimulatorConfig, TrapConfig, VisionConfig, WorkspaceConfig
 from acoustrap.control import (
     LoopState,
     SimScenario,
@@ -389,18 +389,19 @@ def _digest(reports) -> str:
     return hashlib.sha256("\n".join(r.to_json() for r in reports).encode()).hexdigest()
 
 
-def _batch_reports(vision: VisionConfig) -> list:
-    """Six scenarios of each contrast, 1 px jitter and 10% dropout."""
+def _batch_reports(vision: VisionConfig, n: int = 6, dropout_prob: float = 0.1, base_seed: int = 2024) -> list:
+    """``n`` scenarios of each contrast, 1 px jitter and ``dropout_prob``
+    dropout (six each and 10% for the golden digests)."""
     config = SimulatorConfig(vision=vision)
     world = TrapWorld.from_config(config)
     reports = []
     for contrast in (Contrast.POSITIVE, Contrast.NEGATIVE):
         scenarios = make_batch_scenarios(
             config.workspace,
-            6,
-            base_seed=2024,
+            n,
+            base_seed=base_seed,
             pixel_noise_sigma=1.0,
-            dropout_prob=0.1,
+            dropout_prob=dropout_prob,
             contrast=contrast,
             timing=config.timing,
         )
@@ -459,6 +460,35 @@ def test_noisy_reports_match_golden_digest():
     reports = _batch_reports(VisionConfig(noise_sigma=5.0))
     assert len(reports) == 12
     assert _digest(reports) == NOISY_DIGEST
+
+
+# Traffic pins, one per vision setting that the golden digests leave out:
+# sha256 of the reports of ten octahedral and ten focus scenarios, 1 px
+# jitter and 5% dropout. The gradient runs at sigma 5, so that its
+# binarization sees noise on a sloped background. A change that moves one
+# on purpose re-records it once and says which fields moved.
+TRAFFIC = {
+    "sigma_12": (
+        VisionConfig(noise_sigma=12.0),
+        "dbc677befb5c86251ae54b05c35c07be0e438b606a71c23a4a093330c520b6d4",
+    ),
+    "gradient": (
+        VisionConfig(noise_sigma=5.0, background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0)),
+        "6a814bd7332d12477596f2403b72807c1fd1abddccdb2af3710715fcb597692f",
+    ),
+    "scale_0.5": (
+        VisionConfig(scale=0.5),
+        "15c17a7a25fed22d332993c027c569fb36716a0cedebdc88d32f89efd1464e60",
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(TRAFFIC))
+def test_traffic_reports_match_digest(setting):
+    vision, digest = TRAFFIC[setting]
+    reports = _batch_reports(vision, n=10, dropout_prob=0.05, base_seed=2026)
+    assert len(reports) == 20
+    assert _digest(reports) == digest
 
 
 @pytest.mark.parametrize("sigma", [0.0, 5.0])
