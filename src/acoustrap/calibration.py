@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -140,12 +141,26 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
     return CalibrationResult(JacobianMatrix(solution.T), rms)
 
 
+@lru_cache(maxsize=8)
+def _pair_inverse(rows_h: bytes, rows_v: bytes) -> np.ndarray:
+    """Read-only (3, 4) pseudo-inverse of a pair's stacked float64 rows, given
+    as the bytes of each camera's (2, 3) ``rows_of_j``."""
+    rows = np.vstack([np.frombuffer(r, dtype=float).reshape(2, 3) for r in (rows_h, rows_v)])
+    inverse = np.linalg.pinv(rows)
+    inverse.flags.writeable = False
+    return inverse
+
+
 def localize(
     cameras: tuple[CameraModel, CameraModel],
     pixel_h: tuple[float, float],
     pixel_v: tuple[float, float],
 ) -> Vec3:
-    """World position (mm) from one observation per camera of the pair."""
+    """World position (mm) from one observation per camera of the pair.
+
+    The pair's pseudo-inverse is computed once per pair of rows and kept
+    (``_pair_inverse``), so every call after the first is a (3, 4) product.
+    """
     cam_h, cam_v = cameras
     if cam_h.ref_world != cam_v.ref_world:
         raise ConfigurationError(
@@ -154,7 +169,8 @@ def localize(
         )
     observed = np.array([pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]], dtype=float)
     anchor = np.concatenate([cam_h.ref_pixel, cam_v.ref_pixel])
-    delta_um = np.linalg.pinv(np.vstack([cam_h.rows_of_j, cam_v.rows_of_j])) @ (observed - anchor)
+    inverse = _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
+    delta_um = inverse @ (observed - anchor)
     return cam_h.ref_world + Vec3.from_array(delta_um / 1e3)
 
 

@@ -225,6 +225,15 @@ class _Attempt:
             (cam, background_image(cam), scenario.particle.diameter_um * cam.pixel_scale)
             for cam in world.cameras
         )
+        # extraction needs a particle more than 3 px wide; say so before the
+        # first tick, in the settings that set its size
+        narrowest = min(expected_px for _, _, expected_px in self.cameras)
+        if not narrowest > 3:
+            raise ConfigurationError(
+                f"a particle of diameter_um={scenario.particle.diameter_um} images {narrowest:.3g} px"
+                f" wide at vision.scale={self.config.vision.scale}; extraction needs more than 3 px,"
+                " so raise vision.scale or the diameter"
+            )
         # streams[1] is unused; the render, jitter and dropout streams keep
         # their indices so each seed's draws stay fixed.
         streams = np.random.SeedSequence(scenario.seed).spawn(5)

@@ -273,25 +273,29 @@ def _stride(expected_diameter_px: float) -> int:
     return max(int(round(expected_diameter_px / 2.0)), 1)
 
 
-def _box_sums(a: np.ndarray, n: int) -> np.ndarray:
-    """Exact sum of every n x n window of an integer or boolean array,
-    (h - n + 1, w - n + 1), from one int64 summed-area table."""
+def _summed_area(a: np.ndarray, r: int = 0) -> np.ndarray:
+    """int64 summed-area table of an integer or boolean array with its
+    edges replicated ``r`` pixels out: entry (i, j) sums the first i rows
+    and j columns of the padded array. One buffer, filled in place."""
     h, w = a.shape
-    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
-    sat[1:, 1:] = a
-    np.cumsum(np.cumsum(sat, axis=0, out=sat), axis=1, out=sat)
-    return sat[n:, n:] - sat[:-n, n:] - sat[n:, :-n] + sat[:-n, :-n]
+    sat = np.zeros((h + 2 * r + 1, w + 2 * r + 1), dtype=np.int64)
+    pad = sat[1:, 1:]
+    pad[r : r + h, r : r + w] = a
+    pad[:r, r : r + w] = a[0]
+    pad[r + h :, r : r + w] = a[-1]
+    pad[:, :r] = pad[:, r : r + 1]
+    pad[:, r + w :] = pad[:, r + w - 1 : r + w]
+    np.cumsum(sat, axis=0, out=sat)
+    np.cumsum(sat, axis=1, out=sat)
+    return sat
 
 
 def _binarize(diff: np.ndarray, expected_diameter_px: float, offset: float) -> np.ndarray:
     """Pixels of an integer ``diff`` above the mean of the n x n box around
     them (edges replicated) plus ``offset``: (diff - offset) n^2 > box sum."""
     n = _binarize_window(expected_diameter_px)
-    r = n // 2
-    h, w = diff.shape
-    rows = np.clip(np.arange(-r, h + r), 0, h - 1)
-    cols = np.clip(np.arange(-r, w + r), 0, w - 1)
-    sums = _box_sums(diff.take(rows, axis=0).take(cols, axis=1), n)
+    sat = _summed_area(diff, n // 2)
+    sums = sat[n:, n:] - sat[:-n, n:] - sat[n:, :-n] + sat[:-n, :-n]
     return (diff - offset) * (n * n) > sums
 
 
@@ -357,7 +361,13 @@ def _best_window(
         rows.append(h - size)
     if cols[-1] != w - size:
         cols.append(w - size)
-    counts = _box_sums(fg, size)[np.array(rows)[:, None], cols]
+    # foreground counts of the candidate windows, read off the table at the
+    # stride grid's corners
+    top, left = np.array(rows)[:, None], np.array(cols)
+    sat = _summed_area(fg)
+    counts = (
+        sat[top + size, left + size] - sat[top, left + size] - sat[top + size, left] + sat[top, left]
+    )
     best = np.unravel_index(int(np.argmax(counts)), counts.shape)
     if counts[best] < _area_floor(expected_diameter_px, min_fraction):
         return None
@@ -441,17 +451,18 @@ def tracking_window(
     """Crop around a pixel ``centre``, or None when the crop would not fit
     a particle on the sensor.
 
-    The crop reaches ``_tracking_margin`` plus two diameters of slack past
+    The crop reaches ``_tracking_margin`` plus one diameter of slack past
     the centre, and its origin snaps down to the candidate window stride
-    so its candidate windows are those of the full frame. The slack once
-    covered the error of a predicted centre; the loop now centres crops on
-    the projection, but a smaller crop searches fewer candidate windows of
-    a noisy frame and could move its reports, so the slack is kept as it
-    is.
+    so its candidate windows are those of the full frame. The slack no
+    longer covers the error of a predicted centre, since the loop centres
+    crops on the projection. It stays because a crop without it can pick
+    another candidate window of a noisy frame than the whole sensor does,
+    and so move a report; with one diameter, the loop's crops report as
+    the whole sensor does (``test_crops_report_as_the_whole_sensor``).
     """
     w, h = image_size
     u, v = centre
-    reach = _tracking_margin(expected_diameter_px) + 2 * math.ceil(expected_diameter_px)
+    reach = _tracking_margin(expected_diameter_px) + math.ceil(expected_diameter_px)
     stride = _stride(expected_diameter_px)
     if not (math.isfinite(u) and math.isfinite(v)):
         return None

@@ -19,6 +19,7 @@ from acoustrap.calibration import (
     lattice_points,
     load_calibration,
     localize,
+    _pair_inverse,
     save_calibration,
 )
 from acoustrap.config import SimulatorConfig, VisionConfig
@@ -110,34 +111,76 @@ class TestLocalize:
             localize((cam_h, moved), project(cam_h, cam_h.ref_world), project(moved, cam_h.ref_world))
 
 
-class TestCalibrateJacobian:
-    def _synthetic_pairs(self, jac, n, noise=0.0, seed=0):
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(n):
-            move = rng.uniform(-500.0, 500.0, 3)  # um
-            shift = jac @ move + rng.normal(0.0, noise, 4)
-            pairs.append((move, shift))
-        return pairs
+def _synthetic_pairs(jac, n, noise=0.0, seed=0):
+    """(world motion um, pixel motion) pairs through ``jac``, with Gaussian
+    pixel noise."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        move = rng.uniform(-500.0, 500.0, 3)  # um
+        shift = jac @ move + rng.normal(0.0, noise, 4)
+        pairs.append((move, shift))
+    return pairs
 
+
+class TestCachedPairInverse:
+    """``localize`` takes each pair's pseudo-inverse once and keeps it."""
+
+    @staticmethod
+    def _uncached(cameras, pixel_h, pixel_v):
+        cam_h, cam_v = cameras
+        observed = np.array([pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]], dtype=float)
+        anchor = np.concatenate([cam_h.ref_pixel, cam_v.ref_pixel])
+        delta_um = np.linalg.pinv(np.vstack([cam_h.rows_of_j, cam_v.rows_of_j])) @ (observed - anchor)
+        return cam_h.ref_world + Vec3.from_array(delta_um / 1e3)
+
+    def test_interleaved_pairs_match_an_uncached_solve(self):
+        factory = build_camera_pair(VisionConfig())
+        fitted_jacobian = calibrate_jacobian(_synthetic_pairs(FACTORY_J, 30, noise=0.5, seed=8)).jacobian
+        refs = ReferenceSet((ReferencePoint(Vec3(24.6, 25.3, 40.2), (1310.0, 705.0), (860.0, 948.0)),))
+        fitted = build_camera_pair(VisionConfig(), (fitted_jacobian, refs))
+        assert fitted[0].rows_of_j.tolist() != factory[0].rows_of_j.tolist()
+        rng = np.random.default_rng(4)
+        for k in range(40):
+            cameras = (factory, fitted)[k % 2]
+            pixel_h, pixel_v = tuple(rng.uniform(0.0, 500.0, 2)), tuple(rng.uniform(0.0, 500.0, 2))
+            assert localize(cameras, pixel_h, pixel_v) == self._uncached(cameras, pixel_h, pixel_v)
+        # the factory rows are cached by now; another anchor is still refused
+        cam_h, cam_v = factory
+        moved = dataclasses.replace(cam_v, ref_world=cam_v.ref_world + Vec3(0.0, 0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="different world points"):
+            localize((cam_h, moved), (300.0, 250.0), (310.0, 240.0))
+
+    def test_cached_inverse_is_read_only(self):
+        cam_h, cam_v = build_camera_pair(VisionConfig())
+        localize((cam_h, cam_v), (300.0, 250.0), (310.0, 240.0))
+        inverse = _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
+        assert inverse is _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
+        assert np.array_equal(inverse, np.linalg.pinv(np.vstack([cam_h.rows_of_j, cam_v.rows_of_j])))
+        assert not inverse.flags.writeable
+        with pytest.raises(ValueError):
+            inverse[0, 0] = 0.0
+
+
+class TestCalibrateJacobian:
     def test_recovers_factory_matrix_noiselessly(self):
-        result = calibrate_jacobian(self._synthetic_pairs(FACTORY_J, 12))
+        result = calibrate_jacobian(_synthetic_pairs(FACTORY_J, 12))
         assert np.allclose(result.jacobian.matrix, FACTORY_J, atol=1e-12)
         assert result.residual_rms < 1e-12
 
     def test_noise_attenuates_with_many_pairs(self):
-        result = calibrate_jacobian(self._synthetic_pairs(FACTORY_J, 60, noise=0.5, seed=3))
+        result = calibrate_jacobian(_synthetic_pairs(FACTORY_J, 60, noise=0.5, seed=3))
         assert np.abs(result.jacobian.matrix - FACTORY_J).max() < 0.002
         assert result.residual_rms == pytest.approx(0.5, rel=0.5)
 
     def test_requires_three_pairs(self):
         with pytest.raises(CalibrationError, match="at least 3"):
-            calibrate_jacobian(self._synthetic_pairs(FACTORY_J, 2))
+            calibrate_jacobian(_synthetic_pairs(FACTORY_J, 2))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_too_few_pairs_name_a_missed_direction(self, n):
         with pytest.raises(CalibrationError, match="direction"):
-            calibrate_jacobian(self._synthetic_pairs(FACTORY_J, n))
+            calibrate_jacobian(_synthetic_pairs(FACTORY_J, n))
 
     def test_planar_motion_rejected_naming_direction(self):
         pairs = []

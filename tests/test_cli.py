@@ -572,6 +572,19 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert "workspace" in err and "trap.octahedron_diameter" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_particle_imaged_too_small_names_its_settings(self, tmp_path, capsys, jobs):
+        # it used to exit mid-run naming only extraction's expected_diameter_px
+        rc = run_cli(
+            "simulate", "--batch", "2", "--jobs", jobs, "--set", "vision.scale=0.1",
+            "--out-dir", str(tmp_path),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "vision.scale=0.1" in err and "diameter_um=400.0" in err
+        assert "expected_diameter_px" not in err
+
     def test_too_many_elements_is_config_error(self, tmp_path, capsys):
         rc = run_cli(
             "simulate", "--batch", "1", "--set", "array.rows=100000",

@@ -282,7 +282,9 @@ class TestTrackingWindow:
         for camera, particle, window in renders:
             d = particle.diameter_um * camera.pixel_scale
             assert window == tracking_window(camera.image_size, project(camera, particle.position), d)
-            assert window.c1 - window.c0 <= 64 and window.r1 - window.r0 <= 64
+            # one diameter of slack: 2 x (16 + 7) px, plus rounding and the
+            # origin's snap to the 3 px stride
+            assert window.c1 - window.c0 <= 50 and window.r1 - window.r0 <= 50
 
 
 class TestBatches:

@@ -510,6 +510,110 @@ class TestKernelsMatchReferences:
         assert _largest_blob(_TIED)[0, 5] and not _largest_blob(_TIED)[3, 0]
 
 
+# The former numpy kernels, kept as slow references for the summed-area
+# table that ``_binarize`` pads in place and the counts ``_best_window``
+# reads at the stride grid: edges padded by two ``take`` copies, and every
+# window's box sum built before the candidates are picked out.
+
+
+def _box_sums_full(a, n):
+    h, w = a.shape
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+    sat[1:, 1:] = a
+    np.cumsum(np.cumsum(sat, axis=0, out=sat), axis=1, out=sat)
+    return sat[n:, n:] - sat[:-n, n:] - sat[n:, :-n] + sat[:-n, :-n]
+
+
+def _binarize_take(diff, expected_diameter_px, offset):
+    n = _binarize_window(expected_diameter_px)
+    r = n // 2
+    h, w = diff.shape
+    rows = np.clip(np.arange(-r, h + r), 0, h - 1)
+    cols = np.clip(np.arange(-r, w + r), 0, w - 1)
+    sums = _box_sums_full(diff.take(rows, axis=0).take(cols, axis=1), n)
+    return (diff - offset) * (n * n) > sums
+
+
+def _best_window_full(fg, expected_diameter_px, min_fraction):
+    h, w = fg.shape
+    size = min(max(_patch_half(expected_diameter_px), 3), h, w)
+    stride = _stride(expected_diameter_px)
+    rows = list(range(0, h - size + 1, stride))
+    cols = list(range(0, w - size + 1, stride))
+    if rows[-1] != h - size:
+        rows.append(h - size)
+    if cols[-1] != w - size:
+        cols.append(w - size)
+    counts = _box_sums_full(fg, size)[np.array(rows)[:, None], cols]
+    best = np.unravel_index(int(np.argmax(counts)), counts.shape)
+    if counts[best] < _area_floor(expected_diameter_px, min_fraction):
+        return None
+    return rows[best[0]], cols[best[1]], size
+
+
+def _seeded_crops(cam, rng):
+    """Crops of ``cam``'s sensor around particles: tracking windows clipped
+    at each sensor edge and one inside, and 7 to 12 px windows, narrower
+    than the 13 px binarization window, around the particle."""
+    w, h = cam.image_size
+    inside = rng.uniform([60.0, 60.0], [w - 60.0, h - 60.0])
+    edges = [(rng.uniform(-2.0, 6.0), inside[1]), (inside[0], rng.uniform(-2.0, 6.0))]
+    edges += [(w - rng.uniform(-2.0, 6.0), inside[1]), (inside[0], h - rng.uniform(-2.0, 6.0))]
+    for uv in [tuple(inside)] + edges:
+        particle = _particle_at(cam, uv)
+        window = tracking_window(cam.image_size, uv, D_PX)
+        yield particle, window
+        cw, ch = (int(k) for k in rng.integers(7, 13, size=2))
+        c0 = min(max(int(uv[0]) - cw // 2, 0), w - cw)
+        r0 = min(max(int(uv[1]) - ch // 2, 0), h - ch)
+        yield particle, Window(c0, r0, c0 + cw, r0 + ch)
+
+
+def _same_observation(a, b):
+    if not (a.valid and b.valid):
+        return (a.valid, a.reason) == (b.valid, b.reason)
+    return (a.u, a.v, a.major_px, a.minor_px) == (b.u, b.v, b.major_px, b.minor_px)
+
+
+@pytest.mark.parametrize("background", ["flat", "gradient"])
+@pytest.mark.parametrize("sigma", [0.0, 5.0, 12.0])
+def test_extraction_matches_the_former_kernels(monkeypatch, sigma, background):
+    from acoustrap import vision
+
+    scene = Background(kind="gradient", level=170.0, du=25.0, dv=15.0) if background == "gradient" else Background()
+    cam = dataclasses.replace(CAM_H, noise_sigma=sigma, background=scene)
+    config = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    bg = background_image(cam)
+    recorded = np.rint(bg).astype(np.int16)
+    n = _binarize_window(D_PX)
+    offset = max(config.binarize_offset, 2.0 * sigma)
+    rng = np.random.default_rng(int(sigma) + 17 * (background == "gradient"))
+    cases = []
+    for seed in range(4):
+        for particle, window in _seeded_crops(cam, rng):
+            frame = render_frame(cam, particle, seed, window)
+            diff = np.abs(frame.pixels.astype(np.int16) - recorded[window.slices])
+            fg = _binarize(diff, D_PX, offset)
+            assert np.array_equal(fg, _binarize_take(diff, D_PX, offset)), window
+            # the crop's mask, and a random one of its shape: a miscounted
+            # corner seldom moves the pick on a mask with one dense disc
+            for mask in (fg, rng.random(fg.shape) < 0.3):
+                for fraction in (0.0, config.min_foreground_fraction):
+                    assert _best_window(mask, D_PX, fraction) == _best_window_full(mask, D_PX, fraction), window
+            cases.append((frame, window, extract_feature(frame, bg[window.slices], D_PX, config)))
+    w, h = cam.image_size
+    windows = [window for _, window, _ in cases]
+    assert any(min(win.c1 - win.c0, win.r1 - win.r0) < n for win in windows)
+    # crops clipped at the left, top, right and bottom sensor edges
+    assert all(map(any, zip(*[(c0 == 0, r0 == 0, c1 == w, r1 == h) for c0, r0, c1, r1 in windows])))
+    assert sum(obs.valid for _, _, obs in cases) >= len(cases) // 2
+    monkeypatch.setattr(vision, "_binarize", _binarize_take)
+    monkeypatch.setattr(vision, "_best_window", _best_window_full)
+    for frame, window, obs in cases:
+        slow = extract_feature(frame, bg[window.slices], D_PX, config)
+        assert _same_observation(obs, slow), (window, obs, slow)
+
+
 class TestSensorNoise:
     """The per-tile noise field against iid N(0, sigma^2) pixels."""
 
