@@ -48,7 +48,7 @@ from .control import (
     run_trap_loop,
     step_particle,
 )
-from .core import Contrast, ParticleState, Vec3, wavelength
+from .core import Contrast, ParticleState, Vec3, usable_cpus, wavelength
 from .errors import (
     AcoustrapError,
     CalibrationError,
@@ -86,6 +86,8 @@ MAX_BATCH_SCENARIOS = 10_000
 MAX_RENDER_FRAMES = 100
 MAX_IB_ITERATIONS = 10_000
 MAX_BENCH_REPEATS = 1_000
+# Scenarios in the batch that ``bench`` times at --jobs 1 and at every usable CPU.
+BENCH_BATCH_SCENARIOS = 8
 
 
 def _parse_vec3(text: str) -> Vec3:
@@ -556,6 +558,22 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         lambda: extract_feature(crop, bg[window.slices], expected_px, config.vision), args.repeats
     )
 
+    # one seeded batch of the closed loop, serial and on every usable CPU;
+    # the pool forks at its first batch and later repeats reuse it
+    world = TrapWorld.from_config(config)
+    batch = make_batch_scenarios(
+        config.workspace,
+        BENCH_BATCH_SCENARIOS,
+        args.seed,
+        pixel_noise_sigma=1.0,
+        dropout_prob=0.05,
+        fall_speed=config.control.fall_speed,
+        timing=config.timing,
+    )
+    nproc = usable_cpus()
+    batch_jobs1_ms = time_call(lambda: run_batch(batch, world, jobs=1), args.repeats)
+    batch_nproc_ms = time_call(lambda: run_batch(batch, world, jobs=nproc), args.repeats)
+
     report = {
         "elements": config.array.element_count,
         "repeats": args.repeats,
@@ -573,6 +591,8 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
         "frame_crop_ms": crop_ms,
         "extract_full_ms": extract_full_ms,
         "extract_crop_ms": extract_crop_ms,
+        "batch_jobs1_ms": batch_jobs1_ms,
+        "batch_jobs_nproc_ms": batch_nproc_ms,
     }
     (out / "bench.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _finish(args, config, ["bench.json"])
@@ -593,6 +613,9 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     print(f"{f'crop {window.c1 - window.c0}x{window.r1 - window.r0}':<28}{crop_ms:>12.3f}")
     print(f"{'extract full frame':<28}{extract_full_ms:>12.3f}")
     print(f"{'extract crop':<28}{extract_crop_ms:>12.3f}")
+    print(f"{f'batch of {len(batch)} scenarios':<28}{'median ms':>12}")
+    print(f"{'--jobs 1':<28}{batch_jobs1_ms:>12.3f}")
+    print(f"{f'--jobs {nproc} (usable CPUs)':<28}{batch_nproc_ms:>12.3f}")
     return 0
 
 
@@ -694,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     bench = sub.add_parser(
-        "bench", help="time the synthesis routes, the field kernel and the frame layer"
+        "bench", help="time the synthesis routes, the field kernel, the frame layer and a batch"
     )
     bench.add_argument("--repeats", type=_int_at_least(1), default=21)
     bench.add_argument("--ib-iterations", type=_int_at_least(1), default=200)

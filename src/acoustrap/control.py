@@ -29,13 +29,17 @@ byte-identical reports. Feature extraction draws no random numbers.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import math
+import os
+import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -59,6 +63,9 @@ from .vision import (
     tracking_window,
     window_holds,
 )
+
+if TYPE_CHECKING:  # imported when a pool is first needed: a serial run skips it
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class LoopState(Enum):
@@ -306,10 +313,11 @@ class _Attempt:
         observation counts only when that crop holds it (``window_holds``).
         """
         cam, background, expected_px = camera
-        window = tracking_window(cam.image_size, project(cam, self.particle.position), expected_px)
+        centre = project(cam, self.particle.position)
+        window = tracking_window(cam.image_size, centre, expected_px)
         if window is None:
             return None
-        frame = render_frame(cam, self.particle, seed, window)
+        frame = render_frame(cam, self.particle, seed, window, centre=centre)
         obs = extract_feature(frame, background[window.slices], expected_px, self.config.vision)
         return obs if window_holds(obs, window, cam.image_size, expected_px) else None
 
@@ -460,19 +468,91 @@ def run_batch(scenarios: Sequence[SimScenario], world: TrapWorld, jobs: int = 1)
     """Run scenarios on up to ``jobs`` worker processes; order is preserved.
 
     The pool never outnumbers the scenarios or the CPUs this process may use.
+    Its workers fork at the first pooled call and are reused by later calls
+    of the same worker count (``_worker_pool``), so module state changed
+    after that fork, for example by a test's monkeypatch, is not seen by
+    them. A scenario's exception reaches the caller and cancels the
+    scenarios not yet started; the pool stays. A worker that died breaks
+    the pool: ``BrokenProcessPool`` reaches the caller and the next call
+    forks a fresh pool. The workers end when the interpreter exits, and
+    within a second of this process being killed.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     scenarios = list(scenarios)
     workers = _pool_size(jobs, len(scenarios), usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        return BatchResult([run_trap_loop(s, world) for s in scenarios])
+    from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, [(s, world) for s in scenarios], chunksize=1))
-    else:
-        reports = [run_trap_loop(s, world) for s in scenarios]
+    # Four chunks per worker send fewer, larger messages than one scenario
+    # per task and still balance the load. map submits every chunk up front
+    # and, when a result raises, cancels the chunks that have not started.
+    tasks = [(s, world) for s in scenarios]
+    chunksize = max(1, len(tasks) // (4 * workers))
+    try:
+        reports = list(_worker_pool(workers).map(_run_one, tasks, chunksize=chunksize))
+    except BrokenProcessPool:
+        _close_pool()
+        raise
     return BatchResult(reports)
+
+
+# The process's worker pool and the lock that guards replacing it. One pool
+# lives at a time: it is shut down, its manager thread and workers joined,
+# before another forks, so no thread of this module is running at a fork.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.RLock()
+# How often a pool worker checks that the process that forked it is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide pool of ``workers`` worker processes, forked by its
+    first task. A pool of another size, or one broken by a dead worker, is
+    shut down and replaced. ``concurrent.futures`` joins the workers when
+    the interpreter exits; a worker whose parent was killed exits by
+    itself (``_end_with_parent``)."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        # _broken is set by the pool's manager thread when a worker dies
+        if _pool is not None and (_pool_workers != workers or _pool._broken):
+            _close_pool()
+        if _pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            _pool = ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent, initargs=(os.getpid(),))
+            _pool_workers = workers
+        return _pool
+
+
+def _end_with_parent(parent: int) -> None:
+    """Pool worker initializer: exit once ``parent`` has gone. A parent
+    that exits normally joins its workers; one killed by a signal cannot,
+    and its idle workers would wait for tasks forever."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="acoustrap-parent-watch", daemon=True).start()
+
+
+def _close_pool() -> None:
+    """Shut the cached pool down, joining its manager thread and workers."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
+# By the time atexit hooks run, concurrent.futures has joined the workers;
+# dropping the pool here, before modules are torn down, lets its collection
+# callback run while multiprocessing is still importable.
+atexit.register(_close_pool)
 
 
 def _pool_size(jobs: int, tasks: int, cpus: int) -> int:

@@ -732,6 +732,8 @@ class TestBenchCommand:
             assert doc[key] > 0.0
         for key in ("frame_full_ms", "frame_crop_ms", "extract_full_ms", "extract_crop_ms"):
             assert doc[key] > 0.0
+        for key in ("batch_jobs1_ms", "batch_jobs_nproc_ms"):
+            assert doc[key] > 0.0
         out_text = capsys.readouterr().out
         assert "synthesis route" in out_text and "frame layer (noise sigma 0)" in out_text
         assert "field kernel (961 points)" in out_text

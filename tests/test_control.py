@@ -1,10 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from acoustrap import control
 from acoustrap.config import Background, ControlConfig, SimulatorConfig, TrapConfig, VisionConfig, WorkspaceConfig
 from acoustrap.control import (
     LoopState,
@@ -262,9 +269,11 @@ class TestTrackingWindow:
         world = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(noise_sigma=sigma)))
         renders = []
 
-        def recording_render(camera, particle, seed, window=None):
+        def recording_render(camera, particle, seed, window=None, *, centre=None):
+            # the loop projects the particle once, for both its crop and its disc
+            assert centre == project(camera, particle.position)
             renders.append((camera, particle, window))
-            return render_frame(camera, particle, seed, window)
+            return render_frame(camera, particle, seed, window, centre=centre)
 
         monkeypatch.setattr(control, "render_frame", recording_render)
         scenarios = [SimScenario(particle=falling_particle(), seed=7)] + make_batch_scenarios(
@@ -370,6 +379,143 @@ class TestBatches:
         assert sum(v > 0 for v in inversions) <= 1
         assert max(inversions) <= 0.02
         assert rates[0] > rates[-1]
+
+
+def _pid_after_pause() -> int:
+    # long enough that each idle worker takes one of the tasks submitted
+    time.sleep(0.2)
+    return os.getpid()
+
+
+def _worker_pids(workers: int) -> set[int]:
+    """The pids of the ``workers`` processes of the current pool."""
+    pool = control._worker_pool(workers)
+    return {f.result(timeout=60) for f in [pool.submit(_pid_after_pause) for _ in range(workers)]}
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie left to an init that does not
+    reap counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _within(seconds: float, condition) -> bool:
+    """Poll ``condition`` until it holds or ``seconds`` have passed."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def _all_gone(pids) -> bool:
+    return _within(5.0, lambda: not any(_alive(pid) for pid in pids))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+class TestWorkerPool:
+    """run_batch keeps one worker pool across calls."""
+
+    @pytest.fixture
+    def scenarios(self, config):
+        return make_batch_scenarios(config.workspace, 4, base_seed=99, pixel_noise_sigma=1.0, dropout_prob=0.05)
+
+    @pytest.fixture
+    def serial(self, scenarios, world):
+        return [r.to_json() for r in run_batch(scenarios, world, jobs=1).reports]
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        # pool on any machine; the workers never read this
+        monkeypatch.setattr(control, "usable_cpus", lambda: 3)
+
+    def test_consecutive_batches_reuse_the_workers(self, scenarios, world, serial):
+        assert [r.to_json() for r in run_batch(scenarios, world, jobs=2).reports] == serial
+        pool, pids = control._worker_pool(2), _worker_pids(2)
+        assert len(pids) == 2
+        assert [r.to_json() for r in run_batch(scenarios, world, jobs=2).reports] == serial
+        assert control._worker_pool(2) is pool
+        assert _worker_pids(2) == pids
+
+    def test_another_worker_count_replaces_the_pool(self, scenarios, world, serial):
+        run_batch(scenarios, world, jobs=2)
+        old = _worker_pids(2)
+        assert [r.to_json() for r in run_batch(scenarios, world, jobs=3).reports] == serial
+        assert _all_gone(old)
+        new = _worker_pids(3)
+        assert len(new) == 3 and not new & old
+
+    def test_killed_worker_is_replaced_by_a_fresh_pool(self, scenarios, world, serial):
+        run_batch(scenarios, world, jobs=2)
+        pool, pids = control._worker_pool(2), _worker_pids(2)
+        victim = min(pids)
+        os.kill(victim, signal.SIGKILL)
+        # the pool's manager thread reaps the worker after marking the pool broken
+        assert _within(5.0, lambda: not os.path.exists(f"/proc/{victim}"))
+        assert [r.to_json() for r in run_batch(scenarios, world, jobs=2).reports] == serial
+        assert control._worker_pool(2) is not pool
+        assert not _worker_pids(2) & pids
+
+    def test_worker_error_reaches_the_caller_and_keeps_the_pool(self, scenarios, world, serial):
+        run_batch(scenarios, world, jobs=2)
+        pool, pids = control._worker_pool(2), _worker_pids(2)
+        tiny = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(scale=0.1)))
+        with pytest.raises(ConfigurationError, match="vision.scale=0.1"):
+            run_batch(scenarios, tiny, jobs=2)
+        assert [r.to_json() for r in run_batch(scenarios, world, jobs=2).reports] == serial
+        assert control._worker_pool(2) is pool
+        assert _worker_pids(2) == pids
+
+
+_EXIT_SCRIPT = """
+import os, time
+from acoustrap import control
+from acoustrap.config import SimulatorConfig
+
+
+def pid_after_pause():
+    time.sleep(0.2)
+    return os.getpid()
+
+
+control.usable_cpus = lambda: 2
+config = SimulatorConfig()
+scenarios = control.make_batch_scenarios(config.workspace, 2, base_seed=1, timing=config.timing)
+control.run_batch(scenarios, control.TrapWorld.from_config(config), jobs=2)
+pool = control._worker_pool(2)
+print(*{f.result(timeout=60) for f in [pool.submit(pid_after_pause) for _ in range(2)]})
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+@pytest.mark.parametrize(
+    "ending,returncode",
+    [("", 0), ("import signal, sys; sys.stdout.flush(); os.kill(os.getpid(), signal.SIGKILL)", -signal.SIGKILL)],
+    ids=["exits", "killed"],
+)
+def test_pool_workers_end_with_the_interpreter(tmp_path, ending, returncode):
+    # the output goes to files: a worker left alive would hold a pipe open
+    src = Path(control.__file__).resolve().parents[1]
+    out, err = tmp_path / "pids", tmp_path / "stderr"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXIT_SCRIPT + ending],
+            stdout=stdout, stderr=stderr, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    assert proc.returncode == returncode, err.read_text()
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == 2
+    try:
+        assert _all_gone(pids)
+    finally:
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 # sha256 of the newline-joined ``to_json()`` lines of the golden reports;
