@@ -313,11 +313,10 @@ class _Attempt:
         observation counts only when that crop holds it (``window_holds``).
         """
         cam, background, expected_px = camera
-        centre = project(cam, self.particle.position)
-        window = tracking_window(cam.image_size, centre, expected_px)
+        window = tracking_window(cam.image_size, project(cam, self.particle.position), expected_px)
         if window is None:
             return None
-        frame = render_frame(cam, self.particle, seed, window, centre=centre)
+        frame = render_frame(cam, self.particle, seed, window)
         obs = extract_feature(frame, background[window.slices], expected_px, self.config.vision)
         return obs if window_holds(obs, window, cam.image_size, expected_px) else None
 
@@ -472,10 +471,12 @@ def run_batch(scenarios: Sequence[SimScenario], world: TrapWorld, jobs: int = 1)
     of the same worker count (``_worker_pool``), so module state changed
     after that fork, for example by a test's monkeypatch, is not seen by
     them. A scenario's exception reaches the caller and cancels the
-    scenarios not yet started; the pool stays. A worker that died breaks
-    the pool: ``BrokenProcessPool`` reaches the caller and the next call
-    forks a fresh pool. The workers end when the interpreter exits, and
-    within a second of this process being killed.
+    scenarios not yet started; the pool stays. A worker that dies during
+    the call breaks the pool: ``BrokenProcessPool`` reaches the caller and
+    the pool is dropped. One that died between calls is found when the next
+    batch is submitted, and that batch runs on a fresh pool. The workers
+    end when the interpreter exits, and within a second of this process
+    being killed.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -486,23 +487,28 @@ def run_batch(scenarios: Sequence[SimScenario], world: TrapWorld, jobs: int = 1)
     from concurrent.futures.process import BrokenProcessPool
 
     # Four chunks per worker send fewer, larger messages than one scenario
-    # per task and still balance the load. map submits every chunk up front
-    # and, when a result raises, cancels the chunks that have not started.
+    # per task and still balance the load.
     tasks = [(s, world) for s in scenarios]
     chunksize = max(1, len(tasks) // (4 * workers))
     try:
-        reports = list(_worker_pool(workers).map(_run_one, tasks, chunksize=chunksize))
+        # map submits every chunk before it returns, so a pool that a worker
+        # death broke while it sat idle raises here, and the batch reruns
+        # on a fresh pool
+        results = _worker_pool(workers).map(_run_one, tasks, chunksize=chunksize)
+    except BrokenProcessPool:
+        _close_pool()
+        results = _worker_pool(workers).map(_run_one, tasks, chunksize=chunksize)
+    try:
+        return BatchResult(list(results))
     except BrokenProcessPool:
         _close_pool()
         raise
-    return BatchResult(reports)
 
 
-# The process's worker pool and the lock that guards replacing it. One pool
-# lives at a time: it is shut down, its manager thread and workers joined,
-# before another forks, so no thread of this module is running at a fork.
-_pool: ProcessPoolExecutor | None = None
-_pool_workers = 0
+# The process's worker pool, as (worker count, executor), and the lock that
+# guards replacing it. One pool lives at a time: it is shut down, its
+# manager thread and workers joined, before another forks.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
 _pool_lock = threading.RLock()
 # How often a pool worker checks that the process that forked it is alive.
 _PARENT_POLL_S = 0.5
@@ -510,21 +516,28 @@ _PARENT_POLL_S = 0.5
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """The process-wide pool of ``workers`` worker processes, forked by its
-    first task. A pool of another size, or one broken by a dead worker, is
-    shut down and replaced. ``concurrent.futures`` joins the workers when
-    the interpreter exits; a worker whose parent was killed exits by
-    itself (``_end_with_parent``)."""
-    global _pool, _pool_workers
+    first task; a pool of another size is shut down and replaced. Workers
+    fork wherever the platform can, whatever the interpreter's default
+    start method, so they start with this process's state and it is their
+    parent. ``concurrent.futures`` joins them when the interpreter exits; a
+    worker whose parent was killed exits by itself (``_end_with_parent``)."""
+    global _pool
     with _pool_lock:
-        # _broken is set by the pool's manager thread when a worker dies
-        if _pool is not None and (_pool_workers != workers or _pool._broken):
+        if _pool is not None and _pool[0] != workers:
             _close_pool()
         if _pool is None:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            _pool = ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent, initargs=(os.getpid(),))
-            _pool_workers = workers
-        return _pool
+            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+            executor = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context(method),
+                initializer=_end_with_parent,
+                initargs=(os.getpid(),),
+            )
+            _pool = (workers, executor)
+        return _pool[1]
 
 
 def _end_with_parent(parent: int) -> None:
@@ -546,12 +559,13 @@ def _close_pool() -> None:
     with _pool_lock:
         pool, _pool = _pool, None
         if pool is not None:
-            pool.shutdown(wait=True)
+            pool[1].shutdown(wait=True)
 
 
-# By the time atexit hooks run, concurrent.futures has joined the workers;
-# dropping the pool here, before modules are torn down, lets its collection
-# callback run while multiprocessing is still importable.
+# By the time atexit hooks run, concurrent.futures has joined the workers.
+# Dropping the pool here, before module teardown, lets the executor's
+# collection callback run while multiprocessing is still importable; left
+# to teardown, it prints an ignored AttributeError at exit.
 atexit.register(_close_pool)
 
 

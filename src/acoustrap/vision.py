@@ -221,8 +221,6 @@ def render_frame(
     particle: ParticleState,
     seed: int,
     window: Window | None = None,
-    *,
-    centre: tuple[float, float] | None = None,
 ) -> ImageFrame:
     """Render the particle as an anti-aliased dark disc.
 
@@ -231,9 +229,7 @@ def render_frame(
     crossing the image border is rendered partially. With a
     ``window`` only that crop of the sensor is drawn, noise included
     (``_sensor_noise``), and its pixels equal the same slice of the full
-    frame: the float image is rounded once, pixel by pixel. A caller that
-    has already projected the particle passes that projection as
-    ``centre``; it must equal ``project(camera, particle.position)``.
+    frame: the float image is rounded once, pixel by pixel.
     """
     w, h = camera.image_size
     if window is None:
@@ -241,7 +237,7 @@ def render_frame(
     elif not (0 <= window.c0 < window.c1 <= w and 0 <= window.r0 < window.r1 <= h):
         raise ConfigurationError(f"render window {window} does not fit the {w}x{h} sensor")
     img = background_image(camera)[window.slices].copy()
-    u0, v0 = project(camera, particle.position) if centre is None else centre
+    u0, v0 = project(camera, particle.position)
     radius = particle.diameter_um * camera.pixel_scale / 2.0
     c0 = max(int(math.floor(u0 - radius)) - 2, window.c0)
     r0 = max(int(math.floor(v0 - radius)) - 2, window.r0)

@@ -269,11 +269,9 @@ class TestTrackingWindow:
         world = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(noise_sigma=sigma)))
         renders = []
 
-        def recording_render(camera, particle, seed, window=None, *, centre=None):
-            # the loop projects the particle once, for both its crop and its disc
-            assert centre == project(camera, particle.position)
+        def recording_render(camera, particle, seed, window=None):
             renders.append((camera, particle, window))
-            return render_frame(camera, particle, seed, window, centre=centre)
+            return render_frame(camera, particle, seed, window)
 
         monkeypatch.setattr(control, "render_frame", recording_render)
         scenarios = [SimScenario(particle=falling_particle(), seed=7)] + make_batch_scenarios(
@@ -472,8 +470,11 @@ class TestWorkerPool:
         assert _worker_pids(2) == pids
 
 
+# The child's default start method is forkserver, the default of Python 3.14
+# on Linux: the pool forks its workers all the same, and they stay alive
+# while the child runs.
 _EXIT_SCRIPT = """
-import os, time
+import multiprocessing, os, time
 from acoustrap import control
 from acoustrap.config import SimulatorConfig
 
@@ -483,6 +484,7 @@ def pid_after_pause():
     return os.getpid()
 
 
+multiprocessing.set_start_method("forkserver")
 control.usable_cpus = lambda: 2
 config = SimulatorConfig()
 scenarios = control.make_batch_scenarios(config.workspace, 2, base_seed=1, timing=config.timing)
