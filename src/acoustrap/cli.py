@@ -303,7 +303,6 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         return 0 if obs.valid else 4
 
     cam_h, cam_v = build_camera_pair(config.vision)
-    rng = np.random.default_rng(args.seed)
     particle = ParticleState(
         args.position,
         args.velocity if args.velocity else Vec3(0.0, 0.0, 0.0),
@@ -319,12 +318,12 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         raise GeometryError(
             f"the particle leaves the tank: frame 0 at {start}, frame {args.frames - 1} at {end}"
         )
-    cameras = {"h": cam_h, "v": cam_v} if args.camera == "both" else (
-        {"h": cam_h} if args.camera == "h" else {"v": cam_v}
-    )
+    # frame k of camera c is keyed (seed, k, c), whatever --camera selects
+    cameras = {"h": (0, cam_h), "v": (1, cam_v)}
     outputs = []
     records = []
-    for label, cam in cameras.items():
+    for label in "hv" if args.camera == "both" else args.camera:
+        c, cam = cameras[label]
         bg = background_image(cam)
         bg_name = f"background_{label}.pgm"
         save_pgm(out / bg_name, np.clip(np.rint(bg), 0, 255).astype(np.uint8))
@@ -332,7 +331,7 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         for k in range(args.frames):
             t = k / config.timing.camera_fps
             state = step_particle(particle, t)
-            frame = render_frame(cam, state, int(rng.integers(2**63)))
+            frame = render_frame(cam, state, (args.seed, k, c))
             name = f"frame_{label}_{k:03d}.pgm"
             save_pgm(out / name, frame.pixels)
             outputs.append(name)

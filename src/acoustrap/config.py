@@ -91,10 +91,10 @@ class VisionConfig:
             )
         if self.noise_sigma < 0:
             raise ConfigurationError(f"vision.noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not (0.0 <= self.particle_level <= 255.0):
-            raise ConfigurationError(
-                f"vision.particle_level must be within [0, 255], got {self.particle_level}"
-            )
+        # gray levels; an offset past 255 either way makes the binarization threshold constant
+        for name, lo in (("particle_level", 0.0), ("binarize_offset", -255.0)):
+            if not (lo <= getattr(self, name) <= 255.0):
+                raise ConfigurationError(f"vision.{name} must be within [{lo:g}, 255], got {getattr(self, name)}")
         if not (0.0 < self.min_foreground_fraction <= 1.0):  # also rejects NaN
             raise ConfigurationError(
                 "vision.min_foreground_fraction must be within (0, 1], got "

@@ -21,10 +21,11 @@ velocity is zeroed. No hologram is synthesized: ``TrapWorld`` checks once,
 when it is built, that a focus and a cage hologram exist for every point
 of the workspace, and every dispatched trap lies in it.
 
-Determinism: every random draw (render noise, pixel jitter, dropouts)
-comes from streams spawned off the scenario seed, and consumption per
-tick is fixed regardless of outcomes, so a scenario always reproduces
-byte-identical reports. Feature extraction draws no random numbers.
+Determinism: tick k's frame on camera c (h 0, v 1) draws its noise from
+the key (scenario seed, 0, k, c) alone (``render_frame``). Jitter and
+dropouts come from streams keyed (seed, 2) and (seed, 3), drawn a fixed
+amount per acquiring tick, so a scenario reproduces byte-identical
+reports. Feature extraction draws no random numbers.
 """
 
 from __future__ import annotations
@@ -241,12 +242,8 @@ class _Attempt:
                 f" wide at vision.scale={self.config.vision.scale}; extraction needs more than 3 px,"
                 " so raise vision.scale or the diameter"
             )
-        # streams[1] is unused; the render, jitter and dropout streams keep
-        # their indices so each seed's draws stay fixed.
-        streams = np.random.SeedSequence(scenario.seed).spawn(5)
-        self.render_seeds, self.jitter_rng, self.dropout_rng = (
-            np.random.default_rng(streams[i]) for i in (0, 2, 3)
-        )
+        keys = (np.random.SeedSequence(scenario.seed, spawn_key=(i,)) for i in (2, 3))
+        self.jitter_rng, self.dropout_rng = map(np.random.default_rng, keys)
         self.particle = scenario.particle
         self.state = LoopState.ACQUIRING
         self.reason: str | None = None
@@ -284,19 +281,17 @@ class _Attempt:
             self.pinned = True
         return contained
 
-    def acquire(self, t: float) -> tuple:
-        """Observe on both cameras and localize; returns (observed_h,
+    def acquire(self, k: int, t: float) -> tuple:
+        """Observe tick ``k`` on both cameras and localize; returns (observed_h,
         observed_v, localized) and dispatches once the track is confirmed."""
         if not self.config.workspace.contains(self.particle.position):
             self.to(LoopState.FAILED, "detection_starvation")
             return None, None, None
-        # Fixed per-tick stream consumption keeps runs reproducible.
-        seeds = [int(self.render_seeds.integers(2**63)) for _ in self.cameras]
         jitter = self.jitter_rng.normal(0.0, self.scenario.pixel_noise_sigma, size=(2, 2))
         dropped = [self.dropout_rng.uniform() < self.scenario.dropout_prob for _ in self.cameras]
         observed = []
-        for camera, seed, drop, (du, dv) in zip(self.cameras, seeds, dropped, jitter):
-            obs = None if drop else self.observe(camera, seed)
+        for c, (camera, drop, (du, dv)) in enumerate(zip(self.cameras, dropped, jitter)):
+            obs = None if drop else self.observe(camera, (self.scenario.seed, 0, k, c))
             observed.append(None if obs is None else (obs.u + du, obs.v + dv))
         if None in observed:
             return observed[0], observed[1], None
@@ -306,7 +301,7 @@ class _Attempt:
             self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)
         return observed[0], observed[1], _as_tuple(loc)
 
-    def observe(self, camera: tuple, seed: int) -> FeatureObservation | None:
+    def observe(self, camera: tuple, key: tuple[int, ...]) -> FeatureObservation | None:
         """Render one camera and extract the particle; None for a miss.
         Only a crop is rendered and searched: the tracking window around
         the particle's projection, where the frame draws its disc. The
@@ -316,7 +311,7 @@ class _Attempt:
         window = tracking_window(cam.image_size, project(cam, self.particle.position), expected_px)
         if window is None:
             return None
-        frame = render_frame(cam, self.particle, seed, window)
+        frame = render_frame(cam, self.particle, key, window)
         obs = extract_feature(frame, background[window.slices], expected_px, self.config.vision)
         return obs if window_holds(obs, window, cam.image_size, expected_px) else None
 
@@ -358,7 +353,7 @@ def run_trap_loop(scenario: SimScenario, world: TrapWorld) -> TrapReport:
         run.advance(t)
         observed, contained = (None, None, None), None
         if run.state is LoopState.ACQUIRING:
-            observed = run.acquire(t)
+            observed = run.acquire(k, t)
         elif run.state is LoopState.VERIFYING:
             contained = run.verify(t)
         frames.append(

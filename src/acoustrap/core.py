@@ -201,6 +201,10 @@ def wavelength(medium: MediumConfig, array: TransducerArray) -> float:
     return lam
 
 
+# Longest accepted t_dip or t_trans, s; the prediction overflows far past it.
+MAX_LATENCY_S = 60.0
+
+
 @dataclass(frozen=True)
 class TimingConfig:
     """Latency and cadence constants of the pipeline.
@@ -223,10 +227,9 @@ class TimingConfig:
     poh_update_fps: float = 11.0
 
     def __post_init__(self) -> None:
-        if self.t_dip < 0:
-            raise ConfigurationError(f"timing.t_dip must be >= 0, got {self.t_dip}")
-        if self.t_trans < 0:
-            raise ConfigurationError(f"timing.t_trans must be >= 0, got {self.t_trans}")
+        for name, value in (("t_dip", self.t_dip), ("t_trans", self.t_trans)):
+            if not 0 <= value <= MAX_LATENCY_S:
+                raise ConfigurationError(f"timing.{name} must be within [0, {MAX_LATENCY_S:g}] s, got {value}")
         if self.camera_fps <= 0:
             raise ConfigurationError(f"timing.camera_fps must be > 0, got {self.camera_fps}")
         if self.poh_update_fps <= 0:

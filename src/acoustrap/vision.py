@@ -196,19 +196,21 @@ def background_image(camera: CameraModel) -> np.ndarray:
 _TILE = 64
 
 
-def _sensor_noise(sigma: float, seed: int, window: Window) -> np.ndarray:
+def _sensor_noise(sigma: float, seed: int | tuple[int, ...], window: Window) -> np.ndarray:
     """Sensor noise over ``window``: iid N(0, sigma^2) pixels.
 
-    Tile (i, j) draws its pixels from ``SeedSequence(seed, spawn_key=(i,
-    j))`` in full, past the sensor edge too, so a window draws only the
-    tiles it covers and equals the same slice of the full sensor's noise.
+    ``seed`` is the frame's noise key: the entropy, then the frame's name
+    (an int S is the key (S,)). Tile (i, j) draws from ``SeedSequence(key[0],
+    spawn_key=(*key[1:], i, j))`` in full, past the sensor edge, so a window
+    draws only the tiles it covers and equals that slice of the full noise.
     """
+    entropy, *name = seed if isinstance(seed, tuple) else (seed,)
     i0, j0 = window.r0 // _TILE, window.c0 // _TILE
     i1, j1 = -(-window.r1 // _TILE), -(-window.c1 // _TILE)
     z = np.empty(((i1 - i0) * _TILE, (j1 - j0) * _TILE))
     for i in range(i0, i1):
         for j in range(j0, j1):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, j)))
+            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(*name, i, j)))
             r, c = (i - i0) * _TILE, (j - j0) * _TILE
             z[r : r + _TILE, c : c + _TILE] = rng.standard_normal((_TILE, _TILE))
     z *= sigma
@@ -219,17 +221,17 @@ def _sensor_noise(sigma: float, seed: int, window: Window) -> np.ndarray:
 def render_frame(
     camera: CameraModel,
     particle: ParticleState,
-    seed: int,
+    seed: int | tuple[int, ...],
     window: Window | None = None,
 ) -> ImageFrame:
     """Render the particle as an anti-aliased dark disc.
 
     The disc is centred on the particle's projection, with a radius of
     the particle diameter times the camera's pixel scale, over two; one
-    crossing the image border is rendered partially. With a
-    ``window`` only that crop of the sensor is drawn, noise included
-    (``_sensor_noise``), and its pixels equal the same slice of the full
-    frame: the float image is rounded once, pixel by pixel.
+    crossing the image border is rendered partially. ``seed`` keys the
+    noise (``_sensor_noise``). With a ``window`` only that crop of the
+    sensor is drawn, noise included, and its pixels equal the same slice
+    of the full frame: the float image is rounded once, pixel by pixel.
     """
     w, h = camera.image_size
     if window is None:

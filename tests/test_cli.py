@@ -319,6 +319,23 @@ class TestVisionCommand:
         assert abs(obs["u"] - match["u"]) < 0.5
         assert abs(obs["v"] - match["v"]) < 0.5
 
+    def test_noisy_frames_do_not_depend_on_the_other_camera(self, tmp_path):
+        # frame k of camera c draws its noise from the key (seed, k, c)
+        frames = {}
+        for camera in ("v", "both"):
+            out = tmp_path / camera
+            rc = run_cli(
+                "vision", "render", "--position", "25,25,40", "--frames", "2", "--camera", camera,
+                "--seed", "3", "--set", "vision.noise_sigma=5", "--out-dir", str(out),
+            )
+            assert rc == 0
+            frames[camera] = {p.name: p.read_bytes() for p in out.glob("frame_v_*.pgm")}
+        assert sorted(frames["v"]) == ["frame_v_000.pgm", "frame_v_001.pgm"]
+        assert frames["v"] == frames["both"]
+        # and the two cameras draw different noise over the flat background
+        h, v = (load_pgm(tmp_path / "both" / f"frame_{c}_000.pgm") for c in "hv")
+        assert not np.array_equal(h[:8], v[:8])
+
     def test_extract_empty_frame_exits_detection_code(self, tmp_path):
         out = tmp_path / "vis"
         run_cli(
@@ -542,6 +559,24 @@ class TestSimulateCommand:
         )
         assert rc == 2
         assert "array.pitch" in capsys.readouterr().err
+
+        # past [-255, 255] the binarization threshold is constant; 1e308
+        # used to overflow with a RuntimeWarning and exit 0
+        for command in (("simulate", "--batch", "2"), ("vision", "render", "--position", "25,25,40")):
+            for offset in ("1e308", "-1e308"):
+                rc = run_cli(*command, "--set", f"vision.binarize_offset={offset}", "--out-dir", str(tmp_path))
+                assert rc == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and "vision.binarize_offset must be within [-255, 255]" in err
+
+    @pytest.mark.parametrize("field", ["timing.t_dip", "timing.t_trans"])
+    def test_oversized_latency_names_its_field(self, tmp_path, capsys, field):
+        # it used to overflow the prediction and name a non-finite Vec3.z
+        rc = run_cli("simulate", "--batch", "1", "--set", f"{field}=1e308", "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{field} must be within [0, 60] s, got 1e+308" in err
 
     @pytest.mark.parametrize(
         "override",

@@ -154,6 +154,11 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="vision.min_foreground_fraction"):
                 VisionConfig(min_foreground_fraction=fraction)
         assert VisionConfig(min_foreground_fraction=1.0).min_foreground_fraction == 1.0
+        for offset in (-255.5, 255.5, 1e308, -1e308):
+            with pytest.raises(ConfigurationError, match="vision.binarize_offset must be within"):
+                VisionConfig(binarize_offset=offset)
+        assert VisionConfig(binarize_offset=-255.0).binarize_offset == -255.0
+        assert VisionConfig(binarize_offset=255.0).binarize_offset == 255.0
 
     def test_background_kind(self):
         with pytest.raises(ConfigurationError):

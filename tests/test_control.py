@@ -246,19 +246,20 @@ class TestFailureModes:
         TrapWorld.from_config(dataclasses.replace(tiny, trap=TrapConfig(octahedron_diameter=0.0)))
 
 
-def _undropped_cameras(scenario: SimScenario, report) -> int:
-    """Cameras not dropped over the ticks that acquire, replayed from the
-    scenario's dropout stream (spawned child 3, two draws per such tick).
-    A tick that finds the particle outside the workspace draws nothing."""
-    dropout = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(5)[3])
-    count, state = 0, "acquiring"
+def _undropped_cameras(scenario: SimScenario, report) -> list[tuple[int, int]]:
+    """(tick, camera) of every camera not dropped on a tick that acquires,
+    replayed from the scenario's dropout stream (keyed (seed, 3), two draws
+    per such tick). A tick that finds the particle outside the workspace
+    draws nothing."""
+    dropout = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(3,)))
+    undropped, state = [], "acquiring"
     for k, frame in enumerate(report.frames):
         last = k == len(report.frames) - 1
         starved = last and frame.state == "failed" and report.failure_reason == "detection_starvation"
         if state == "acquiring" and not starved:
-            count += sum(dropout.uniform() >= scenario.dropout_prob for _ in range(2))
+            undropped += [(k, c) for c in range(2) if dropout.uniform() >= scenario.dropout_prob]
         state = frame.state
-    return count
+    return undropped
 
 
 class TestTrackingWindow:
@@ -284,7 +285,7 @@ class TestTrackingWindow:
 
         # exactly one crop per acquiring tick and undropped camera: the
         # tracking window around the projection, and never a full frame
-        expected = sum(_undropped_cameras(s, r) for s, r in zip(scenarios, reports))
+        expected = sum(len(_undropped_cameras(s, r)) for s, r in zip(scenarios, reports))
         assert len(renders) == expected > 8
         for camera, particle, window in renders:
             d = particle.diameter_um * camera.pixel_scale
@@ -292,6 +293,39 @@ class TestTrackingWindow:
             # one diameter of slack: 2 x (16 + 7) px, plus rounding and the
             # origin's snap to the 3 px stride
             assert window.c1 - window.c0 <= 50 and window.r1 - window.r0 <= 50
+
+    def test_noisy_frames_render_again_from_the_report(self, monkeypatch):
+        # tick k's frame on camera c is a function of (seed, 0, k, c), the
+        # particle the report logs at tick k and the scenario's particle
+        from acoustrap import control
+
+        world = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(noise_sigma=5.0)))
+        renders = []
+
+        def recording_render(camera, particle, seed, window=None):
+            frame = render_frame(camera, particle, seed, window)
+            renders.append((camera, window, frame))
+            return frame
+
+        monkeypatch.setattr(control, "render_frame", recording_render)
+        scenarios = make_batch_scenarios(
+            world.config.workspace, 4, base_seed=11, pixel_noise_sigma=1.0, dropout_prob=0.2
+        ) + make_batch_scenarios(world.config.workspace, 2, base_seed=12, contrast=Contrast.NEGATIVE)
+        checked = 0
+        for scenario in scenarios:
+            renders.clear()
+            report = run_trap_loop(scenario, world)
+            ticks = _undropped_cameras(scenario, report)
+            assert len(renders) == len(ticks) > 0
+            p = scenario.particle
+            for (camera, window, frame), (k, c) in zip(renders, ticks):
+                assert camera is world.cameras[c]
+                particle = ParticleState(Vec3(*report.frames[k].particle), p.velocity, p.diameter_um, p.contrast)
+                again = render_frame(camera, particle, (scenario.seed, 0, k, c), window)
+                assert again.origin == frame.origin
+                assert np.array_equal(again.pixels, frame.pixels)
+                checked += 1
+        assert checked > 30
 
 
 class TestBatches:
@@ -527,12 +561,12 @@ def test_pool_workers_end_with_the_interpreter(tmp_path, ending, returncode):
 # trap_geometry outcome became a check on the trap world, over the same
 # 16 reports as before: no report byte moved.
 # The noisy pin covers the same batch at ``vision.noise_sigma=5``; it was
-# last re-recorded when each 64 px sensor tile came to draw its noise from
-# a stream of its own, which changed every noisy pixel: the observed
-# pixels, localizations, trap positions and deviations all moved, and one
-# start position, at 0.328 mm against 0.322 mm, left the trap.
+# last re-recorded when each frame's noise came to be keyed on (scenario
+# seed, 0, tick, camera) in place of a drawn render seed, which changed
+# every noisy pixel: the observed pixels, localizations, trap positions
+# and deviations of all 12 reports moved, and the same 8 trapped.
 NOISE_FREE_DIGEST = "f1ee2f545a5f69997a4fda06a050decf2b6fbd84968209365264157bb546b9a1"
-NOISY_DIGEST = "610f96faffc671d8d7c112909092467fc299895cb59e05a972d768c495811986"
+NOISY_DIGEST = "3b7008a2afc41e5279dc37937159c11d21bcc892a56d446eb94c574f521756a3"
 
 
 def _digest(reports) -> str:
@@ -616,15 +650,18 @@ def test_noisy_reports_match_golden_digest():
 # sha256 of the reports of ten octahedral and ten focus scenarios, 1 px
 # jitter and 5% dropout. The gradient runs at sigma 5, so that its
 # binarization sees noise on a sloped background. A change that moves one
-# on purpose re-records it once and says which fields moved.
+# on purpose re-records it once and says which fields moved. The two noisy
+# pins were re-recorded with the frame-keyed noise: every report's observed
+# pixels, localizations, trap position and deviation moved (and at sigma 12
+# the tick a particle was caught), and 18 of 20 still trap in each.
 TRAFFIC = {
     "sigma_12": (
         VisionConfig(noise_sigma=12.0),
-        "dbc677befb5c86251ae54b05c35c07be0e438b606a71c23a4a093330c520b6d4",
+        "eaa0e3ffe25148e4988854626423be675656f50f426b3cf6aff4a59b5b8e68e3",
     ),
     "gradient": (
         VisionConfig(noise_sigma=5.0, background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0)),
-        "6a814bd7332d12477596f2403b72807c1fd1abddccdb2af3710715fcb597692f",
+        "e96aeb69eb29b176442d8f872a19eb50d363d8c0a20d59ffc2f0df470e1e3ea7",
     ),
     "scale_0.5": (
         VisionConfig(scale=0.5),

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acoustrap.core import (
+    MAX_LATENCY_S,
     MAX_PARTICLE_DIAMETER_UM,
     Contrast,
     MediumConfig,
@@ -121,6 +122,13 @@ class TestTimingConfig:
             TimingConfig(camera_fps=0.0)
         with pytest.raises(ConfigurationError):
             TimingConfig(t_dip=-0.1)
+
+    @pytest.mark.parametrize("field", ["t_dip", "t_trans"])
+    def test_latency_bounded(self, field):
+        assert getattr(TimingConfig(**{field: MAX_LATENCY_S}), field) == MAX_LATENCY_S
+        for value in (MAX_LATENCY_S * 1.01, 1e308, float("inf")):
+            with pytest.raises(ConfigurationError, match=f"timing.{field} must be within"):
+                TimingConfig(**{field: value})
 
 
 class TestParticleState:
