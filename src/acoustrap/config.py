@@ -89,10 +89,9 @@ class VisionConfig:
                 f"vision.scale must be within [8/{min(FULL_IMAGE_SIZE)}, 1], so the sensor"
                 f" is 8x8 px to native {FULL_IMAGE_SIZE[0]}x{FULL_IMAGE_SIZE[1]}, got {self.scale}"
             )
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"vision.noise_sigma must be >= 0, got {self.noise_sigma}")
-        # gray levels; an offset past 255 either way makes the binarization threshold constant
-        for name, lo in (("particle_level", 0.0), ("binarize_offset", -255.0)):
+        # gray levels; an offset past 255 either way makes the binarization
+        # threshold constant, and a noise sigma past 255 saturates every pixel
+        for name, lo in (("noise_sigma", 0.0), ("particle_level", 0.0), ("binarize_offset", -255.0)):
             if not (lo <= getattr(self, name) <= 255.0):
                 raise ConfigurationError(f"vision.{name} must be within [{lo:g}, 255], got {getattr(self, name)}")
         if not (0.0 < self.min_foreground_fraction <= 1.0):  # also rejects NaN

@@ -5,8 +5,9 @@ Each camera is an affine orthographic projection around a reference pose:
 pixel = rows_of_j @ (world - ref_world) + ref_pixel, with the Jacobian
 rows in pixel per micrometer. Rendering draws the particle as an
 anti-aliased dark disc over the configured background and adds seeded
-Gaussian sensor noise, each fixed square tile of the sensor drawing iid
-pixels from a stream of its own.
+Gaussian sensor noise: each frame has one counter-based stream, and each
+fixed band of sensor rows draws its iid pixels from a counter range of
+its own, column by column.
 
 Extraction follows the bench pipeline: background subtraction, adaptive
 binarization against a local mean, a sliding-window search for the
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Background, VisionConfig
-from .core import ParticleState, Vec3
+from .core import ParticleState, Vec3, _cos_sin
 from .errors import ConfigurationError
 
 
@@ -76,12 +77,9 @@ class CameraModel:
         w, h = self.image_size
         if w < 8 or h < 8:
             raise ConfigurationError(f"camera image_size must be at least 8x8, got {w}x{h}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"camera noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not (0.0 <= self.particle_level <= 255.0):
-            raise ConfigurationError(
-                f"camera particle_level must be within [0, 255], got {self.particle_level}"
-            )
+        for name in ("noise_sigma", "particle_level"):  # gray levels; also rejects NaN
+            if not (0.0 <= getattr(self, name) <= 255.0):
+                raise ConfigurationError(f"camera {name} must be within [0, 255], got {getattr(self, name)}")
         rows = rows.copy()
         rows.flags.writeable = False
         refp = refp.copy()
@@ -189,33 +187,50 @@ def background_image(camera: CameraModel) -> np.ndarray:
     return _background(tuple(camera.image_size), camera.background)
 
 
-# Side of the square sensor tiles, counted from pixel (0, 0), that draw
-# their noise from streams of their own. Of 16, 32 and 64 px, 64 draws a
-# full frame's noise fastest and a tracking crop's within 5% of 32 px,
-# from at most 4 streams at the default scale.
-_TILE = 64
+# Rows per sensor band, counted from row 0. A band reads its pixels
+# column by column, so a crop's columns are one run of the band's
+# uniforms; a multiple of 4, so that a run starts on a Philox block and
+# on a Box-Muller pair. Of 8 and 16 rows, 16 draws the closed loop's
+# crops' noise faster.
+_BAND = 16
 
 
 def _sensor_noise(sigma: float, seed: int | tuple[int, ...], window: Window) -> np.ndarray:
     """Sensor noise over ``window``: iid N(0, sigma^2) pixels.
 
     ``seed`` is the frame's noise key: the entropy, then the frame's name
-    (an int S is the key (S,)). Tile (i, j) draws from ``SeedSequence(key[0],
-    spawn_key=(*key[1:], i, j))`` in full, past the sensor edge, so a window
-    draws only the tiles it covers and equals that slice of the full noise.
+    (an int S is the key (S,)). ``SeedSequence(key[0], spawn_key=key[1:])``
+    keys one Philox stream per frame. Band i, sensor rows [i * _BAND,
+    (i + 1) * _BAND), reads its uniforms from counter (0, i, 0, 0) on,
+    column by column, so columns [c0, c1) are the run from counter
+    (c0 * _BAND / 4, i, 0, 0): a window draws only its own columns of the
+    bands it covers, and equals that slice of the full noise. Rows 2m and
+    2m + 1 of a column take the uniform pair (u1, u2) through Box-Muller:
+    sigma sqrt(-2 log(1 - u1)) (cos 2 pi u2, sin 2 pi u2).
     """
     entropy, *name = seed if isinstance(seed, tuple) else (seed,)
-    i0, j0 = window.r0 // _TILE, window.c0 // _TILE
-    i1, j1 = -(-window.r1 // _TILE), -(-window.c1 // _TILE)
-    z = np.empty(((i1 - i0) * _TILE, (j1 - j0) * _TILE))
+    # keyed on the sequence's generate_state(2, np.uint64), at counter 0
+    bits = np.random.Philox(np.random.SeedSequence(entropy, spawn_key=name))
+    rng = np.random.Generator(bits)
+    state = bits.state  # with an empty buffer, so setting it starts a block
+    counter = state["state"]["counter"]
+    counter[0] = window.c0 * _BAND // 4
+    i0, i1 = window.r0 // _BAND, -(-window.r1 // _BAND)
+    cols = window.c1 - window.c0
+    u = np.empty((i1 - i0, cols, _BAND // 2, 2))  # u[b, c, m]: (u1, u2) of rows 2m, 2m + 1
     for i in range(i0, i1):
-        for j in range(j0, j1):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(*name, i, j)))
-            r, c = (i - i0) * _TILE, (j - j0) * _TILE
-            z[r : r + _TILE, c : c + _TILE] = rng.standard_normal((_TILE, _TILE))
-    z *= sigma
-    r, c = window.r0 - i0 * _TILE, window.c0 - j0 * _TILE
-    return z[r : r + window.r1 - window.r0, c : c + window.c1 - window.c0]
+        counter[1] = i
+        bits.state = state
+        rng.random(out=u[i - i0])
+    radius = np.log1p(-u[..., 0])
+    radius *= -2.0 * sigma * sigma
+    np.sqrt(radius, out=radius)
+    cos, sin = _cos_sin(np.pi * u[..., 1])
+    z = np.empty((i1 - i0, _BAND // 2, 2, cols))  # z[b, m, k, c]: row 2m + k of band b
+    np.multiply(radius, cos, out=z[:, :, 0].transpose(0, 2, 1))
+    np.multiply(radius, sin, out=z[:, :, 1].transpose(0, 2, 1))
+    r = window.r0 - i0 * _BAND
+    return z.reshape(-1, cols)[r : r + window.r1 - window.r0]
 
 
 def render_frame(
@@ -230,8 +245,9 @@ def render_frame(
     the particle diameter times the camera's pixel scale, over two; one
     crossing the image border is rendered partially. ``seed`` keys the
     noise (``_sensor_noise``). With a ``window`` only that crop of the
-    sensor is drawn, noise included, and its pixels equal the same slice
-    of the full frame: the float image is rounded once, pixel by pixel.
+    sensor is drawn, noise included: the crop's columns of the sensor
+    bands it covers, nothing more. Its pixels equal the same slice of the
+    full frame: the float image is rounded once, pixel by pixel.
     """
     w, h = camera.image_size
     if window is None:

@@ -568,6 +568,11 @@ class TestSimulateCommand:
                 assert rc == 2
                 err = capsys.readouterr().err
                 assert err.count("\n") == 1 and "vision.binarize_offset must be within [-255, 255]" in err
+        # 1e308 used to overflow the noise with a RuntimeWarning and exit 0
+        rc = run_cli("simulate", "--batch", "2", "--set", "vision.noise_sigma=1e308", "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "vision.noise_sigma must be within [0, 255], got 1e+308" in err
 
     @pytest.mark.parametrize("field", ["timing.t_dip", "timing.t_trans"])
     def test_oversized_latency_names_its_field(self, tmp_path, capsys, field):

@@ -148,8 +148,11 @@ class TestValidation:
         # the smallest scale keeps an 8 px side, the largest is the native sensor
         assert VisionConfig(scale=8 / 2050).image_size == (9, 8)
         assert VisionConfig(scale=0.5).image_size == (1224, 1025)
-        with pytest.raises(ConfigurationError):
-            VisionConfig(noise_sigma=-1.0)
+        # gray levels, like the particle level; NaN and inf fail too
+        for sigma in (-1.0, 255.5, 1e308, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=r"vision.noise_sigma must be within \[0, 255\]"):
+                VisionConfig(noise_sigma=sigma)
+        assert VisionConfig(noise_sigma=255.0).noise_sigma == 255.0
         for fraction in (-1.0, 0.0, 1.5, float("nan")):
             with pytest.raises(ConfigurationError, match="vision.min_foreground_fraction"):
                 VisionConfig(min_foreground_fraction=fraction)

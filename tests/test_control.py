@@ -561,12 +561,14 @@ def test_pool_workers_end_with_the_interpreter(tmp_path, ending, returncode):
 # trap_geometry outcome became a check on the trap world, over the same
 # 16 reports as before: no report byte moved.
 # The noisy pin covers the same batch at ``vision.noise_sigma=5``; it was
-# last re-recorded when each frame's noise came to be keyed on (scenario
-# seed, 0, tick, camera) in place of a drawn render seed, which changed
-# every noisy pixel: the observed pixels, localizations, trap positions
-# and deviations of all 12 reports moved, and the same 8 trapped.
+# last re-recorded when each frame's noise came to be drawn by Box-Muller
+# from one Philox stream per frame, a counter range per band of sensor
+# rows, which changed every noisy pixel: the observed pixels,
+# localizations, trap positions and deviations of all 12 reports moved,
+# and 10 trapped where 8 had: two scenarios that had failed as left_fov
+# now trap.
 NOISE_FREE_DIGEST = "f1ee2f545a5f69997a4fda06a050decf2b6fbd84968209365264157bb546b9a1"
-NOISY_DIGEST = "3b7008a2afc41e5279dc37937159c11d21bcc892a56d446eb94c574f521756a3"
+NOISY_DIGEST = "c67c5470503a242b3f808eefedd397f30cf417e920bb2ac7d15fe8c2e9170133"
 
 
 def _digest(reports) -> str:
@@ -651,17 +653,17 @@ def test_noisy_reports_match_golden_digest():
 # jitter and 5% dropout. The gradient runs at sigma 5, so that its
 # binarization sees noise on a sloped background. A change that moves one
 # on purpose re-records it once and says which fields moved. The two noisy
-# pins were re-recorded with the frame-keyed noise: every report's observed
-# pixels, localizations, trap position and deviation moved (and at sigma 12
-# the tick a particle was caught), and 18 of 20 still trap in each.
+# pins were re-recorded with the per-band Philox noise: every report's
+# observed pixels, localizations, trap position and deviation moved, and
+# 18 of 20 still trap in each.
 TRAFFIC = {
     "sigma_12": (
         VisionConfig(noise_sigma=12.0),
-        "eaa0e3ffe25148e4988854626423be675656f50f426b3cf6aff4a59b5b8e68e3",
+        "214c392ef7158b5dbab2369afdf285d5991a14ed94c7637f47d136c4b1c6b99f",
     ),
     "gradient": (
         VisionConfig(noise_sigma=5.0, background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0)),
-        "e96aeb69eb29b176442d8f872a19eb50d363d8c0a20d59ffc2f0df470e1e3ea7",
+        "28e19622c647aa93403d457e05740219c4f423672fbff0ec65a3debed991d2e3",
     ),
     "scale_0.5": (
         VisionConfig(scale=0.5),

@@ -13,13 +13,13 @@ from acoustrap.vision import (
     ImageFrame,
     Window,
     _area_floor,
+    _BAND,
     _best_window,
     _binarize,
     _binarize_window,
     _close3,
     _largest_blob,
     _patch_half,
-    _TILE,
     _sensor_noise,
     _stride,
     background_image,
@@ -226,9 +226,10 @@ class TestExtractFeature:
 # Windowed extraction is checked against the full frame on a small sensor,
 # so that 200 full-frame extractions per case stay fast. The camera scale
 # and particle size are the default ones; the sides (158 x 131 px) are not
-# multiples of the 64 px noise tile, the 4 px search block or the 3 px
-# window stride, so crops clamped at every sensor edge, the noise tiles cut
-# by the sensor edge and the unsearched border are exercised.
+# multiples of the 4 px search block or the 3 px window stride, nor is the
+# height one of the 16-row noise band, so crops clamped at every sensor
+# edge, the noise band cut by the sensor edge and the unsearched border
+# are exercised.
 SMALL = (158, 131)
 
 
@@ -614,11 +615,19 @@ def test_extraction_matches_the_former_kernels(monkeypatch, sigma, background):
         assert _same_observation(obs, slow), (window, obs, slow)
 
 
+def test_camera_gray_levels_bounded():
+    for name in ("noise_sigma", "particle_level"):
+        for value in (-1.0, 255.5, 1e308, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=rf"camera {name} must be within \[0, 255\]"):
+                dataclasses.replace(CAM_H, **{name: value})
+        assert getattr(dataclasses.replace(CAM_H, **{name: 255.0}), name) == 255.0
+
+
 class TestSensorNoise:
-    """The per-tile noise field against iid N(0, sigma^2) pixels."""
+    """The per-band noise field against iid N(0, sigma^2) pixels."""
 
     SIGMA = 5.0
-    # neither side is a multiple of the tile side
+    # neither side is a multiple of the band height
     SIZE = (611, 513)
     FULL = Window(0, 0, *SIZE)
 
@@ -639,13 +648,27 @@ class TestSensorNoise:
         assert self._variance_is_sigma2(noise)
         assert abs(float(noise.mean())) < 5.0 * self.SIGMA / math.sqrt(noise.size)
         for a in (noise, noise.T):  # along rows, then along columns
-            # neighbours anywhere, and the neighbours on either side of a
-            # tile border
+            # neighbours anywhere
             assert self._uncorrelated(a[:, :-1], a[:, 1:])
-            n = (a.shape[1] - 1) // _TILE
-            assert self._uncorrelated(a[:, _TILE - 1 :: _TILE][:, :n], a[:, _TILE::_TILE][:, :n])
-            # pixels one tile apart: adjacent tiles draw different streams
-            assert self._uncorrelated(a[:, :-_TILE], a[:, _TILE:])
+            # pixels one band height apart: down a column they lie in
+            # adjacent bands, which draw different counter ranges
+            assert self._uncorrelated(a[:, :-_BAND], a[:, _BAND:])
+        # the neighbours on either side of a band border
+        n = (noise.shape[0] - 1) // _BAND
+        assert self._uncorrelated(noise[_BAND - 1 :: _BAND][:n], noise[_BAND::_BAND][:n])
+
+    def test_shape_is_gaussian(self):
+        # a variance of sigma^2 alone passes a wrongly scaled or wrongly
+        # paired transform too
+        z = np.abs(_sensor_noise(self.SIGMA, 2025, self.FULL)) / self.SIGMA
+        for k in (1, 2, 3):  # 31.73%, 4.55% and 0.27% of N(0, 1) lie beyond
+            p = math.erfc(k / math.sqrt(2.0))
+            share = float(np.mean(z > k))
+            assert abs(share - p) < 5.0 * math.sqrt(p * (1.0 - p) / z.size), (k, share, p)
+        # Box-Muller pair-mates, rows 2m and 2m + 1 of a column, share the
+        # radius; their squares are independent all the same
+        rows = z.shape[0] // 2 * 2
+        assert self._uncorrelated(z[0:rows:2] ** 2, z[1:rows:2] ** 2)
 
     def test_window_is_slice_of_full_sensor(self):
         full = _sensor_noise(self.SIGMA, 7, self.FULL)
