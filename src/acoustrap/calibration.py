@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import VisionConfig
-from .core import MediumConfig, TransducerArray, Vec3
+from .core import MAX_ARRAY_LENGTH_MM, MediumConfig, TransducerArray, Vec3
 from .errors import CalibrationError, ConfigurationError
 from .field import pressure_at_points
 from .hologram import make_focus_hologram
@@ -88,7 +88,7 @@ class ReferenceSet:
     @property
     def world_centroid(self) -> Vec3:
         arr = np.mean([p.world.as_array() for p in self.points], axis=0)
-        return Vec3.from_array(arr)
+        return Vec3(*arr.tolist())
 
     @property
     def pixel_centroid(self) -> np.ndarray:
@@ -171,7 +171,7 @@ def localize(
     anchor = np.concatenate([cam_h.ref_pixel, cam_v.ref_pixel])
     inverse = _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
     delta_um = inverse @ (observed - anchor)
-    return cam_h.ref_world + Vec3.from_array(delta_um / 1e3)
+    return cam_h.ref_world + Vec3(*(delta_um / 1e3).tolist())
 
 
 def acquire_reference(
@@ -223,7 +223,7 @@ def acquire_reference(
             raise CalibrationError(
                 f"|p| peak search left the {scan_extent} mm cube around {commanded_focus}"
             )
-    world = Vec3.from_array(peak)
+    world = Vec3(*peak.tolist())
     cam_h, cam_v = cameras
     uv_h = np.array(project(cam_h, world))
     uv_v = np.array(project(cam_v, world))
@@ -301,8 +301,11 @@ def calibration_from_dict(doc: dict) -> tuple[JacobianMatrix, ReferenceSet]:
             )
             for p in doc["reference_points"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError, ConfigurationError) as exc:
         raise CalibrationError(f"malformed calibration document: {exc!r}") from exc
+    # like array.origin, so that projecting a point onto the cameras stays finite
+    if not np.all(np.abs([p.world.as_array() for p in points]) <= MAX_ARRAY_LENGTH_MM):
+        raise CalibrationError(f"calibration reference points must lie within ±{MAX_ARRAY_LENGTH_MM:g} mm")
     return jac, ReferenceSet(points)
 
 

@@ -92,15 +92,10 @@ BENCH_BATCH_SCENARIOS = 8
 
 def _parse_vec3(text: str) -> Vec3:
     # raise the argparse type so usage errors exit 2 instead of crashing
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z but got {text!r}")
     try:
-        return Vec3(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected numeric x,y,z but got {text!r}") from exc
+        return Vec3.from_array(text.split(","))
     except ConfigurationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(f"expected finite numbers x,y,z but got {text!r}") from exc
 
 
 def _int_at_least(low: int):

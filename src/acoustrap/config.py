@@ -123,17 +123,11 @@ class TrapConfig:
     # of particle size.  The default sits at the array's contrast optimum so
     # the cage keeps its central pressure null.
     octahedron_diameter: float = DEFAULT_OCTAHEDRON_DIAMETER
-    # Containment tolerance in mm; None derives half a wavelength.
-    containment_tol: float | None = None
 
     def __post_init__(self) -> None:
         if self.octahedron_diameter < 0:
             raise ConfigurationError(
                 f"trap.octahedron_diameter must be >= 0, got {self.octahedron_diameter}"
-            )
-        if self.containment_tol is not None and self.containment_tol <= 0:
-            raise ConfigurationError(
-                f"trap.containment_tol must be > 0, got {self.containment_tol}"
             )
 
 
@@ -190,12 +184,10 @@ _SECTION_TYPES = {
 def _coerce(cls: type, value: Any, path: str) -> Any:
     """Convert a raw YAML value to the target field type, or raise."""
     if cls is Vec3:
-        if isinstance(value, Vec3):
-            return value
         if isinstance(value, (list, tuple)) and len(value) == 3:
             try:
                 return Vec3.from_array(value)
-            except (TypeError, ValueError, ConfigurationError):
+            except ConfigurationError:
                 pass
         raise ConfigurationError(f"{path} must be a 3-element list of finite numbers, got {value!r}")
     if dataclasses.is_dataclass(cls):
@@ -285,7 +277,7 @@ def _read_raw(path: str | os.PathLike) -> dict:
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigurationError(f"malformed YAML in {p}: {exc}") from exc
+        raise ConfigurationError(f"malformed YAML in {p}: {' '.join(str(exc).split())}") from exc
     if raw is None:
         return {}
     if not isinstance(raw, dict):

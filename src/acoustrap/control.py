@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .calibration import JacobianMatrix, ReferenceSet, build_camera_pair, localize
-from .config import SimulatorConfig
+from .config import FULL_IMAGE_SIZE, SimulatorConfig
 from .core import Contrast, ParticleState, TimingConfig, Vec3, WorkspaceConfig, usable_cpus, wavelength
 from .errors import AcoustrapError, ConfigurationError
 from .hologram import MIN_SOURCE_DISTANCE, FocusTrap, OctahedralTrap, TrapSpec, trap_anchor
@@ -110,9 +110,10 @@ class SimScenario:
     target_override: Vec3 | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.pixel_noise_sigma < math.inf:  # also rejects NaN
+        if not 0 <= self.pixel_noise_sigma <= max(FULL_IMAGE_SIZE):  # also rejects NaN
             raise ConfigurationError(
-                f"scenario.pixel_noise_sigma must be >= 0 and finite, got {self.pixel_noise_sigma}"
+                f"scenario.pixel_noise_sigma must be >= 0 and at most the native sensor's"
+                f" {max(FULL_IMAGE_SIZE)} px, got {self.pixel_noise_sigma}"
             )
         if not (0.0 <= self.dropout_prob < 1.0):
             raise ConfigurationError(
@@ -159,8 +160,7 @@ class TrapWorld:
         return cls(config, build_camera_pair(config.vision, calibration))
 
     def containment_tolerance(self) -> float:
-        if self.config.trap.containment_tol is not None:
-            return self.config.trap.containment_tol
+        """Containment radius, mm: half a wavelength."""
         return wavelength(self.config.medium, self.config.array) / 2.0
 
 
@@ -176,9 +176,8 @@ def step_particle(state: ParticleState, dt: float) -> ParticleState:
     )
 
 
-def containment(particle, trap: TrapSpec, tol: float) -> bool:
-    """True when the particle sits within ``tol`` mm of the trap anchor."""
-    position = particle.position if isinstance(particle, ParticleState) else particle
+def containment(position: Vec3, trap: TrapSpec, tol: float) -> bool:
+    """True when ``position`` lies within ``tol`` mm of the trap anchor."""
     return position.distance_to(trap_anchor(trap)) <= tol
 
 
@@ -242,6 +241,14 @@ class _Attempt:
                 f" wide at vision.scale={self.config.vision.scale}; extraction needs more than 3 px,"
                 " so raise vision.scale or the diameter"
             )
+        # a straight path stays finite when its last frame's position is
+        p, v = scenario.particle.position, scenario.particle.velocity
+        budget, fps = self.config.control.frame_budget, self.config.timing.camera_fps
+        if not all(map(math.isfinite, _as_tuple(p + (budget - 1) / fps * v))):
+            raise ConfigurationError(
+                f"a particle at position {_as_tuple(p)} mm with velocity {_as_tuple(v)} mm/s leaves"
+                f" the float range within control.frame_budget={budget} frames at timing.camera_fps={fps}"
+            )
         keys = (np.random.SeedSequence(scenario.seed, spawn_key=(i,)) for i in (2, 3))
         self.jitter_rng, self.dropout_rng = map(np.random.default_rng, keys)
         self.particle = scenario.particle
@@ -274,7 +281,7 @@ class _Attempt:
 
     def catch(self) -> bool:
         """Containment check; the field on holds a contained particle still."""
-        contained = containment(self.particle, self.trap, self.tol)
+        contained = containment(self.particle.position, self.trap, self.tol)
         if contained and not self.pinned:
             p = self.particle
             self.particle = ParticleState(p.position, Vec3(0.0, 0.0, 0.0), p.diameter_um, p.contrast)

@@ -51,25 +51,26 @@ def _cos_sin(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Vec3:
-    """Point or displacement in the array frame, in millimeters."""
+    """Point or displacement in the array frame, in millimeters. Arithmetic
+    does not check it: coordinates from outside (configuration, scenario and
+    calibration files, CLI points) are checked once, by ``from_array``."""
 
     x: float
     y: float
     z: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigurationError(f"Vec3.{name} must be a finite number, got {value!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
     @classmethod
     def from_array(cls, values) -> "Vec3":
-        x, y, z = (float(v) for v in values)
-        return cls(x, y, z)
+        try:
+            x, y, z = coords = [float(v) for v in values]
+            if all(map(math.isfinite, coords)):
+                return cls(x, y, z)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ConfigurationError(f"expected three finite numbers, got {values!r}")
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -341,14 +342,10 @@ class WorkspaceConfig:
     def tank_max(self) -> Vec3:
         return self.tank_center + 0.5 * self.tank_extent
 
-    def contains(self, point: Vec3, margin: float = 0.0) -> bool:
-        """True when ``point`` lies inside the workspace shrunk by ``margin``."""
+    def contains(self, point: Vec3) -> bool:
+        """True when ``point`` lies inside the workspace."""
         lo, hi = self.min_corner, self.max_corner
-        return (
-            lo.x + margin <= point.x <= hi.x - margin
-            and lo.y + margin <= point.y <= hi.y - margin
-            and lo.z + margin <= point.z <= hi.z - margin
-        )
+        return lo.x <= point.x <= hi.x and lo.y <= point.y <= hi.y and lo.z <= point.z <= hi.z
 
     def tank_contains_points(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every row of ``points`` (N, 3) lies inside the tank

@@ -645,11 +645,47 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["array"]["frequency"] == 2.3e6
 
-    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf", "1e308"])
     def test_negative_or_nan_noise_is_config_error(self, tmp_path, capsys, noise):
+        # 1e308 used to overflow localization before naming a Vec3 component
         rc = run_cli("simulate", "--noise-px", noise, "--out-dir", str(tmp_path))
         assert rc == 2
-        assert "pixel_noise_sigma must be >= 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "pixel_noise_sigma must be >= 0" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ("timing.camera_fps=1e-308",),
+            ("control.fall_speed=1e308", "timing.camera_fps=0.01"),
+        ],
+        ids=["tiny_fps", "huge_fall_speed"],
+    )
+    def test_particle_path_past_the_float_range_names_its_settings(
+        self, tmp_path, capsys, overrides, jobs
+    ):
+        # it used to overflow the particle's path and name a non-finite Vec3.z
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        rc = run_cli("simulate", "--batch", "2", "--jobs", jobs, *sets, "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "timing.camera_fps=" in err and "control.frame_budget=150" in err
+        assert "position" in err and "velocity" in err and "Vec3" not in err
+
+    def test_scenario_path_past_the_float_range_names_its_settings(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("particle:\n  velocity: [0, 0, -1e308]\n")
+        rc = run_cli(
+            "simulate", "--scenario", str(path), "--set", "timing.camera_fps=0.01",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "velocity (0.0, 0.0, -1e+308)" in err and "timing.camera_fps=0.01" in err
 
 
 @pytest.mark.parametrize(

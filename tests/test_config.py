@@ -1,5 +1,5 @@
 from dataclasses import is_dataclass
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import pytest
 import yaml
@@ -16,6 +16,7 @@ from acoustrap.config import (
     SimulatorConfig,
     TrapConfig,
     VisionConfig,
+    _build_dataclass,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -30,6 +31,7 @@ from acoustrap.core import (
     Vec3,
     WorkspaceConfig,
 )
+from acoustrap.control import SimScenario
 from acoustrap.errors import ConfigurationError
 
 
@@ -38,10 +40,10 @@ def _num(lo, hi):
 
 
 def _float_paths(cls, prefix=""):
-    """Dotted paths of every float (or float | None) field below ``cls``;
-    Vec3 fields are coerced from lists, not as floats."""
+    """Dotted paths of every float field below ``cls``; Vec3 fields are
+    coerced from lists, not as floats."""
     for name, hint in get_type_hints(cls).items():
-        if hint is float or float in get_args(hint):
+        if hint is float:
             yield f"{prefix}{name}"
         elif is_dataclass(hint) and hint is not Vec3:
             yield from _float_paths(hint, f"{prefix}{name}.")
@@ -90,11 +92,7 @@ CONFIGS = st.builds(
         min_foreground_fraction=st.floats(0, 1, exclude_min=True),
     ),
     field=st.builds(FieldConfig, piston_directivity=st.booleans()),
-    trap=st.builds(
-        TrapConfig,
-        octahedron_diameter=_num(0, 10),
-        containment_tol=st.none() | _num(0.01, 5),
-    ),
+    trap=st.builds(TrapConfig, octahedron_diameter=_num(0, 10)),
     control=st.builds(
         ControlConfig,
         fall_speed=_num(0, 100),
@@ -125,7 +123,6 @@ class TestDefaults:
 
     def test_trap_defaults(self, config):
         assert config.trap.octahedron_diameter == DEFAULT_OCTAHEDRON_DIAMETER
-        assert config.trap.containment_tol is None
         assert config.field.piston_directivity is False
 
     def test_control_defaults(self, config):
@@ -138,8 +135,6 @@ class TestValidation:
     def test_trap_config_bounds(self):
         with pytest.raises(ConfigurationError):
             TrapConfig(octahedron_diameter=-1.0)
-        with pytest.raises(ConfigurationError):
-            TrapConfig(containment_tol=0.0)
 
     def test_vision_config_bounds(self):
         for scale in (0.0, 0.001, 1.5, float("nan")):
@@ -193,11 +188,17 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="array.frequency must be a number"):
                 config_from_dict({"array": {"frequency": bad}})
 
-    def test_optional_float_accepts_none_and_numeric_string(self):
-        assert config_from_dict({"trap": {"containment_tol": None}}).trap.containment_tol is None
-        assert config_from_dict({"trap": {"containment_tol": "2.5e-1"}}).trap.containment_tol == 0.25
-        with pytest.raises(ConfigurationError, match="trap.containment_tol must be a number"):
-            config_from_dict({"trap": {"containment_tol": "tight"}})
+    def test_optional_target_override_accepts_null_and_numeric_strings(self):
+        # a scenario's target_override is the one "X | None" field
+        def build(target):
+            raw = {"particle": {"position": [25, 25, 45]}, "target_override": target}
+            return _build_dataclass(SimScenario, raw, "scenario").target_override
+
+        assert build(None) is None
+        assert build(["25", 25, "4e1"]) == Vec3(25.0, 25.0, 40.0)
+        for bad in ("tight", [25, 25, float("nan")], [25, 25]):
+            with pytest.raises(ConfigurationError, match="scenario.target_override must be a 3-element list"):
+                build(bad)
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "1e400"]
@@ -330,7 +331,7 @@ class TestSnapshot:
         def leaves(node):
             return sum(map(leaves, node.values())) if isinstance(node, dict) else 1
 
-        assert leaves(config_to_dict(config)) == 32
+        assert leaves(config_to_dict(config)) == 31
 
     def test_snapshot_roundtrips_through_builder(self, config):
         assert config_from_dict(config_to_dict(config)) == config

@@ -111,11 +111,6 @@ class TestContainment:
         assert world.containment_tolerance() == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.326, abs=1e-3)
 
-    def test_accepts_particle_state(self, world):
-        trap = OctahedralTrap(Vec3(25, 25, 40))
-        particle = ParticleState(Vec3(25, 25, 40.1), Vec3(0, 0, 0), 400.0, Contrast.POSITIVE)
-        assert containment(particle, trap, world.containment_tolerance())
-
 
 class TestScenarioValidation:
     def test_noise_and_dropout_bounds(self):
@@ -125,8 +120,22 @@ class TestScenarioValidation:
             SimScenario(particle=falling_particle(), pixel_noise_sigma=float("nan"))
         with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):
             SimScenario(particle=falling_particle(), pixel_noise_sigma=float("inf"))
+        with pytest.raises(ConfigurationError, match="native sensor's 2448 px"):
+            SimScenario(particle=falling_particle(), pixel_noise_sigma=2448.5)
+        assert SimScenario(particle=falling_particle(), pixel_noise_sigma=2448).pixel_noise_sigma == 2448
         with pytest.raises(ConfigurationError):
             SimScenario(particle=falling_particle(), dropout_prob=1.0)
+
+    @pytest.mark.parametrize(
+        "start, speed",
+        [(Vec3(25.0, 25.0, float("nan")), 10.0), (Vec3(25.0, 25.0, 50.0), 1e308)],
+        ids=["nan_position", "overflowing_speed"],
+    )
+    def test_loop_rejects_a_path_past_the_float_range(self, world, start, speed):
+        # a Vec3 does not check itself; the loop checks the path once, up front
+        scenario = SimScenario(particle=falling_particle(start, speed))
+        with pytest.raises(ConfigurationError, match="control.frame_budget=150.*timing.camera_fps=15.0"):
+            run_trap_loop(scenario, world)
 
     def test_loop_rejects_timing_other_than_the_world_config(self, world):
         scenario = SimScenario(particle=falling_particle(), seed=7, timing=TimingConfig(camera_fps=30.0))

@@ -45,10 +45,12 @@ class TestVec3:
         v = Vec3(0.25, -1.5, 40.0)
         assert Vec3.from_array(v.as_array()) == v
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "3"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "text"])
     def test_rejects_non_finite_components(self, bad):
-        with pytest.raises(ConfigurationError):
-            Vec3(0.0, bad, 0.0)
+        # from_array is the checked constructor; arithmetic does not check
+        with pytest.raises(ConfigurationError, match="expected three"):
+            Vec3.from_array([0.0, bad, 0.0])
+        assert Vec3.from_array(["1", "2.5e1", 3]) == Vec3(1.0, 25.0, 3.0)
 
 
 class TestContrast:
