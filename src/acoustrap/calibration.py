@@ -283,9 +283,11 @@ def calibration_to_dict(jacobian: JacobianMatrix, refs: ReferenceSet) -> dict:
 
 
 def calibration_from_dict(doc: dict) -> tuple[JacobianMatrix, ReferenceSet]:
-    if "units" not in doc:
-        raise CalibrationError("calibration document is missing its units block")
-    units = doc["units"]
+    if not isinstance(doc, dict):
+        raise CalibrationError(f"calibration document must be a mapping, got {type(doc).__name__}")
+    units = doc.get("units")
+    if not isinstance(units, dict):
+        raise CalibrationError(f"calibration document needs a units mapping, got {units!r}")
     for key, expected in _UNITS.items():
         if units.get(key) != expected:
             raise CalibrationError(

@@ -16,7 +16,7 @@ import dataclasses
 import math
 import os
 import types
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -30,6 +30,8 @@ from .core import (
     TransducerArray,
     Vec3,
     WorkspaceConfig,
+    check_ranges,
+    within,
 )
 from .errors import ConfigurationError
 
@@ -42,6 +44,12 @@ FULL_IMAGE_SIZE = (2448, 2050)
 MIN_SCALE = 8 / min(FULL_IMAGE_SIZE)
 
 
+def gray_level(default: float, lo: float = 0.0):
+    """A field of gray levels within [lo, 255]: past 255 a noise sigma saturates
+    every pixel, and an offset either way makes the binarization threshold constant."""
+    return within(default, lo, 255.0)
+
+
 @dataclass(frozen=True)
 class Background:
     """Scene background model for rendered frames.
@@ -51,7 +59,7 @@ class Background:
     """
 
     kind: str = "flat"
-    level: float = 180.0
+    level: float = gray_level(180.0)
     du: float = 0.0
     dv: float = 0.0
 
@@ -60,10 +68,7 @@ class Background:
             raise ConfigurationError(
                 f"vision.background.kind must be 'flat' or 'gradient', got {self.kind!r}"
             )
-        if not (0.0 <= self.level <= 255.0):
-            raise ConfigurationError(
-                f"vision.background.level must be within [0, 255], got {self.level}"
-            )
+        check_ranges(self, "vision.background")
 
 
 @dataclass(frozen=True)
@@ -76,29 +81,15 @@ class VisionConfig:
     [``MIN_SCALE``, 1]: at least 8x8 px, never above the native sensor.
     """
 
-    scale: float = 0.25
-    noise_sigma: float = 0.0
+    scale: float = within(0.25, MIN_SCALE, 1.0)
+    noise_sigma: float = gray_level(0.0)
     background: Background = Background()
-    particle_level: float = 40.0
-    binarize_offset: float = 10.0
-    min_foreground_fraction: float = 0.3
+    particle_level: float = gray_level(40.0)
+    binarize_offset: float = gray_level(10.0, -255.0)
+    min_foreground_fraction: float = within(0.3, gt=0.0, hi=1.0)
 
     def __post_init__(self) -> None:
-        if not (MIN_SCALE <= self.scale <= 1.0):  # also rejects NaN
-            raise ConfigurationError(
-                f"vision.scale must be within [8/{min(FULL_IMAGE_SIZE)}, 1], so the sensor"
-                f" is 8x8 px to native {FULL_IMAGE_SIZE[0]}x{FULL_IMAGE_SIZE[1]}, got {self.scale}"
-            )
-        # gray levels; an offset past 255 either way makes the binarization
-        # threshold constant, and a noise sigma past 255 saturates every pixel
-        for name, lo in (("noise_sigma", 0.0), ("particle_level", 0.0), ("binarize_offset", -255.0)):
-            if not (lo <= getattr(self, name) <= 255.0):
-                raise ConfigurationError(f"vision.{name} must be within [{lo:g}, 255], got {getattr(self, name)}")
-        if not (0.0 < self.min_foreground_fraction <= 1.0):  # also rejects NaN
-            raise ConfigurationError(
-                "vision.min_foreground_fraction must be within (0, 1], got "
-                f"{self.min_foreground_fraction}"
-            )
+        check_ranges(self, "vision")
 
     @property
     def image_size(self) -> tuple[int, int]:
@@ -122,13 +113,10 @@ class TrapConfig:
     # Node cage span for positive-contrast particles, mm; fixed regardless
     # of particle size.  The default sits at the array's contrast optimum so
     # the cage keeps its central pressure null.
-    octahedron_diameter: float = DEFAULT_OCTAHEDRON_DIAMETER
+    octahedron_diameter: float = within(DEFAULT_OCTAHEDRON_DIAMETER, 0.0)
 
     def __post_init__(self) -> None:
-        if self.octahedron_diameter < 0:
-            raise ConfigurationError(
-                f"trap.octahedron_diameter must be >= 0, got {self.octahedron_diameter}"
-            )
+        check_ranges(self, "trap")
 
 
 # Most frames one loop may take; the loop keeps a record of every frame.
@@ -139,20 +127,18 @@ MAX_FRAME_BUDGET = 10_000
 class ControlConfig:
     """Closed-loop controller settings."""
 
-    fall_speed: float = 10.0        # default particle sink rate, mm/s
-    frame_budget: int = 150         # frames before the loop gives up
-    confirm_tol: float = 0.3        # track linearity tolerance, mm
-    hold_ticks: int = 3             # consecutive contained ticks => trapped
+    fall_speed: float = 10.0                                # default particle sink rate, mm/s
+    frame_budget: int = within(150, 2, MAX_FRAME_BUDGET)    # frames before the loop gives up
+    confirm_tol: float = within(0.3, gt=0.0)                # track linearity tolerance, mm
+    hold_ticks: int = within(3, 1)                          # consecutive contained ticks => trapped
 
     def __post_init__(self) -> None:
-        if not 1 <= self.frame_budget <= MAX_FRAME_BUDGET:
+        check_ranges(self, "control")
+        if self.hold_ticks >= self.frame_budget:
             raise ConfigurationError(
-                f"control.frame_budget must be within [1, {MAX_FRAME_BUDGET:,}], got {self.frame_budget}"
+                f"control.hold_ticks={self.hold_ticks} must be below control.frame_budget={self.frame_budget}:"
+                " tick 0 always acquires, so the hold could never complete"
             )
-        if self.confirm_tol <= 0:
-            raise ConfigurationError(f"control.confirm_tol must be > 0, got {self.confirm_tol}")
-        if self.hold_ticks < 1:
-            raise ConfigurationError(f"control.hold_ticks must be >= 1, got {self.hold_ticks}")
 
 
 @dataclass(frozen=True)
@@ -169,16 +155,7 @@ class SimulatorConfig:
     control: ControlConfig = ControlConfig()
 
 
-_SECTION_TYPES = {
-    "medium": MediumConfig,
-    "array": TransducerArray,
-    "timing": TimingConfig,
-    "workspace": WorkspaceConfig,
-    "vision": VisionConfig,
-    "field": FieldConfig,
-    "trap": TrapConfig,
-    "control": ControlConfig,
-}
+_SECTION_TYPES = {f.name: type(f.default) for f in fields(SimulatorConfig)}
 
 
 def _coerce(cls: type, value: Any, path: str) -> Any:

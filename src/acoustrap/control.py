@@ -47,6 +47,7 @@ import numpy as np
 from .calibration import JacobianMatrix, ReferenceSet, build_camera_pair, localize
 from .config import FULL_IMAGE_SIZE, SimulatorConfig
 from .core import Contrast, ParticleState, TimingConfig, Vec3, WorkspaceConfig, usable_cpus, wavelength
+from .core import check_ranges, within
 from .errors import AcoustrapError, ConfigurationError
 from .hologram import MIN_SOURCE_DISTANCE, FocusTrap, OctahedralTrap, TrapSpec, trap_anchor
 
@@ -103,24 +104,14 @@ class SimScenario:
     """
 
     particle: ParticleState
-    pixel_noise_sigma: float = 0.0
-    dropout_prob: float = 0.0
-    seed: int = 0
+    pixel_noise_sigma: float = within(0.0, 0.0, float(max(FULL_IMAGE_SIZE)))
+    dropout_prob: float = within(0.0, 0.0, lt=1.0)
+    seed: int = within(0, 0)
     timing: TimingConfig = TimingConfig()
     target_override: Vec3 | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.pixel_noise_sigma <= max(FULL_IMAGE_SIZE):  # also rejects NaN
-            raise ConfigurationError(
-                f"scenario.pixel_noise_sigma must be >= 0 and at most the native sensor's"
-                f" {max(FULL_IMAGE_SIZE)} px, got {self.pixel_noise_sigma}"
-            )
-        if not (0.0 <= self.dropout_prob < 1.0):
-            raise ConfigurationError(
-                f"scenario.dropout_prob must be in [0, 1), got {self.dropout_prob}"
-            )
-        if self.seed < 0:
-            raise ConfigurationError(f"scenario.seed must be >= 0, got {self.seed}")
+        check_ranges(self, "scenario")
 
 
 @dataclass(frozen=True)

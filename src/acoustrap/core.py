@@ -12,9 +12,11 @@ column index ``j`` along ``+y``, and the water volume occupies ``z > 0``.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -90,6 +92,68 @@ class Vec3:
         return (self - other).norm()
 
 
+@dataclass(frozen=True)
+class Range:
+    """The values a setting accepts: ``lo`` to ``hi``, each end closed
+    unless marked open. An infinite end is always open, and NaN lies in
+    no range."""
+
+    lo: float
+    hi: float
+    lo_open: bool
+    hi_open: bool
+
+    def __str__(self) -> str:
+        """The message's wording: ``> lo``, ``>= lo`` or ``within [lo, hi]``
+        with a parenthesis at an open end."""
+        lo = _bound_text(self.lo)
+        if self.hi == math.inf:
+            return f"{'>' if self.lo_open else '>='} {lo}"
+        left, right = "(" if self.lo_open else "[", ")" if self.hi_open else "]"
+        return f"within {left}{lo}, {_bound_text(self.hi)}{right}"
+
+
+def _bound_text(x: float) -> str:
+    if isinstance(x, int):
+        return f"{x:,}"
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
+def within(default, lo=-math.inf, hi=math.inf, *, gt=None, lt=None):
+    """A dataclass field whose value must lie in [lo, hi]; ``gt`` or ``lt``
+    gives an open end instead. A ``Vec3`` value is checked per component."""
+    lo_open, hi_open = gt is not None or lo == -math.inf, lt is not None or hi == math.inf
+    bounds = Range(lo if gt is None else gt, hi if lt is None else lt, lo_open, hi_open)
+    return field(default=default, metadata={"range": bounds})
+
+
+def declared_ranges(cls: type) -> tuple[tuple[str, Range], ...]:
+    """(field name, range) of every field of ``cls`` declared by ``within``."""
+    return tuple((f.name, f.metadata["range"]) for f in fields(cls) if "range" in f.metadata)
+
+
+@cache
+def _range_checks(cls: type) -> tuple:
+    """One (label, getter, lo, lo test, hi, hi test, range) per checked
+    number of ``cls``, three for a Vec3 field; built once per class, since
+    every tick of the loop builds a ParticleState."""
+    checks = []
+    for name, r in declared_ranges(cls):
+        lo_ok, hi_ok = operator.lt if r.lo_open else operator.le, operator.lt if r.hi_open else operator.le
+        for label in [f"{name}.{c}" for c in "xyz"] if isinstance(getattr(cls, name), Vec3) else [name]:
+            checks.append((label, operator.attrgetter(label), r.lo, lo_ok, r.hi, hi_ok, r))
+    return tuple(checks)
+
+
+def check_ranges(obj, section: str) -> None:
+    """Raise ``ConfigurationError`` for the first field of ``obj`` outside
+    its declared range, naming it ``section.field``."""
+    for label, get, lo, lo_ok, hi, hi_ok, bounds in _range_checks(type(obj)):
+        v = get(obj)
+        if not (lo_ok(lo, v) and hi_ok(v, hi)):
+            raise ConfigurationError(f"{section}.{label} must be {bounds}, got {v}")
+
+
 class Contrast(Enum):
     """Acoustic contrast class of a particle relative to water.
 
@@ -123,14 +187,11 @@ class MediumConfig:
         Mass density in kg/m^3.
     """
 
-    sound_speed: float = 1500.0
-    density: float = 1000.0
+    sound_speed: float = within(1500.0, gt=0.0)
+    density: float = within(1000.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        if self.sound_speed <= 0:
-            raise ConfigurationError(f"medium.sound_speed must be > 0, got {self.sound_speed}")
-        if self.density <= 0:
-            raise ConfigurationError(f"medium.density must be > 0, got {self.density}")
+        check_ranges(self, "medium")
 
 
 # Element-count bound (100x100): the field kernel's per-chunk temporaries
@@ -160,38 +221,26 @@ class TransducerArray:
         Per-element source strength in arbitrary pressure units.
     """
 
-    rows: int = 50
-    cols: int = 50
-    pitch: float = 1.0
-    frequency: float = 2.3e6
-    origin: Vec3 = Vec3(0.0, 0.0, 0.0)
-    emission_amplitude: float = 1.0
+    rows: int = within(50, 1)
+    cols: int = within(50, 1)
+    pitch: float = within(1.0, gt=0.0)
+    frequency: float = within(2.3e6, gt=0.0)
+    origin: Vec3 = within(Vec3(0.0, 0.0, 0.0), -MAX_ARRAY_LENGTH_MM, MAX_ARRAY_LENGTH_MM)
+    emission_amplitude: float = within(1.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rows, int) or self.rows < 1:
-            raise ConfigurationError(f"array.rows must be a positive integer, got {self.rows!r}")
-        if not isinstance(self.cols, int) or self.cols < 1:
-            raise ConfigurationError(f"array.cols must be a positive integer, got {self.cols!r}")
+        for name in ("rows", "cols"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigurationError(f"array.{name} must be an integer, got {getattr(self, name)!r}")
+        check_ranges(self, "array")
         if self.rows * self.cols > MAX_ELEMENTS:
             raise ConfigurationError(
                 f"array.rows x array.cols must be at most {MAX_ELEMENTS:,} elements,"
                 f" got {self.rows}x{self.cols}"
             )
-        if self.pitch <= 0:
-            raise ConfigurationError(f"array.pitch must be > 0, got {self.pitch}")
         if not max(self.rows, self.cols) * self.pitch <= MAX_ARRAY_LENGTH_MM:
             raise ConfigurationError(
                 f"array.pitch {self.pitch} makes the aperture longer than {MAX_ARRAY_LENGTH_MM:g} mm"
-            )
-        if not max(abs(self.origin.x), abs(self.origin.y), abs(self.origin.z)) <= MAX_ARRAY_LENGTH_MM:
-            raise ConfigurationError(
-                f"array.origin must lie within ±{MAX_ARRAY_LENGTH_MM:g} mm, got {self.origin}"
-            )
-        if self.frequency <= 0:
-            raise ConfigurationError(f"array.frequency must be > 0, got {self.frequency}")
-        if self.emission_amplitude <= 0:
-            raise ConfigurationError(
-                f"array.emission_amplitude must be > 0, got {self.emission_amplitude}"
             )
 
     @property
@@ -240,21 +289,13 @@ class TimingConfig:
         Maximum hologram refresh rate supported by the drive link.
     """
 
-    t_dip: float = 0.060
-    t_trans: float = 0.090
-    camera_fps: float = 15.0
-    poh_update_fps: float = 11.0
+    t_dip: float = within(0.060, 0.0, MAX_LATENCY_S)
+    t_trans: float = within(0.090, 0.0, MAX_LATENCY_S)
+    camera_fps: float = within(15.0, gt=0.0)
+    poh_update_fps: float = within(11.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        for name, value in (("t_dip", self.t_dip), ("t_trans", self.t_trans)):
-            if not 0 <= value <= MAX_LATENCY_S:
-                raise ConfigurationError(f"timing.{name} must be within [0, {MAX_LATENCY_S:g}] s, got {value}")
-        if self.camera_fps <= 0:
-            raise ConfigurationError(f"timing.camera_fps must be > 0, got {self.camera_fps}")
-        if self.poh_update_fps <= 0:
-            raise ConfigurationError(
-                f"timing.poh_update_fps must be > 0, got {self.poh_update_fps}"
-            )
+        check_ranges(self, "timing")
 
     @property
     def horizon(self) -> float:
@@ -280,15 +321,11 @@ class ParticleState:
 
     position: Vec3
     velocity: Vec3 = Vec3(0.0, 0.0, 0.0)
-    diameter_um: float = 400.0
+    diameter_um: float = within(400.0, gt=0.0, hi=MAX_PARTICLE_DIAMETER_UM)
     contrast: Contrast = Contrast.POSITIVE
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.diameter_um <= MAX_PARTICLE_DIAMETER_UM):
-            raise ConfigurationError(
-                f"particle.diameter_um must be in (0, {MAX_PARTICLE_DIAMETER_UM:.0f}],"
-                f" got {self.diameter_um}"
-            )
+        check_ranges(self, "particle")
         if not isinstance(self.contrast, Contrast):
             raise ConfigurationError(f"particle.contrast must be a Contrast, got {self.contrast!r}")
 
@@ -302,28 +339,18 @@ class WorkspaceConfig:
     """
 
     center: Vec3 = Vec3(25.0, 25.0, 40.0)
-    extent: Vec3 = Vec3(37.0, 30.0, 30.0)
+    extent: Vec3 = within(Vec3(37.0, 30.0, 30.0), gt=0.0)
     tank_center: Vec3 = Vec3(25.0, 25.0, 30.0)
-    tank_extent: Vec3 = Vec3(110.0, 110.0, 60.0)
+    tank_extent: Vec3 = within(Vec3(110.0, 110.0, 60.0), gt=0.0)
 
     def __post_init__(self) -> None:
-        for label, ext in (("workspace.extent", self.extent), ("workspace.tank_extent", self.tank_extent)):
-            if ext.x <= 0 or ext.y <= 0 or ext.z <= 0:
-                raise ConfigurationError(f"{label} components must be > 0, got {ext}")
+        check_ranges(self, "workspace")
         lo = self.min_corner
         if lo.z <= 0:
             raise ConfigurationError(
                 f"workspace must sit strictly above the array plane, got z_min={lo.z}"
             )
-        tlo, thi = self.tank_min, self.tank_max
-        hi = self.max_corner
-        inside = all(
-            tlo_c <= lo_c and hi_c <= thi_c
-            for lo_c, hi_c, tlo_c, thi_c in zip(
-                (lo.x, lo.y, lo.z), (hi.x, hi.y, hi.z), (tlo.x, tlo.y, tlo.z), (thi.x, thi.y, thi.z)
-            )
-        )
-        if not inside:
+        if not self.tank_contains_points(np.array([lo.as_array(), self.max_corner.as_array()])):
             raise ConfigurationError("workspace must lie inside the tank bounds")
 
     @property

@@ -26,7 +26,9 @@ from .core import (
     MediumConfig,
     TransducerArray,
     Vec3,
+    check_ranges,
     wavelength,
+    within,
 )
 from .errors import ConfigurationError, GeometryError
 
@@ -92,11 +94,10 @@ class OctahedralTrap:
     """
 
     center: Vec3
-    diameter: float = DEFAULT_OCTAHEDRON_DIAMETER
+    diameter: float = within(DEFAULT_OCTAHEDRON_DIAMETER, 0.0)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.diameter < math.inf:
-            raise ConfigurationError(f"trap diameter must be finite and >= 0, got {self.diameter}")
+        check_ranges(self, "octahedral_trap")
 
 
 TrapSpec = Union[FocusTrap, OctahedralTrap]

@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Background, VisionConfig
-from .core import ParticleState, Vec3, _cos_sin
+from .config import Background, VisionConfig, gray_level
+from .core import ParticleState, Vec3, _cos_sin, check_ranges
 from .errors import ConfigurationError
 
 
@@ -61,9 +61,9 @@ class CameraModel:
     ref_pixel: np.ndarray
     ref_world: Vec3
     image_size: tuple[int, int]
-    noise_sigma: float = 0.0
+    noise_sigma: float = gray_level(0.0)
     background: Background = Background()
-    particle_level: float = 40.0
+    particle_level: float = gray_level(40.0)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows_of_j, dtype=float)
@@ -77,9 +77,7 @@ class CameraModel:
         w, h = self.image_size
         if w < 8 or h < 8:
             raise ConfigurationError(f"camera image_size must be at least 8x8, got {w}x{h}")
-        for name in ("noise_sigma", "particle_level"):  # gray levels; also rejects NaN
-            if not (0.0 <= getattr(self, name) <= 255.0):
-                raise ConfigurationError(f"camera {name} must be within [0, 255], got {getattr(self, name)}")
+        check_ranges(self, "camera")
         rows = rows.copy()
         rows.flags.writeable = False
         refp = refp.copy()

@@ -224,6 +224,13 @@ class TestPersistence:
         with pytest.raises(CalibrationError, match="units"):
             calibration_from_dict(doc)
 
+    @pytest.mark.parametrize("text", ["5", '{"units": 5}'], ids=["root", "units"])
+    def test_non_mapping_document_is_calibration_error(self, tmp_path, text):
+        p = tmp_path / "calibration.json"
+        p.write_text(text)
+        with pytest.raises(CalibrationError, match="calibration document"):
+            load_calibration(p)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(CalibrationError):
             load_calibration(tmp_path / "missing.json")

@@ -581,7 +581,7 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"{field} must be within [0, 60] s, got 1e+308" in err
+        assert f"{field} must be within [0, 60], got 1e+308" in err
 
     @pytest.mark.parametrize(
         "override",
@@ -652,7 +652,7 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "pixel_noise_sigma must be >= 0" in err
+        assert "pixel_noise_sigma must be within [0, 2448]" in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(

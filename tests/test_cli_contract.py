@@ -40,7 +40,7 @@ CONTRACT = settings(max_examples=300, derandomize=True, database=None, deadline=
 
 # Bounded runs of each subcommand: the hostile option is appended, so it
 # replaces the value given here. Every run reads a configuration file that
-# holds control.frame_budget=2 (``_write_config``).
+# holds control.frame_budget=2 and control.hold_ticks=1 (``_write_config``).
 COMMANDS = {
     "focus": ["hologram", "focus", "--at", "25,25,40"],
     "octa": ["hologram", "octa", "--center", "25,25,40"],
@@ -145,9 +145,9 @@ def _yaml(value, index: int, hostile: str) -> str:
 
 
 def _write_config(path, leaf: str | None = None, token: str | None = None) -> None:
-    """A configuration file of control.frame_budget=2 and, if given, ``leaf``
-    set to the YAML ``token``."""
-    tree = {"control": {"frame_budget": "2"}}
+    """A configuration file of control.frame_budget=2, control.hold_ticks=1
+    and, if given, ``leaf`` set to the YAML ``token``."""
+    tree = {"control": {"frame_budget": "2", "hold_ticks": "1"}}
     if leaf is not None:
         *sections, key = leaf.split(".")
         node = tree
@@ -254,7 +254,7 @@ def test_calibration_files(files, field, index, hostile):
     point[field][index % len(point[field])] = value
     path = files["root"] / "calibration.json"
     path.write_text(json.dumps(doc))
-    config = config_from_dict({"control": {"frame_budget": 2}})
+    config = config_from_dict({"control": {"frame_budget": 2, "hold_ticks": 1}})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

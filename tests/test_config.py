@@ -1,4 +1,9 @@
-from dataclasses import is_dataclass
+import contextlib
+import dataclasses
+import math
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -22,16 +27,20 @@ from acoustrap.config import (
     config_to_dict,
     resolve_config,
 )
+from acoustrap.calibration import build_camera_pair
 from acoustrap.core import (
     DEFAULT_OCTAHEDRON_DIAMETER,
     MAX_ELEMENTS,
     MediumConfig,
+    ParticleState,
     TimingConfig,
     TransducerArray,
     Vec3,
     WorkspaceConfig,
+    declared_ranges,
 )
 from acoustrap.control import SimScenario
+from acoustrap.hologram import OctahedralTrap
 from acoustrap.errors import ConfigurationError
 
 
@@ -96,7 +105,7 @@ CONFIGS = st.builds(
     control=st.builds(
         ControlConfig,
         fall_speed=_num(0, 100),
-        frame_budget=st.integers(1, 1000),
+        frame_budget=st.integers(21, 1000),  # above every hold_ticks drawn
         confirm_tol=_num(0.01, 5),
         hold_ticks=st.integers(1, 20),
     ),
@@ -220,9 +229,17 @@ class TestValidation:
 
     def test_frame_budget_bounded(self):
         assert ControlConfig(frame_budget=MAX_FRAME_BUDGET).frame_budget == MAX_FRAME_BUDGET
-        for budget in (0, MAX_FRAME_BUDGET + 1, 10**11):
-            with pytest.raises(ConfigurationError, match=r"control\.frame_budget must be within \[1, 10,000\]"):
+        for budget in (0, 1, MAX_FRAME_BUDGET + 1, 10**11):
+            with pytest.raises(ConfigurationError, match=r"control\.frame_budget must be within \[2, 10,000\]"):
                 ControlConfig(frame_budget=budget)
+        # tick 0 always acquires, so a hold of the whole budget never completes
+        assert ControlConfig(frame_budget=2, hold_ticks=1).hold_ticks == 1
+        for budget, hold in ((2, 2), (150, 150), (150, 2**63)):
+            message = rf"control.hold_ticks={hold} must be below control.frame_budget={budget}"
+            with pytest.raises(ConfigurationError, match=message):
+                ControlConfig(frame_budget=budget, hold_ticks=hold)
+        with pytest.raises(ConfigurationError, match="control.hold_ticks=9223372036854775808"):
+            resolve_config(None, ["control.hold_ticks=9223372036854775808"])
 
     def test_vec3_fields_parse_lists_only(self):
         cfg = config_from_dict({"workspace": {"center": [25, 25, 41]}})
@@ -341,3 +358,83 @@ class TestSnapshot:
         snap = config_to_dict(cfg)
         assert config_from_dict(snap) == cfg
         assert config_from_dict(yaml.safe_load(yaml.safe_dump(snap))) == cfg
+
+
+# Every class that declares ranges, with the section its messages name and
+# a valid instance to vary; the configuration sections vary through --set too.
+SECTIONS = {f.name: f.default for f in fields(SimulatorConfig)}
+SECTIONS["vision.background"] = Background()
+SECTIONS["control"] = ControlConfig(hold_ticks=1)  # so that frame_budget=2 holds
+DIRECT = {
+    "scenario": SimScenario(ParticleState(Vec3(25.0, 25.0, 45.0))),
+    "particle": ParticleState(Vec3(25.0, 25.0, 45.0)),
+    "camera": build_camera_pair(VisionConfig())[0],
+    "octahedral_trap": OctahedralTrap(Vec3(25.0, 25.0, 40.0)),
+}
+BOUNDED = [
+    (section, name, bounds)
+    for section, base in {**SECTIONS, **DIRECT}.items()
+    for name, bounds in declared_ranges(type(base))
+]
+
+
+def _edge_values(bounds, integer: bool):
+    """(accepted, rejected) values at the ends of ``bounds``: each closed
+    end is accepted, the value just past it and each open end are not."""
+    accepted, rejected = [], [math.nan, math.inf, -math.inf]
+    for end, is_open, step in ((bounds.lo, bounds.lo_open, -1), (bounds.hi, bounds.hi_open, 1)):
+        if not math.isfinite(end):
+            continue
+        if is_open:
+            rejected.append(end)
+        else:
+            accepted.append(end)
+            rejected.append(end + step if integer else math.nextafter(end, step * math.inf))
+    return accepted, rejected
+
+
+def _yaml(v) -> str:
+    """A number or Vec3 as YAML flow text."""
+    if isinstance(v, Vec3):
+        return f"[{_yaml(v.x)}, {_yaml(v.y)}, {_yaml(v.z)}]"
+    if math.isnan(v):
+        return ".nan"
+    if math.isinf(v):
+        return ".inf" if v > 0 else "-.inf"
+    return repr(v)
+
+
+def _expect(ok: bool, leaf: str):
+    """Expect success, or a ConfigurationError that names ``leaf``."""
+    return contextlib.nullcontext() if ok else pytest.raises(ConfigurationError, match=re.escape(leaf))
+
+
+@pytest.mark.parametrize("section, name, bounds", BOUNDED, ids=[f"{s}.{n}" for s, n, _ in BOUNDED])
+def test_every_declared_range_is_enforced(section, name, bounds):
+    """Each closed end passes; just past it, an open end, NaN and inf fail
+    and name the setting, built directly and, for a configuration leaf,
+    through ``--set``."""
+    base = {**SECTIONS, **DIRECT}[section]
+    default = getattr(base, name)
+    leaf = f"{section}.{name}"
+    accepted, rejected = _edge_values(bounds, isinstance(default, int))
+    for v in accepted + rejected:
+        for value in [dataclasses.replace(default, **{c: v}) for c in "xyz"] if isinstance(default, Vec3) else [v]:
+            with _expect(v in accepted, leaf):
+                dataclasses.replace(base, **{name: value})
+            if section in SECTIONS:
+                base_sets = ["control.hold_ticks=1"] if section == "control" else []
+                with _expect(v in accepted, leaf):
+                    resolve_config(None, [*base_sets, f"{leaf}={_yaml(value)}"])
+
+
+def test_readme_bounds_table_matches_declared_ranges():
+    """README.md's "Configuration bounds" table lists every user setting's
+    declared range, worded as its error message words it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration bounds\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
+    documented = {setting.strip(" `"): bounds.strip(" `") for setting, bounds, _unit in rows}
+    internal = ("camera", "octahedral_trap")
+    declared = {f"{s}.{name}": str(bounds) for s, name, bounds in BOUNDED if s not in internal}
+    assert documented == declared

@@ -120,7 +120,7 @@ class TestScenarioValidation:
             SimScenario(particle=falling_particle(), pixel_noise_sigma=float("nan"))
         with pytest.raises(ConfigurationError, match="pixel_noise_sigma"):
             SimScenario(particle=falling_particle(), pixel_noise_sigma=float("inf"))
-        with pytest.raises(ConfigurationError, match="native sensor's 2448 px"):
+        with pytest.raises(ConfigurationError, match=r"scenario.pixel_noise_sigma must be within \[0, 2448\]"):
             SimScenario(particle=falling_particle(), pixel_noise_sigma=2448.5)
         assert SimScenario(particle=falling_particle(), pixel_noise_sigma=2448).pixel_noise_sigma == 2448
         with pytest.raises(ConfigurationError):

@@ -618,7 +618,7 @@ def test_extraction_matches_the_former_kernels(monkeypatch, sigma, background):
 def test_camera_gray_levels_bounded():
     for name in ("noise_sigma", "particle_level"):
         for value in (-1.0, 255.5, 1e308, float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError, match=rf"camera {name} must be within \[0, 255\]"):
+            with pytest.raises(ConfigurationError, match=rf"camera.{name} must be within \[0, 255\]"):
                 dataclasses.replace(CAM_H, **{name: value})
         assert getattr(dataclasses.replace(CAM_H, **{name: 255.0}), name) == 255.0
 
