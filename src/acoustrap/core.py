@@ -16,7 +16,7 @@ import operator
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -248,17 +248,25 @@ class TransducerArray:
         return self.rows * self.cols
 
     def element_centers(self) -> np.ndarray:
-        """All element centers as an ``(rows * cols, 3)`` array, row-major.
+        """All element centers as a read-only ``(rows * cols, 3)`` array,
+        row-major, built once per array and shared.
 
         Flat index ``i * cols + j`` corresponds to element ``(i, j)``.
         """
-        i = np.arange(self.rows, dtype=float)
-        j = np.arange(self.cols, dtype=float)
-        x = self.origin.x + (i + 0.5) * self.pitch
-        y = self.origin.y + (j + 0.5) * self.pitch
-        xx, yy = np.meshgrid(x, y, indexing="ij")
-        zz = np.full_like(xx, self.origin.z)
-        return np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+        return _element_centers(self)
+
+
+@lru_cache(maxsize=8)
+def _element_centers(array: TransducerArray) -> np.ndarray:
+    i = np.arange(array.rows, dtype=float)
+    j = np.arange(array.cols, dtype=float)
+    x = array.origin.x + (i + 0.5) * array.pitch
+    y = array.origin.y + (j + 0.5) * array.pitch
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    zz = np.full_like(xx, array.origin.z)
+    centers = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+    centers.flags.writeable = False
+    return centers
 
 
 def wavelength(medium: MediumConfig, array: TransducerArray) -> float:

@@ -140,8 +140,13 @@ def _field(
     grid = array.element_centers().reshape(array.rows, array.cols, 3)
     axes = [grid[:, 0, 0], grid[0, :, 1]]
     phases, magnitudes = hologram.phases.reshape(-1), None
-    # (r - c) is odd across a twin pair, so the gradient never folds
-    folds = [None, None] if gradient else [_fold_axis(pts[:, a], axes[a]) for a in (0, 1)]
+    # (r - c) is odd across a twin pair, so the gradient never folds. At most
+    # two elements of an axis lie at one distance from the points, so the tie
+    # search is skipped when even halving both axes would save too few pairs.
+    least_kept = -(-array.rows // 2) * -(-array.cols // 2)
+    folds = [None, None]
+    if not gradient and len(pts) * (len(phases) - least_kept) > _FOLD_MIN_SAVED_PAIRS:
+        folds = [_fold_axis(pts[:, a], axes[a]) for a in (0, 1)]
     kept = [len(ax) if f is None else len(f[1]) for f, ax in zip(folds, axes)]
     if len(pts) * (len(phases) - kept[0] * kept[1]) > _FOLD_MIN_SAVED_PAIRS:
         classes = [np.arange(len(ax)) if f is None else f[0] for f, ax in zip(folds, axes)]

@@ -11,10 +11,11 @@ its own, column by column.
 
 Extraction follows the bench pipeline: background subtraction, adaptive
 binarization against a local mean, a sliding-window search for the
-densest foreground patch and morphological closing; the first two count
-with exact integer box sums. The centre and axes then come from the
-intensity-weighted first and second moments of the largest blob;
-extraction draws no random numbers.
+densest foreground patch and morphological closing. The first two count
+with exact integer box sums, taken as products with cached 0/1 band
+matrices over rows and then columns. The centre and axes then come from
+the intensity-weighted first and second moments of the largest blob, the
+axes in closed form; extraction draws no random numbers.
 
 A frame may be a crop of the sensor (a tracking ``Window``): it carries
 its origin, and extraction reports sensor pixels. A crop's pixels, noise
@@ -289,29 +290,63 @@ def _stride(expected_diameter_px: float) -> int:
     return max(int(round(expected_diameter_px / 2.0)), 1)
 
 
-def _summed_area(a: np.ndarray, r: int = 0) -> np.ndarray:
-    """int64 summed-area table of an integer or boolean array with its
-    edges replicated ``r`` pixels out: entry (i, j) sums the first i rows
-    and j columns of the padded array. One buffer, filled in place."""
-    h, w = a.shape
-    sat = np.zeros((h + 2 * r + 1, w + 2 * r + 1), dtype=np.int64)
-    pad = sat[1:, 1:]
-    pad[r : r + h, r : r + w] = a
-    pad[:r, r : r + w] = a[0]
-    pad[r + h :, r : r + w] = a[-1]
-    pad[:, :r] = pad[:, r : r + 1]
-    pad[:, r + w :] = pad[:, r + w - 1 : r + w]
-    np.cumsum(sat, axis=0, out=sat)
-    np.cumsum(sat, axis=1, out=sat)
-    return sat
+# Rows of window starts that one band product covers: a longer axis is
+# summed tile by tile, so that each sum costs about _TILE + n multiply-adds
+# whatever the frame size. On a full native frame 64 was faster than 128.
+_TILE = 64
+
+
+@lru_cache(maxsize=64)
+def _band(length: int, n: int, step: int) -> np.ndarray:
+    """Read-only 0/1 float matrix: its product with ``length`` rows sums
+    each window of ``n`` rows that ``_window_sums`` lists."""
+    starts = np.arange(0, length - n + 1, step)
+    if starts[-1] != length - n:
+        starts = np.append(starts, length - n)
+    k = np.arange(length)
+    band = ((k >= starts[:, None]) & (k < starts[:, None] + n)).astype(float)
+    band.flags.writeable = False
+    return band
+
+
+def _window_sums(a: np.ndarray, n: int, step: int = 1, axis: int = 0) -> np.ndarray:
+    """Sums of the windows of ``n`` rows (``axis`` 0) or columns (1) of a
+    2-D ``a`` that start at 0, ``step``, 2 ``step`` ... and at the last
+    ``n``, as products with a 0/1 band matrix of at most ``_TILE`` windows
+    each. For an integer-valued ``a`` every partial sum is an integer below
+    2^53, so the float64 sums are exact whatever order the BLAS kernel adds
+    in."""
+    length = a.shape[axis]
+    span = (max(_TILE // step, 1) - 1) * step + n  # the rows of a full tile's windows
+    count = -(-(length - n) // step) + 1
+    out = np.empty((count, a.shape[1]) if axis == 0 else (a.shape[0], count))
+    k0 = 0
+    while k0 < count:
+        i0 = min(k0 * step, length - n)  # past the stride grid, the last window
+        band = _band(min(span, length - i0), n, step)
+        k1, i1 = k0 + band.shape[0], i0 + band.shape[1]
+        if axis == 0:
+            np.matmul(band, a[i0:i1], out=out[k0:k1])
+        else:
+            np.matmul(a[:, i0:i1], band.T, out=out[:, k0:k1])
+        k0 = k1
+    return out
 
 
 def _binarize(diff: np.ndarray, expected_diameter_px: float, offset: float) -> np.ndarray:
     """Pixels of an integer ``diff`` above the mean of the n x n box around
-    them (edges replicated) plus ``offset``: (diff - offset) n^2 > box sum."""
+    them (edges replicated) plus ``offset``: (diff - offset) n^2 > box sum.
+    The box sums are window sums of the padded rows, then columns."""
     n = _binarize_window(expected_diameter_px)
-    sat = _summed_area(diff, n // 2)
-    sums = sat[n:, n:] - sat[:-n, n:] - sat[n:, :-n] + sat[:-n, :-n]
+    r = n // 2
+    h, w = diff.shape
+    pad = np.empty((h + 2 * r, w + 2 * r))
+    pad[r : r + h, r : r + w] = diff
+    pad[:r, r : r + w] = diff[0]
+    pad[r + h :, r : r + w] = diff[-1]
+    pad[:, :r] = pad[:, r : r + 1]
+    pad[:, r + w :] = pad[:, r + w - 1 : r + w]
+    sums = _window_sums(_window_sums(pad, n), n, axis=1)
     return (diff - offset) * (n * n) > sums
 
 
@@ -331,7 +366,9 @@ def _largest_blob(mask: np.ndarray) -> np.ndarray | None:
     tie; None when ``mask`` is empty. Labels the runs [start, end) of the
     zero-padded rows read as one line, where row r + 1 lies w + 2 further
     on: runs of adjacent rows touch when they overlap with one column of
-    slack, and a component is labelled by its first run."""
+    slack, and a component is labelled by its first run. When every run
+    but the first touches an earlier one, ``mask`` is one component and is
+    returned itself."""
     h, w = mask.shape
     line = np.zeros((h, w + 2), dtype=np.int8)
     line[:, 1:-1] = mask
@@ -341,6 +378,8 @@ def _largest_blob(mask: np.ndarray) -> np.ndarray | None:
     if starts.size == 0:
         return None
     touch = (starts <= ends[:, None] + (w + 2)) & (starts[:, None] + (w + 2) <= ends)
+    if touch[:, 1:].any(axis=0).all():  # each run touches an earlier one
+        return mask
     parent = list(range(starts.size))
     for a, b in zip(*(i.tolist() for i in np.nonzero(touch))):
         while parent[a] != a:
@@ -371,23 +410,23 @@ def _best_window(
     h, w = fg.shape
     size = min(max(_patch_half(expected_diameter_px), 3), h, w)
     stride = _stride(expected_diameter_px)
-    rows = list(range(0, h - size + 1, stride))
-    cols = list(range(0, w - size + 1, stride))
-    if rows[-1] != h - size:
-        rows.append(h - size)
-    if cols[-1] != w - size:
-        cols.append(w - size)
-    # foreground counts of the candidate windows, read off the table at the
-    # stride grid's corners
-    top, left = np.array(rows)[:, None], np.array(cols)
-    sat = _summed_area(fg)
-    counts = (
-        sat[top + size, left + size] - sat[top, left + size] - sat[top + size, left] + sat[top, left]
-    )
-    best = np.unravel_index(int(np.argmax(counts)), counts.shape)
-    if counts[best] < _area_floor(expected_diameter_px, min_fraction):
+    # foreground counts of the candidate windows: from every stride-th row
+    # and column, and from the last ones
+    counts = _window_sums(_window_sums(fg.astype(float), size, stride), size, stride, axis=1)
+    i, j = divmod(int(np.argmax(counts)), counts.shape[1])
+    if counts[i, j] < _area_floor(expected_diameter_px, min_fraction):
         return None
-    return rows[best[0]], cols[best[1]], size
+    return min(i * stride, h - size), min(j * stride, w - size), size
+
+
+def _axes(du: np.ndarray, dv: np.ndarray, weights: np.ndarray, mass: float) -> tuple[float, float]:
+    """Major and minor axes, four standard deviations along the principal
+    directions of the weighted covariance of offsets (du, dv) from the
+    centre: its eigenvalues, in closed form from the three weighted sums."""
+    wu, wv = weights * du, weights * dv
+    uu, uv, vv = float(wu @ du) / mass, float(wu @ dv) / mass, float(wv @ dv) / mass
+    mean, spread = (uu + vv) / 2.0, math.hypot((uu - vv) / 2.0, uv)
+    return 4.0 * math.sqrt(mean + spread), 4.0 * math.sqrt(max(mean - spread, 0.0))
 
 
 def extract_feature(
@@ -446,10 +485,7 @@ def extract_feature(
 
     u = float(weights @ cols) / mass
     v = float(weights @ rows) / mass
-    offsets = np.stack([cols - u, rows - v])
-    cov = (offsets * weights) @ offsets.T / mass
-    minor_var, major_var = np.linalg.eigvalsh(cov)
-    major, minor = 4.0 * math.sqrt(major_var), 4.0 * math.sqrt(max(minor_var, 0.0))
+    major, minor = _axes(cols - u, rows - v, weights, mass)
     # integer offsets first, so a crop reports the full frame's floats
     ou, ov = frame.origin
     return FeatureObservation(u + (cc0 + ou), v + (cr0 + ov), major, minor, True, None)

@@ -79,6 +79,10 @@ class TestTransducerArray:
         assert centers[:, 0].max() == pytest.approx(49.5)
         # aperture is centered on (25, 25)
         assert centers[:, :2].mean(axis=0) == pytest.approx([25.0, 25.0])
+        # built once per array and shared read-only
+        assert TransducerArray().element_centers() is centers
+        with pytest.raises(ValueError):
+            centers[0, 0] = 1.0
 
     def test_element_center_matches_flat_index(self):
         arr = TransducerArray(rows=4, cols=7, pitch=1.5, origin=Vec3(-2.0, 3.0, 0.5))

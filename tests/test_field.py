@@ -282,13 +282,19 @@ class TestFold:
         monkeypatch.setattr(field, "_field_chunk", recording)
         return sources
 
-    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 6, 7])
     def test_calls_of_few_points_do_not_fold(self, octa_holo, monkeypatch, n):
-        # on both mirror lines, where folding would save the most pairs
+        # on both mirror lines, where folding would save the most pairs:
+        # from 7 points on, both axes fold to 25 classes; below, the tie
+        # search does not run
         pts = np.column_stack([np.full(n, 25.0), np.full(n, 25.0), np.linspace(30.0, 50.0, n)])
         sources = self._sources_per_chunk(monkeypatch)
+        searches = []
+        fold_axis = field._fold_axis
+        monkeypatch.setattr(field, "_fold_axis", lambda *args: searches.append(1) or fold_axis(*args))
         pressure_at_points(ARR, octa_holo, pts, MED)
-        assert sources == [ARR.element_count]
+        assert sources == [ARR.element_count // 4 if n == 7 else ARR.element_count]
+        assert len(searches) == (2 if n == 7 else 0)
 
     def test_slice_band_folds(self, octa_holo, monkeypatch):
         # an 806-point band of an xoz slice on the mirror line y = 25

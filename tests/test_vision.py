@@ -10,9 +10,11 @@ from acoustrap.config import Background, SimulatorConfig, VisionConfig
 from acoustrap.core import ParticleState, Vec3
 from acoustrap.errors import ConfigurationError
 from acoustrap.vision import (
+    _TILE,
     ImageFrame,
     Window,
     _area_floor,
+    _axes,
     _BAND,
     _best_window,
     _binarize,
@@ -22,6 +24,7 @@ from acoustrap.vision import (
     _patch_half,
     _sensor_noise,
     _stride,
+    _window_sums,
     background_image,
     extract_feature,
     project,
@@ -459,12 +462,17 @@ def _largest_blob_reference(mask):
 # two blobs of equal size: the top-right one comes first in raster order
 _TIED = np.zeros((5, 7), dtype=bool)
 _TIED[3, 0:2] = _TIED[0, 5:7] = True
+# one component whose second run touches only a later run, so that
+# ``_largest_blob`` cannot take it whole; beside it, a smaller blob
+_U = np.zeros((6, 9), dtype=bool)
+_U[0:4, [0, 4]] = _U[4, 0:5] = _U[1:3, 7:9] = True
 _SHAPES = [(1, 1), (1, 9), (9, 1), (4, 6)]
 _EDGE_CASES = (
     [np.zeros(s, dtype=bool) for s in _SHAPES]
     + [np.ones(s, dtype=bool) for s in _SHAPES]
     + [np.eye(1, 9, 4, dtype=bool), np.eye(9, 1, -4, dtype=bool), np.eye(5, dtype=bool)]
     + [_TIED, _TIED[::-1], np.ones((3, 3), dtype=bool) ^ np.eye(3, dtype=bool)[::-1]]
+    + [_U, _U[::-1], _U[:, ::-1], _U[:5, :5], np.tile(_U[:5, :5], (2, 3))]
 )
 
 
@@ -509,6 +517,55 @@ class TestKernelsMatchReferences:
             if want is not None:
                 assert np.array_equal(got, want), mask.astype(int)
         assert _largest_blob(_TIED)[0, 5] and not _largest_blob(_TIED)[3, 0]
+        assert _largest_blob(_U)[0, 4] and not _largest_blob(_U)[1, 7]
+
+    def test_window_sums(self):
+        rng = np.random.default_rng(15)
+        lengths = [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3] + rng.integers(1, 200, 60).tolist()
+        for length in lengths:
+            n = int(rng.integers(1, length + 1))
+            step = int(rng.choice([1, 2, 3, max(n // 3, 1), n, 2 * _TILE]))
+            a = rng.integers(0, 256, size=(length, 3)).astype(float)
+            starts = sorted(set(range(0, length - n + 1, step)) | {length - n})
+            want = np.array([a[s : s + n].sum(axis=0) for s in starts])
+            assert np.array_equal(_window_sums(a, n, step), want), (length, n, step)
+            assert np.array_equal(_window_sums(a.T, n, step, axis=1), want.T), (length, n, step)
+
+    def test_band_products_past_one_tile(self):
+        # frames up to 150 px and windows up to 51 px, a particle at vision
+        # scale 1, against the cumulative-sum kernels
+        rng = np.random.default_rng(16)
+        shapes = [(_TILE, _TILE + 1), (2 * _TILE + 1, 3)] + [tuple(rng.integers(1, 151, size=2)) for _ in range(40)]
+        assert max(map(max, shapes)) > 2 * _TILE
+        for h, w in shapes:
+            d = float(rng.choice([1.5, 4.5, D_PX, 12.0, 25.3]))
+            offset = float(rng.choice([10.0, 2.5, 0.0, -3.0]))
+            diff = rng.integers(0, 256, size=(h, w)).astype(np.int16)
+            diff[rng.random((h, w)) < 0.8] = 0
+            fg = _binarize(diff, d, offset)
+            assert np.array_equal(fg, _binarize_take(diff, d, offset)), (h, w, d, offset)
+            for mask in (fg, rng.random((h, w)) < rng.random()):
+                for fraction in (0.0, 0.3):
+                    assert _best_window(mask, d, fraction) == _best_window_full(mask, d, fraction), (h, w, d)
+
+    def test_axes(self):
+        # against the eigenvalues of the weighted covariance, within a
+        # rounding of the major variance
+        rng = np.random.default_rng(17)
+        cases = [(np.zeros(1), np.zeros(1), np.ones(1))]  # one pixel
+        cases.append((np.arange(9.0) - 4.0, 0.5 * (np.arange(9.0) - 4.0), np.ones(9)))  # a line
+        for _ in range(200):
+            k = int(rng.integers(2, 400))
+            du, dv = rng.normal(0.0, rng.uniform(0.1, 20.0, size=2)[:, None], size=(2, k))
+            cases.append((du, dv, rng.integers(1, 256, size=k).astype(float)))
+        for du, dv, weights in cases:
+            mass = float(weights.sum())
+            offsets = np.stack([du, dv])
+            minor_var, major_var = np.linalg.eigvalsh((offsets * weights) @ offsets.T / mass)
+            major, minor = _axes(du, dv, weights, mass)
+            tol = 1e-12 * (1.0 + major_var)
+            assert abs(major**2 / 16.0 - major_var) <= tol
+            assert abs(minor**2 / 16.0 - max(minor_var, 0.0)) <= tol
 
 
 # The former numpy kernels, kept as slow references for the summed-area
