@@ -9,7 +9,8 @@ one into the camera pair at the rendered scale, and that pair is the only
 hand-eye model the simulation uses. It renders the frames, and
 ``localize`` inverts its stacked rows J through the Moore-Penrose
 pseudo-inverse around the cameras' shared anchor:
-world = anchor_world + pinv(J) @ (pixels - anchor_pixels).
+world = anchor_world + pinv(J) @ (pixels - anchor_pixels), with pinv(J)
+and the product taken in Python floats.
 """
 
 from __future__ import annotations
@@ -142,14 +143,36 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
 
 
 @lru_cache(maxsize=8)
-def _pair_inverse(rows_h: bytes, rows_v: bytes) -> np.ndarray:
-    """Read-only (3, 4) pseudo-inverse of a pair's stacked float64 rows, given
-    as the bytes of each camera's (2, 3) ``rows_of_j``."""
-    rows = np.vstack([np.frombuffer(r, dtype=float).reshape(2, 3) for r in (rows_h, rows_v)])
-    inverse = np.linalg.pinv(rows)
-    inverse.flags.writeable = False
-    return inverse
+def _pair_inverse(rows_h: bytes, rows_v: bytes) -> tuple[tuple[float, ...], ...]:
+    """(3, 4) pseudo-inverse (J^T J)^-1 J^T of a pair's stacked float64 rows
+    J, given as the bytes of each camera's (2, 3) ``rows_of_j``, as rows of
+    Python floats. It is computed in Python floats, the inverse of J^T J
+    from its cofactors, so that its bits do not depend on the BLAS or
+    LAPACK kernel the CPU selects. Its relative error grows with the square
+    of J's condition number, which is 1.42 for the factory pair."""
+    j = [row.tolist() for r in (rows_h, rows_v) for row in np.frombuffer(r, dtype=float).reshape(2, 3)]
+    columns = list(zip(*j))
+    a = [[_dot(p, q) for q in columns] for p in columns]  # J^T J
+    cof = [
+        [
+            a[(p + 1) % 3][(q + 1) % 3] * a[(p + 2) % 3][(q + 2) % 3]
+            - a[(p + 1) % 3][(q + 2) % 3] * a[(p + 2) % 3][(q + 1) % 3]
+            for q in range(3)
+        ]
+        for p in range(3)
+    ]
+    det = _dot(a[0], cof[0])
+    inv = [[cof[q][p] / det for q in range(3)] for p in range(3)]  # the adjugate over det
+    return tuple(tuple(_dot(row, j_row) for j_row in j) for row in inv)
 
+
+def _dot(x, y) -> float:
+    """Products summed left to right in Python floats. Not ``sum``: from
+    Python 3.12 on it compensates float sums, so its bits differ by version."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
 
 def localize(
     cameras: tuple[CameraModel, CameraModel],
@@ -159,7 +182,8 @@ def localize(
     """World position (mm) from one observation per camera of the pair.
 
     The pair's pseudo-inverse is computed once per pair of rows and kept
-    (``_pair_inverse``), so every call after the first is a (3, 4) product.
+    (``_pair_inverse``), so every call after the first is a (3, 4) product,
+    taken in Python floats like the inverse.
     """
     cam_h, cam_v = cameras
     if cam_h.ref_world != cam_v.ref_world:
@@ -167,11 +191,11 @@ def localize(
             f"the cameras are anchored at different world points, {cam_h.ref_world} and"
             f" {cam_v.ref_world}; build the pair with build_camera_pair"
         )
-    observed = np.array([pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]], dtype=float)
-    anchor = np.concatenate([cam_h.ref_pixel, cam_v.ref_pixel])
+    anchor = cam_h.ref_pixel.tolist() + cam_v.ref_pixel.tolist()
+    d = [float(x) - a for x, a in zip((pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]), anchor)]
     inverse = _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
-    delta_um = inverse @ (observed - anchor)
-    return cam_h.ref_world + Vec3(*(delta_um / 1e3).tolist())
+    x, y, z = (_dot(row, d) / 1e3 for row in inverse)
+    return cam_h.ref_world + Vec3(x, y, z)
 
 
 def acquire_reference(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,8 +132,9 @@ class TestCachedPairInverse:
         cam_h, cam_v = cameras
         observed = np.array([pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]], dtype=float)
         anchor = np.concatenate([cam_h.ref_pixel, cam_v.ref_pixel])
-        delta_um = np.linalg.pinv(np.vstack([cam_h.rows_of_j, cam_v.rows_of_j])) @ (observed - anchor)
-        return cam_h.ref_world + Vec3.from_array(delta_um / 1e3)
+        inverse = _pair_inverse.__wrapped__(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
+        delta_um = [math.fsum(np.multiply(row, observed - anchor)) for row in inverse]
+        return cam_h.ref_world.as_array() + np.array(delta_um) / 1e3
 
     def test_interleaved_pairs_match_an_uncached_solve(self):
         factory = build_camera_pair(VisionConfig())
@@ -144,7 +146,9 @@ class TestCachedPairInverse:
         for k in range(40):
             cameras = (factory, fitted)[k % 2]
             pixel_h, pixel_v = tuple(rng.uniform(0.0, 500.0, 2)), tuple(rng.uniform(0.0, 500.0, 2))
-            assert localize(cameras, pixel_h, pixel_v) == self._uncached(cameras, pixel_h, pixel_v)
+            got = localize(cameras, pixel_h, pixel_v).as_array()
+            # the product's rounding, a few ulp of the largest term
+            assert np.abs(got - self._uncached(cameras, pixel_h, pixel_v)).max() <= 1e-12
         # the factory rows are cached by now; another anchor is still refused
         cam_h, cam_v = factory
         moved = dataclasses.replace(cam_v, ref_world=cam_v.ref_world + Vec3(0.0, 0.0, 1.0))
@@ -156,10 +160,22 @@ class TestCachedPairInverse:
         localize((cam_h, cam_v), (300.0, 250.0), (310.0, 240.0))
         inverse = _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
         assert inverse is _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
-        assert np.array_equal(inverse, np.linalg.pinv(np.vstack([cam_h.rows_of_j, cam_v.rows_of_j])))
-        assert not inverse.flags.writeable
-        with pytest.raises(ValueError):
-            inverse[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            inverse[0][0] = 0.0
+
+    def test_inverse_matches_pinv(self):
+        # Python floats against LAPACK's SVD, on the factory pair at two
+        # scales, a fitted Jacobian and random ones of condition below 100
+        rng = np.random.default_rng(9)
+        jacobians = [np.vstack([c.rows_of_j for c in build_camera_pair(VisionConfig(scale=s))]) for s in (0.25, 1.0)]
+        jacobians.append(calibrate_jacobian(_synthetic_pairs(FACTORY_J, 30, noise=0.5, seed=8)).jacobian.matrix)
+        randoms = (rng.normal(0.0, rng.uniform(0.01, 10.0), (4, 3)) for _ in range(40))
+        jacobians += [j for j in randoms if np.linalg.cond(j) < 100.0]
+        assert len(jacobians) > 30
+        for j in jacobians:
+            pinv = np.linalg.pinv(j)
+            inverse = np.array(_pair_inverse(j[:2].tobytes(), j[2:].tobytes()))
+            assert np.abs(inverse - pinv).max() <= 1e-12 * np.abs(pinv).max(), np.linalg.cond(j)
 
 
 class TestCalibrateJacobian:
