@@ -145,11 +145,11 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
 @lru_cache(maxsize=8)
 def _pair_inverse(rows_h: bytes, rows_v: bytes) -> tuple[tuple[float, ...], ...]:
     """(3, 4) pseudo-inverse (J^T J)^-1 J^T of a pair's stacked float64 rows
-    J, given as the bytes of each camera's (2, 3) ``rows_of_j``, as rows of
-    Python floats. It is computed in Python floats, the inverse of J^T J
-    from its cofactors, so that its bits do not depend on the BLAS or
-    LAPACK kernel the CPU selects. Its relative error grows with the square
-    of J's condition number, which is 1.42 for the factory pair."""
+    J, given as the bytes of each camera's (2, 3) ``rows_of_j``. Its rows
+    are Python floats, and so is every step, J^T J inverted through its
+    cofactors: the bits do not depend on the BLAS or LAPACK kernel the CPU
+    selects. Its relative error grows with the square of J's condition
+    number, which is 1.42 for the factory pair."""
     j = [row.tolist() for r in (rows_h, rows_v) for row in np.frombuffer(r, dtype=float).reshape(2, 3)]
     columns = list(zip(*j))
     a = [[_dot(p, q) for q in columns] for p in columns]  # J^T J
@@ -173,6 +173,7 @@ def _dot(x, y) -> float:
     for a, b in zip(x, y):
         total += a * b
     return total
+
 
 def localize(
     cameras: tuple[CameraModel, CameraModel],
