@@ -72,7 +72,7 @@ from .hologram import (
     octahedron_vertexes,
 )
 from .vision import (
-    background_image,
+    background_pixels,
     extract_feature,
     project,
     render_frame,
@@ -319,9 +319,9 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
     records = []
     for label in "hv" if args.camera == "both" else args.camera:
         c, cam = cameras[label]
-        bg = background_image(cam)
+        bg = background_pixels(cam)
         bg_name = f"background_{label}.pgm"
-        save_pgm(out / bg_name, np.clip(np.rint(bg), 0, 255).astype(np.uint8))
+        save_pgm(out / bg_name, bg)
         outputs.append(bg_name)
         for k in range(args.frames):
             t = k / config.timing.camera_fps
@@ -544,7 +544,7 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     seeds = itertools.count()
     full_ms = time_call(lambda: render_frame(cam, particle, next(seeds)), args.repeats)
     crop_ms = time_call(lambda: render_frame(cam, particle, next(seeds), window), args.repeats)
-    bg = background_image(cam)
+    bg = background_pixels(cam)
     frame = render_frame(cam, particle, 0)
     crop = render_frame(cam, particle, 0, window)
     extract_full_ms = time_call(lambda: extract_feature(frame, bg, expected_px, config.vision), args.repeats)

@@ -51,14 +51,15 @@ from .core import check_ranges, within
 from .errors import AcoustrapError, ConfigurationError
 from .hologram import MIN_SOURCE_DISTANCE, FocusTrap, OctahedralTrap, TrapSpec, trap_anchor
 
-# Unused here, but perfbench/tracing.py patches these two at this lookup
-# site (``PATCHES``) and fails when either name is missing.
+# Unused here, but perfbench/tracing.py patches these three at this lookup
+# site (``PATCHES``) and fails when any name is missing.
 from .hologram import make_focus_hologram, make_octahedral_hologram  # noqa: F401
+from .vision import background_image  # noqa: F401
 from .prediction import TrackSample, confirm_track, predict_position
 from .vision import (
     CameraModel,
     FeatureObservation,
-    background_image,
+    background_pixels,
     extract_feature,
     project,
     render_frame,
@@ -220,7 +221,7 @@ class _Attempt:
         self.scenario, self.world, self.config = scenario, world, world.config
         self.tol = world.containment_tolerance()
         self.cameras = tuple(
-            (cam, background_image(cam), scenario.particle.diameter_um * cam.pixel_scale)
+            (cam, background_pixels(cam), scenario.particle.diameter_um * cam.pixel_scale)
             for cam in world.cameras
         )
         # extraction needs a particle more than 3 px wide; say so before the

@@ -16,7 +16,7 @@ import operator
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -361,21 +361,25 @@ class WorkspaceConfig:
         if not self.tank_contains_points(np.array([lo.as_array(), self.max_corner.as_array()])):
             raise ConfigurationError("workspace must lie inside the tank bounds")
 
-    @property
+    @cached_property
     def min_corner(self) -> Vec3:
         return self.center - 0.5 * self.extent
 
-    @property
+    @cached_property
     def max_corner(self) -> Vec3:
         return self.center + 0.5 * self.extent
 
-    @property
+    @cached_property
     def tank_min(self) -> Vec3:
         return self.tank_center - 0.5 * self.tank_extent
 
-    @property
+    @cached_property
     def tank_max(self) -> Vec3:
         return self.tank_center + 0.5 * self.tank_extent
+
+    def __getstate__(self) -> dict:
+        # a pickle carries the fields, not the corners cached beside them
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def contains(self, point: Vec3) -> bool:
         """True when ``point`` lies inside the workspace."""

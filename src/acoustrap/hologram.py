@@ -14,7 +14,6 @@ and off every element centre.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -153,9 +152,7 @@ def make_focus_hologram(
 
 # Octahedron vertex order: +x, -x, +y, -y, +z, -z around the center.
 def octahedron_vertexes(center: Vec3, diameter: float) -> tuple[Vec3, ...]:
-    if not 0 <= diameter < math.inf:
-        raise ConfigurationError(f"octahedron diameter must be finite and >= 0, got {diameter}")
-    r = diameter / 2.0
+    r = OctahedralTrap(center, diameter).diameter / 2.0  # checks the declared range
     return (
         Vec3(center.x + r, center.y, center.z),
         Vec3(center.x - r, center.y, center.z),

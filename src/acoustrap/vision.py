@@ -9,11 +9,12 @@ Gaussian sensor noise: each frame has one counter-based stream, and each
 fixed band of sensor rows draws its iid pixels from a counter range of
 its own, column by column.
 
-Extraction follows the bench pipeline: background subtraction, adaptive
-binarization against a local mean, a sliding-window search for the
-densest foreground patch and morphological closing. The first two count
-with exact integer box sums, taken as products with cached 0/1 band
-matrices over rows and then columns. The centre and axes then come from
+Extraction follows the bench pipeline: subtraction of the 8-bit
+background (``background_pixels``), adaptive binarization against a
+local mean, a sliding-window search for the densest foreground patch and
+morphological closing. The middle two count with exact integer box
+sums: products with cached band matrices over rows and then columns,
+which also replicate the edges. The centre and axes then come from
 the intensity-weighted first and second moments of the largest blob, the
 axes in closed form; extraction draws no random numbers.
 
@@ -186,6 +187,23 @@ def background_image(camera: CameraModel) -> np.ndarray:
     return _background(tuple(camera.image_size), camera.background)
 
 
+@lru_cache(maxsize=8)
+def _background_pixels(image_size: tuple[int, int], background: Background) -> np.ndarray:
+    img = _background(image_size, background)
+    pixels = np.empty(img.shape, dtype=np.uint8)
+    for r in range(0, img.shape[0], _BAND):  # a band at a time: no float copy of the frame
+        pixels[r : r + _BAND] = _to_pixels(img[r : r + _BAND].copy())
+    pixels.flags.writeable = False
+    return pixels
+
+
+def background_pixels(camera: CameraModel) -> np.ndarray:
+    """``background_image`` as the sensor records it, rounded and clipped
+    to 8-bit gray levels; built once per image size and background model,
+    shared and read-only. The closed loop extracts against its slices."""
+    return _background_pixels(tuple(camera.image_size), camera.background)
+
+
 # Rows per sensor band, counted from row 0. A band reads its pixels
 # column by column, so a crop's columns are one run of the band's
 # uniforms; a multiple of 4, so that a run starts on a Philox block and
@@ -298,56 +316,54 @@ _TILE = 64
 
 
 @lru_cache(maxsize=64)
-def _band(length: int, n: int, step: int) -> np.ndarray:
-    """Read-only 0/1 float matrix: its product with ``length`` rows sums
-    each window of ``n`` rows that ``_window_sums`` lists."""
+def _tiles(size: int, n: int, step: int, pad: int, axis: int) -> tuple:
+    """The band products ``_window_sums`` takes over ``size`` rows, one
+    per tile of at most ``_TILE`` windows: (the tile's windows, the rows it
+    reads, its read-only band matrix, transposed for ``axis`` 1). A band
+    counts, for each window, how often it covers each row read; a padded
+    row counts for the edge row it repeats, so the edge tiles' bands hold
+    the replication and no padded copy is built."""
+    length = size + 2 * pad  # of the padded rows
     starts = np.arange(0, length - n + 1, step)
-    if starts[-1] != length - n:
+    if starts[-1] != length - n:  # past the stride grid, the last window
         starts = np.append(starts, length - n)
-    k = np.arange(length)
-    band = ((k >= starts[:, None]) & (k < starts[:, None] + n)).astype(float)
-    band.flags.writeable = False
-    return band
+    tiles, per_tile = [], max(_TILE // step, 1)
+    for k0 in range(0, len(starts), per_tile):
+        s = starts[k0 : k0 + per_tile, None]
+        k = np.arange(s[0, 0], s[-1, 0] + n)  # the tile's padded rows
+        src = np.clip(k - pad, 0, size - 1)  # the row of ``a`` each repeats
+        band = ((k >= s) & (k < s + n)).astype(float) @ (src[:, None] == np.arange(src[0], src[-1] + 1))
+        band = np.ascontiguousarray(band if axis == 0 else band.T)
+        band.flags.writeable = False
+        tiles.append((slice(k0, k0 + len(s)), slice(src[0], src[-1] + 1), band))
+    return tuple(tiles)
 
 
-def _window_sums(a: np.ndarray, n: int, step: int = 1, axis: int = 0) -> np.ndarray:
+def _window_sums(a: np.ndarray, n: int, step: int = 1, axis: int = 0, pad: int = 0) -> np.ndarray:
     """Sums of the windows of ``n`` rows (``axis`` 0) or columns (1) of a
-    2-D ``a`` that start at 0, ``step``, 2 ``step`` ... and at the last
-    ``n``, as products with a 0/1 band matrix of at most ``_TILE`` windows
-    each. For an integer-valued ``a`` every partial sum is an integer below
-    2^53, so the float64 sums are exact whatever order the BLAS kernel adds
-    in."""
-    length = a.shape[axis]
-    span = (max(_TILE // step, 1) - 1) * step + n  # the rows of a full tile's windows
-    count = -(-(length - n) // step) + 1
+    2-D ``a`` with its edge rows repeated ``pad`` times past each edge,
+    that start at 0, ``step``, 2 ``step`` ... and at the last ``n``, as
+    products with the band matrices of ``_tiles``. For an integer-valued
+    ``a`` every partial sum is an integer below 2^53, so the float64 sums
+    are exact whatever order the BLAS kernel adds in."""
+    tiles = _tiles(a.shape[axis], n, step, pad, axis)
+    count = tiles[-1][0].stop
     out = np.empty((count, a.shape[1]) if axis == 0 else (a.shape[0], count))
-    k0 = 0
-    while k0 < count:
-        i0 = min(k0 * step, length - n)  # past the stride grid, the last window
-        band = _band(min(span, length - i0), n, step)
-        k1, i1 = k0 + band.shape[0], i0 + band.shape[1]
+    for windows, rows, band in tiles:
         if axis == 0:
-            np.matmul(band, a[i0:i1], out=out[k0:k1])
+            np.matmul(band, a[rows], out=out[windows])
         else:
-            np.matmul(a[:, i0:i1], band.T, out=out[:, k0:k1])
-        k0 = k1
+            np.matmul(a[:, rows], band, out=out[:, windows])
     return out
 
 
 def _binarize(diff: np.ndarray, expected_diameter_px: float, offset: float) -> np.ndarray:
-    """Pixels of an integer ``diff`` above the mean of the n x n box around
-    them (edges replicated) plus ``offset``: (diff - offset) n^2 > box sum.
-    The box sums are window sums of the padded rows, then columns."""
+    """Pixels of an integer-valued ``diff`` above the mean of the n x n box
+    around them (edges replicated) plus ``offset``: (diff - offset) n^2 >
+    box sum. The box sums are window sums of the rows, then columns, with
+    the edges repeated in the bands."""
     n = _binarize_window(expected_diameter_px)
-    r = n // 2
-    h, w = diff.shape
-    pad = np.empty((h + 2 * r, w + 2 * r))
-    pad[r : r + h, r : r + w] = diff
-    pad[:r, r : r + w] = diff[0]
-    pad[r + h :, r : r + w] = diff[-1]
-    pad[:, :r] = pad[:, r : r + 1]
-    pad[:, r + w :] = pad[:, r + w - 1 : r + w]
-    sums = _window_sums(_window_sums(pad, n), n, axis=1)
+    sums = _window_sums(_window_sums(diff, n, pad=n // 2), n, axis=1, pad=n // 2)
     return (diff - offset) * (n * n) > sums
 
 
@@ -438,7 +454,9 @@ def extract_feature(
 ) -> FeatureObservation:
     """Locate the particle in a frame against a known background.
 
-    ``background`` is a gray-level array of the frame's shape. The centre
+    ``background`` is a gray-level array of the frame's shape: 8-bit, as
+    ``background_pixels`` records it, or another dtype, which is first
+    rounded and clipped to 8 bits like a rendered frame. The centre
     is the background-difference-weighted mean of the largest closed
     blob, and the axes are four standard deviations along the principal
     directions of its weighted covariance (the diameter, for a uniform
@@ -449,14 +467,14 @@ def extract_feature(
         raise ConfigurationError(
             f"expected_diameter_px must exceed 3 and fit the frame, got {expected_diameter_px}"
         )
-    img = frame.pixels.astype(np.int16)
-    # the background as the sensor records it, so that int16 cannot wrap
-    bg = np.rint(np.clip(background, 0, 255)).astype(np.int16)
-    if bg.shape != img.shape:
+    bg = np.asarray(background)
+    if bg.dtype != np.uint8:  # the background as the sensor records it
+        bg = _to_pixels(np.array(bg, dtype=float))
+    if bg.shape != frame.pixels.shape:
         raise ConfigurationError(
-            f"background shape {bg.shape} does not match frame {img.shape}"
+            f"background shape {bg.shape} does not match frame {frame.pixels.shape}"
         )
-    diff = np.abs(img - bg)
+    diff = np.abs(np.subtract(frame.pixels, bg, dtype=float))
     # below 2 sigma of the sensor noise, the offset lets clusters of noise
     # pixels through, and a noise patch can fill a particle's area floor;
     # a noise-free sensor keeps any offset, a negative one too
@@ -478,7 +496,7 @@ def extract_feature(
     if blob is None:
         return _invalid("empty_after_morphology")
     rows, cols = np.nonzero(blob)
-    weights = diff[rows + cr0, cols + cc0].astype(float)
+    weights = diff[rows + cr0, cols + cc0]
     mass = float(weights.sum())
     # a blob with no contrast against the background carries no position
     if rows.size < _area_floor(expected_diameter_px, config.min_foreground_fraction) or mass <= 0:

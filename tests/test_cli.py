@@ -101,7 +101,7 @@ class TestHologramCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "octahedron diameter must be finite" in err
+        assert f"octahedral_trap.diameter must be >= 0, got {diameter}" in err
 
     def test_focus_below_plane_is_geometry_error(self, tmp_path):
         assert run_cli(

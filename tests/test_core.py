@@ -1,8 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from acoustrap.config import SimulatorConfig
+from acoustrap.control import TrapWorld
 from acoustrap.core import (
     MAX_LATENCY_S,
     MAX_PARTICLE_DIAMETER_UM,
@@ -174,6 +178,23 @@ class TestWorkspaceConfig:
     def test_rejects_workspace_touching_array_plane(self):
         with pytest.raises(ConfigurationError):
             WorkspaceConfig(center=Vec3(25.0, 25.0, 10.0), extent=Vec3(10.0, 10.0, 20.0))
+
+    def test_corners_are_computed_once_and_left_out_of_pickles(self):
+        ws = WorkspaceConfig(center=Vec3(24.5, 25.25, 41.0), extent=Vec3(30.0, 29.0, 31.0))
+        corners = (ws.min_corner, ws.max_corner, ws.tank_min, ws.tank_max)
+        assert corners == (
+            ws.center - 0.5 * ws.extent,
+            ws.center + 0.5 * ws.extent,
+            ws.tank_center - 0.5 * ws.tank_extent,
+            ws.tank_center + 0.5 * ws.tank_extent,
+        )
+        assert ws.min_corner is corners[0] and ws.tank_max is corners[3]
+        copy = pickle.loads(pickle.dumps(ws))
+        assert copy == ws and hash(copy) == hash(ws)
+        assert set(vars(copy)) == {"center", "extent", "tank_center", "tank_extent"}
+        assert (copy.min_corner, copy.max_corner, copy.tank_min, copy.tank_max) == corners
+        world = TrapWorld.from_config(SimulatorConfig())
+        assert pickle.loads(pickle.dumps(world)).config == world.config
 
 
 class TestErrorHierarchy:

@@ -120,7 +120,7 @@ class TestOctahedronVertexes:
 
     def test_rejects_negative(self):
         for bad in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError, match="octahedron diameter"):
+            with pytest.raises(ConfigurationError, match=r"octahedral_trap\.diameter must be >= 0"):
                 octahedron_vertexes(CENTER, bad)
 
 

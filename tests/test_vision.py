@@ -26,6 +26,7 @@ from acoustrap.vision import (
     _stride,
     _window_sums,
     background_image,
+    background_pixels,
     extract_feature,
     project,
     render_frame,
@@ -548,6 +549,34 @@ class TestKernelsMatchReferences:
                 for fraction in (0.0, 0.3):
                     assert _best_window(mask, d, fraction) == _best_window_full(mask, d, fraction), (h, w, d)
 
+    def test_window_sums_of_replicated_edges(self):
+        # against np.pad's edge replication and cumulative sums: windows
+        # wider than a side, and heights whose repeats fall in the first or
+        # last tile or, past _TILE rows of repeats, in the middle ones
+        rng = np.random.default_rng(18)
+        for h in [1, 2, 5, 47, 48, 49, 50, _TILE, _TILE + 1, 2 * _TILE + 3]:
+            for n in sorted({3, 13, 51, h + 1 + h % 2, 2 * h + 1, int(rng.integers(1, 100)) | 1}):
+                r = n // 2
+                a = rng.integers(0, 256, size=(h, 3)).astype(float)
+                sums = np.zeros((h + 2 * r + 1, 3))
+                np.cumsum(np.pad(a, ((r, r), (0, 0)), mode="edge"), axis=0, out=sums[1:])
+                want = sums[n:] - sums[:-n]
+                assert np.array_equal(_window_sums(a, n, pad=r), want), (h, n)
+                assert np.array_equal(_window_sums(a.T, n, axis=1, pad=r), want.T), (h, n)
+
+    def test_box_sums_of_loop_crops(self):
+        # the two passes of ``_binarize`` on crops near a loop crop's 48 x 50,
+        # and on taller ones, against the box sums of the edge-padded crop
+        rng = np.random.default_rng(19)
+        shapes = [(48, 50), (50, 48), (47, 51), (49, 49), (_TILE, 50), (_TILE + 1, 48), (2 * _TILE + 3, 49)]
+        for h, w in shapes + [tuple(rng.integers(40, 57, size=2)) for _ in range(10)]:
+            for n in (13, 51, 2 * max(h, w) + 1):
+                r = n // 2
+                diff = rng.integers(0, 256, size=(h, w)).astype(float)
+                diff[rng.random((h, w)) < 0.8] = 0.0
+                got = _window_sums(_window_sums(diff, n, pad=r), n, axis=1, pad=r)
+                assert np.array_equal(got, _box_sums_full(np.pad(diff, r, mode="edge"), n)), (h, w, n)
+
     def test_axes(self):
         # against the eigenvalues of the weighted covariance, within a
         # rounding of the major variance
@@ -670,6 +699,34 @@ def test_extraction_matches_the_former_kernels(monkeypatch, sigma, background):
     for frame, window, obs in cases:
         slow = extract_feature(frame, bg[window.slices], D_PX, config)
         assert _same_observation(obs, slow), (window, obs, slow)
+
+
+@pytest.mark.parametrize("background", ["flat", "gradient"])
+@pytest.mark.parametrize("sigma", [0.0, 5.0])
+def test_recorded_background_extracts_as_the_float_one(sigma, background):
+    # the loop hands extraction the 8-bit background, the CLI and these
+    # tests the float one, which extraction rounds and clips itself
+    scene = Background(kind="gradient", level=170.0, du=25.0, dv=15.0) if background == "gradient" else Background()
+    cam = dataclasses.replace(CAM_H, noise_sigma=sigma, background=scene)
+    config = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    bg, recorded = background_image(cam), background_pixels(cam)
+    assert background_pixels(dataclasses.replace(cam, noise_sigma=1.0)) is recorded
+    assert recorded.dtype == np.uint8 and not recorded.flags.writeable
+    assert np.array_equal(recorded, np.rint(np.clip(bg, 0, 255)))
+    rng = np.random.default_rng(int(sigma) + 17 * (background == "gradient"))
+    for seed in range(3):
+        for particle, window in _seeded_crops(cam, rng):
+            frame = render_frame(cam, particle, seed, window)
+            a = extract_feature(frame, recorded[window.slices], D_PX, config)
+            b = extract_feature(frame, bg[window.slices], D_PX, config)
+            assert _same_observation(a, b), (window, a, b)
+        w, h = cam.image_size
+        full = render_frame(cam, _particle_at(cam, rng.uniform([60.0, 60.0], [w - 60.0, h - 60.0])), seed)
+        a, b = (extract_feature(full, image, D_PX, config) for image in (recorded, bg))
+        assert a.valid and _same_observation(a, b), (a, b)
+    for wrong in (recorded[:-1], bg[:-1]):
+        with pytest.raises(ConfigurationError, match=r"background shape \(511, 612\) does not match frame \(512, 612\)"):
+            extract_feature(full, wrong, D_PX, config)
 
 
 def test_camera_gray_levels_bounded():
