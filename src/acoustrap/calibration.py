@@ -6,11 +6,11 @@ micrometer), and a reference set whose centroid anchors it. Calibrations
 are stored at native sensor resolution, the packaged factory one and
 those ``acoustrap calibrate`` writes alike. ``build_camera_pair`` turns
 one into the camera pair at the rendered scale, and that pair is the only
-hand-eye model the simulation uses. It renders the frames, and
-``localize`` inverts its stacked rows J through the Moore-Penrose
-pseudo-inverse around the cameras' shared anchor:
-world = anchor_world + pinv(J) @ (pixels - anchor_pixels), with pinv(J)
-and the product taken in Python floats.
+hand-eye model the simulation uses; a camera's sensor is its ``vision``.
+It renders the frames, and ``localize`` inverts its stacked rows J through
+the Moore-Penrose pseudo-inverse around the cameras' shared anchor:
+world = anchor_world + pinv(J) @ (pixels - anchor_pixels). Both directions
+run in Python floats, ``project`` and pinv(J) with its product alike.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import VisionConfig
-from .core import MAX_ARRAY_LENGTH_MM, MediumConfig, TransducerArray, Vec3
+from .core import MAX_ARRAY_LENGTH_MM, MediumConfig, TransducerArray, Vec3, _dot
 from .errors import CalibrationError, ConfigurationError
 from .field import pressure_at_points
 from .hologram import make_focus_hologram
@@ -38,6 +38,10 @@ _RANK_TOL = 1e-9
 
 # The peak search stops once its step falls below this, mm (1 um).
 _MIN_SCAN_STEP = 1e-3
+
+# Largest reference pixel coordinate a calibration file may hold: far past
+# the 2448 px native sensor, and far from overflowing a centroid.
+MAX_REFERENCE_PIXEL = 1e9
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,13 @@ class ReferenceSet:
         pts = tuple(self.points)
         if not pts:
             raise CalibrationError("reference set must contain at least one point")
+        # their centroid is the cameras' reference pixel, unchecked past here
+        for k, p in enumerate(pts):
+            if not all(abs(x) <= MAX_REFERENCE_PIXEL for x in (*p.pixel_h, *p.pixel_v)):  # also rejects NaN
+                raise CalibrationError(
+                    f"calibration reference point {k} has pixels {p.pixel_h} and {p.pixel_v};"
+                    f" each must be finite and within ±{MAX_REFERENCE_PIXEL:g} px"
+                )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -143,14 +154,13 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
 
 
 @lru_cache(maxsize=8)
-def _pair_inverse(rows_h: bytes, rows_v: bytes) -> tuple[tuple[float, ...], ...]:
-    """(3, 4) pseudo-inverse (J^T J)^-1 J^T of a pair's stacked float64 rows
-    J, given as the bytes of each camera's (2, 3) ``rows_of_j``. Its rows
-    are Python floats, and so is every step, J^T J inverted through its
-    cofactors: the bits do not depend on the BLAS or LAPACK kernel the CPU
-    selects. Its relative error grows with the square of J's condition
-    number, which is 1.42 for the factory pair."""
-    j = [row.tolist() for r in (rows_h, rows_v) for row in np.frombuffer(r, dtype=float).reshape(2, 3)]
+def _pair_inverse(rows_h: tuple, rows_v: tuple) -> tuple[tuple[float, ...], ...]:
+    """(3, 4) pseudo-inverse (J^T J)^-1 J^T of a pair's stacked rows J, each
+    camera's ``rows_of_j``. Its rows are Python floats, and so is every
+    step, J^T J inverted through its cofactors: the bits do not depend on
+    the BLAS or LAPACK kernel the CPU selects. Its relative error grows with
+    the square of J's condition number, which is 1.42 for the factory pair."""
+    j = [*rows_h, *rows_v]
     columns = list(zip(*j))
     a = [[_dot(p, q) for q in columns] for p in columns]  # J^T J
     cof = [
@@ -164,15 +174,6 @@ def _pair_inverse(rows_h: bytes, rows_v: bytes) -> tuple[tuple[float, ...], ...]
     det = _dot(a[0], cof[0])
     inv = [[cof[q][p] / det for q in range(3)] for p in range(3)]  # the adjugate over det
     return tuple(tuple(_dot(row, j_row) for j_row in j) for row in inv)
-
-
-def _dot(x, y) -> float:
-    """Products summed left to right in Python floats. Not ``sum``: from
-    Python 3.12 on it compensates float sums, so its bits differ by version."""
-    total = 0.0
-    for a, b in zip(x, y):
-        total += a * b
-    return total
 
 
 def localize(
@@ -192,9 +193,9 @@ def localize(
             f"the cameras are anchored at different world points, {cam_h.ref_world} and"
             f" {cam_v.ref_world}; build the pair with build_camera_pair"
         )
-    anchor = cam_h.ref_pixel.tolist() + cam_v.ref_pixel.tolist()
+    anchor = cam_h.ref_pixel + cam_v.ref_pixel
     d = [float(x) - a for x, a in zip((pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]), anchor)]
-    inverse = _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
+    inverse = _pair_inverse(cam_h.rows_of_j, cam_v.rows_of_j)
     x, y, z = (_dot(row, d) / 1e3 for row in inverse)
     return cam_h.ref_world + Vec3(x, y, z)
 
@@ -369,18 +370,8 @@ def build_camera_pair(
     for a set of one.
     """
     jacobian, refs = calibration or default_calibration()
-    s = vision.scale
-    rows, ref_pixels = jacobian.matrix * s, refs.pixel_centroid * s
-    cam_h, cam_v = (
-        CameraModel(
-            rows[k : k + 2],
-            ref_pixels[k : k + 2],
-            refs.world_centroid,
-            image_size=vision.image_size,
-            noise_sigma=vision.noise_sigma,
-            background=vision.background,
-            particle_level=vision.particle_level,
-        )
-        for k in (0, 2)
+    rows = [tuple(row) for row in (jacobian.matrix * vision.scale).tolist()]
+    pixels, anchor = (refs.pixel_centroid * vision.scale).tolist(), refs.world_centroid
+    return tuple(
+        CameraModel((rows[k], rows[k + 1]), (pixels[k], pixels[k + 1]), anchor, vision) for k in (0, 2)
     )
-    return cam_h, cam_v

@@ -602,7 +602,7 @@ def cmd_bench(args, config: SimulatorConfig) -> int:
     print(f"{'plain':<28}{field_pairs_per_s:>12.3g}")
     print(f"{'piston directivity':<28}{directivity_pairs_per_s:>12.3g}")
     print(f"{'piston, quarter pitch off':<28}{unfolded_pairs_per_s:>12.3g}")
-    print(f"{f'frame layer (noise sigma {cam.noise_sigma:g})':<28}{'median ms':>12}")
+    print(f"{f'frame layer (noise sigma {cam.vision.noise_sigma:g})':<28}{'median ms':>12}")
     print(f"{f'full frame {w}x{h}':<28}{full_ms:>12.3f}")
     print(f"{f'crop {window.c1 - window.c0}x{window.r1 - window.r0}':<28}{crop_ms:>12.3f}")
     print(f"{'extract full frame':<28}{extract_full_ms:>12.3f}")

@@ -51,6 +51,15 @@ def _cos_sin(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+def _dot(x, y) -> float:
+    """Products summed left to right in Python floats. Not ``sum``: from
+    Python 3.12 on it compensates float sums, so its bits differ by version."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Point or displacement in the array frame, in millimeters. Arithmetic

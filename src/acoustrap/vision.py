@@ -3,11 +3,13 @@ feature extraction.
 
 Each camera is an affine orthographic projection around a reference pose:
 pixel = rows_of_j @ (world - ref_world) + ref_pixel, with the Jacobian
-rows in pixel per micrometer. Rendering draws the particle as an
-anti-aliased dark disc over the configured background and adds seeded
-Gaussian sensor noise: each frame has one counter-based stream, and each
-fixed band of sensor rows draws its iid pixels from a counter range of
-its own, column by column.
+rows in pixel per micrometer, in Python floats as ``localize`` inverts
+it. A camera is plain numbers, and its sensor (image size, noise,
+background, particle gray level) is its ``vision``. Rendering draws the
+particle as an anti-aliased dark disc over the configured background and
+adds seeded Gaussian sensor noise: each frame has one counter-based
+stream, and each fixed band of sensor rows draws its iid pixels from a
+counter range of its own, column by column.
 
 Extraction follows the bench pipeline: subtraction of the 8-bit
 background (``background_pixels``), adaptive binarization against a
@@ -32,72 +34,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import Background, VisionConfig, gray_level
-from .core import ParticleState, Vec3, _cos_sin, check_ranges
+from .config import Background, VisionConfig
+from .core import ParticleState, Vec3, _cos_sin, _dot
 from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
 class CameraModel:
-    """One affine camera of the binocular pair.
+    """One affine camera of the binocular pair, built by ``build_camera_pair``
+    from checked inputs; it compares and hashes by value.
 
     Parameters
     ----------
-    rows_of_j : np.ndarray
+    rows_of_j : tuple
         (2, 3) pixel-per-micrometer sensitivity of (u, v) to world motion.
-    ref_pixel : np.ndarray
+    ref_pixel : tuple
         Pixel (u, v) where ``ref_world`` projects.
     ref_world : Vec3
         World anchor of the projection, mm.
-    image_size : tuple
-        (width, height) of rendered frames; ``build_camera_pair`` takes
-        ``VisionConfig.image_size``, the native sensor at the vision scale.
+    vision : VisionConfig
+        The sensor: image size, noise, background and particle gray level.
     """
 
-    rows_of_j: np.ndarray
-    ref_pixel: np.ndarray
+    rows_of_j: tuple[tuple[float, float, float], tuple[float, float, float]]
+    ref_pixel: tuple[float, float]
     ref_world: Vec3
-    image_size: tuple[int, int]
-    noise_sigma: float = gray_level(0.0)
-    background: Background = Background()
-    particle_level: float = gray_level(40.0)
+    vision: VisionConfig
 
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows_of_j, dtype=float)
-        refp = np.asarray(self.ref_pixel, dtype=float)
-        if rows.shape != (2, 3):
-            raise ConfigurationError(f"camera rows_of_j must be (2, 3), got {rows.shape}")
-        if refp.shape != (2,):
-            raise ConfigurationError(f"camera ref_pixel must be (2,), got {refp.shape}")
-        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(refp))):
-            raise ConfigurationError("camera parameters must be finite")
-        w, h = self.image_size
-        if w < 8 or h < 8:
-            raise ConfigurationError(f"camera image_size must be at least 8x8, got {w}x{h}")
-        check_ranges(self, "camera")
-        rows = rows.copy()
-        rows.flags.writeable = False
-        refp = refp.copy()
-        refp.flags.writeable = False
-        object.__setattr__(self, "rows_of_j", rows)
-        object.__setattr__(self, "ref_pixel", refp)
+    @property
+    def image_size(self) -> tuple[int, int]:
+        """(width, height) of rendered frames."""
+        return self.vision.image_size
 
-    @cached_property
+    @property
     def pixel_scale(self) -> float:
         """Pixels per micrometer of in-plane motion (mean over both rows)."""
-        return float(np.mean(np.max(np.abs(self.rows_of_j), axis=1)))
+        return (max(map(abs, self.rows_of_j[0])) + max(map(abs, self.rows_of_j[1]))) / 2
 
 
 def project(camera: CameraModel, world: Vec3) -> tuple[float, float]:
-    """Project a world point (mm) to pixel coordinates (u, v)."""
-    delta_um = (world - camera.ref_world).as_array() * 1e3
-    uv = camera.rows_of_j @ delta_um + camera.ref_pixel
-    return float(uv[0]), float(uv[1])
+    """Project a world point (mm) to pixel coordinates (u, v), in Python
+    floats like ``localize``, so the bits do not depend on the BLAS kernel."""
+    delta = world - camera.ref_world
+    d = (delta.x * 1e3, delta.y * 1e3, delta.z * 1e3)
+    (row_u, row_v), (u0, v0) = camera.rows_of_j, camera.ref_pixel
+    return _dot(row_u, d) + u0, _dot(row_v, d) + v0
 
 
 class Window(NamedTuple):
@@ -184,7 +170,7 @@ def background_image(camera: CameraModel) -> np.ndarray:
     array is shared and read-only. A flat background is its level broadcast
     over the sensor, which holds no pixel memory.
     """
-    return _background(tuple(camera.image_size), camera.background)
+    return _background(camera.image_size, camera.vision.background)
 
 
 @lru_cache(maxsize=8)
@@ -201,7 +187,7 @@ def background_pixels(camera: CameraModel) -> np.ndarray:
     """``background_image`` as the sensor records it, rounded and clipped
     to 8-bit gray levels; built once per image size and background model,
     shared and read-only. The closed loop extracts against its slices."""
-    return _background_pixels(tuple(camera.image_size), camera.background)
+    return _background_pixels(camera.image_size, camera.vision.background)
 
 
 # Rows per sensor band, counted from row 0. A band reads its pixels
@@ -284,9 +270,9 @@ def render_frame(
         coverage = np.clip(radius - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
         disc = img[r0 - window.r0 : r1 - window.r0, c0 - window.c0 : c1 - window.c0]
         disc *= 1.0 - coverage
-        disc += camera.particle_level * coverage
-    if camera.noise_sigma > 0:
-        img += _sensor_noise(camera.noise_sigma, seed, window)
+        disc += camera.vision.particle_level * coverage
+    if camera.vision.noise_sigma > 0:
+        img += _sensor_noise(camera.vision.noise_sigma, seed, window)
     return ImageFrame(_to_pixels(img), (window.c0, window.r0))
 
 

@@ -287,7 +287,7 @@ def test_criterion_09_feature_extraction(config, cameras, verdict):
 
     import dataclasses
 
-    noisy_cam = dataclasses.replace(cam_h, noise_sigma=5.0)
+    noisy_cam = dataclasses.replace(cam_h, vision=dataclasses.replace(cam_h.vision, noise_sigma=5.0))
     rng = np.random.default_rng(1234)
     good = 0
     for k in range(500):

@@ -131,8 +131,8 @@ class TestCachedPairInverse:
     def _uncached(cameras, pixel_h, pixel_v):
         cam_h, cam_v = cameras
         observed = np.array([pixel_h[0], pixel_h[1], pixel_v[0], pixel_v[1]], dtype=float)
-        anchor = np.concatenate([cam_h.ref_pixel, cam_v.ref_pixel])
-        inverse = _pair_inverse.__wrapped__(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
+        anchor = np.array(cam_h.ref_pixel + cam_v.ref_pixel)
+        inverse = _pair_inverse.__wrapped__(cam_h.rows_of_j, cam_v.rows_of_j)
         delta_um = [math.fsum(np.multiply(row, observed - anchor)) for row in inverse]
         return cam_h.ref_world.as_array() + np.array(delta_um) / 1e3
 
@@ -141,7 +141,7 @@ class TestCachedPairInverse:
         fitted_jacobian = calibrate_jacobian(_synthetic_pairs(FACTORY_J, 30, noise=0.5, seed=8)).jacobian
         refs = ReferenceSet((ReferencePoint(Vec3(24.6, 25.3, 40.2), (1310.0, 705.0), (860.0, 948.0)),))
         fitted = build_camera_pair(VisionConfig(), (fitted_jacobian, refs))
-        assert fitted[0].rows_of_j.tolist() != factory[0].rows_of_j.tolist()
+        assert fitted[0].rows_of_j != factory[0].rows_of_j
         rng = np.random.default_rng(4)
         for k in range(40):
             cameras = (factory, fitted)[k % 2]
@@ -158,8 +158,8 @@ class TestCachedPairInverse:
     def test_cached_inverse_is_read_only(self):
         cam_h, cam_v = build_camera_pair(VisionConfig())
         localize((cam_h, cam_v), (300.0, 250.0), (310.0, 240.0))
-        inverse = _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
-        assert inverse is _pair_inverse(cam_h.rows_of_j.tobytes(), cam_v.rows_of_j.tobytes())
+        inverse = _pair_inverse(cam_h.rows_of_j, cam_v.rows_of_j)
+        assert inverse is _pair_inverse(cam_h.rows_of_j, cam_v.rows_of_j)
         with pytest.raises(TypeError):
             inverse[0][0] = 0.0
 
@@ -174,7 +174,8 @@ class TestCachedPairInverse:
         assert len(jacobians) > 30
         for j in jacobians:
             pinv = np.linalg.pinv(j)
-            inverse = np.array(_pair_inverse(j[:2].tobytes(), j[2:].tobytes()))
+            rows = [tuple(row) for row in j.tolist()]
+            inverse = np.array(_pair_inverse((rows[0], rows[1]), (rows[2], rows[3])))
             assert np.abs(inverse - pinv).max() <= 1e-12 * np.abs(pinv).max(), np.linalg.cond(j)
 
 
@@ -222,6 +223,12 @@ class TestReferenceSet:
         with pytest.raises(CalibrationError):
             ReferenceSet(())
 
+    def test_pixels_must_be_finite_in_code_too(self):
+        # not only from a file: a set built in code anchors the cameras as well
+        point = ReferencePoint(Vec3(24.0, 25.0, 40.0), (100.0, 200.0), (300.0, math.nan))
+        with pytest.raises(CalibrationError, match=r"reference point 0 has pixels \(100.0, 200.0\) and \(300.0, nan\)"):
+            ReferenceSet((point,))
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
@@ -246,6 +253,24 @@ class TestPersistence:
         p.write_text(text)
         with pytest.raises(CalibrationError, match="calibration document"):
             load_calibration(p)
+
+    @pytest.mark.parametrize("field", ["pixel_h", "pixel_v"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e9, 1e308])
+    def test_reference_pixels_must_be_finite_and_bounded(self, field, value):
+        # the cameras' reference pixels are the points' centroid, which no
+        # later step checks: two points at 1e308 would overflow it
+        jac, refs = default_calibration()
+        doc = calibration_to_dict(jac, ReferenceSet(refs.points * 3))
+        for point in doc["reference_points"][1:]:
+            point[field][1] = value
+        with pytest.raises(
+            CalibrationError, match=r"^calibration reference point 1 has pixels \(.*within ±1e\+09 px$"
+        ) as err:
+            calibration_from_dict(doc)
+        assert "\n" not in str(err.value)
+        for point in doc["reference_points"][1:]:
+            point[field][1] = -1e9  # the bound itself loads
+        assert getattr(calibration_from_dict(doc)[1].points[1], field)[1] == -1e9
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(CalibrationError):
@@ -387,10 +412,15 @@ class TestBuildCameraPair:
 
     def test_factory_calibration_is_the_default(self):
         vis = SimulatorConfig().vision
-        for got, factory in zip(build_camera_pair(vis), build_camera_pair(vis, default_calibration())):
-            assert got.rows_of_j.tolist() == factory.rows_of_j.tolist()
-            assert got.ref_pixel.tolist() == factory.ref_pixel.tolist()
-            assert got.ref_world == factory.ref_world
+        assert build_camera_pair(vis) == build_camera_pair(vis, default_calibration())
+
+    def test_pairs_are_plain_numbers_that_compare_and_hash(self):
+        a, b = build_camera_pair(VisionConfig()), build_camera_pair(VisionConfig())
+        assert a == b and hash(a) == hash(b) and {a: "pair"}[b] == "pair"
+        assert a != build_camera_pair(VisionConfig(noise_sigma=5.0))
+        for cam in a:
+            assert cam.vision == VisionConfig()
+            assert all(type(x) is float for x in (*cam.rows_of_j[0], *cam.rows_of_j[1], *cam.ref_pixel))
 
     def test_full_scale_keeps_native_values(self):
         jac, refs = default_calibration()
@@ -404,7 +434,7 @@ class TestBuildCameraPair:
         (point,) = refs.points
         cam_h, cam_v = build_camera_pair(vis, (jac, refs))
         for cam, pixel in ((cam_h, point.pixel_h), (cam_v, point.pixel_v)):
-            assert cam.ref_pixel.tolist() == (np.array(pixel) * vis.scale).tolist()
+            assert cam.ref_pixel == tuple((np.array(pixel) * vis.scale).tolist())
             assert cam.ref_world == point.world
 
     def test_multi_point_set_anchors_at_its_centroid(self):
@@ -417,6 +447,6 @@ class TestBuildCameraPair:
             )
         )
         cam_h, cam_v = build_camera_pair(vis, (jac, refs))
-        assert cam_h.ref_pixel.tolist() == [52.5, 107.5]
-        assert cam_v.ref_pixel.tolist() == [155.0, 197.5]
+        assert cam_h.ref_pixel == (52.5, 107.5)
+        assert cam_v.ref_pixel == (155.0, 197.5)
         assert cam_h.ref_world == cam_v.ref_world == Vec3(25.0, 26.0, 41.5)

@@ -27,7 +27,6 @@ from acoustrap.config import (
     config_to_dict,
     resolve_config,
 )
-from acoustrap.calibration import build_camera_pair
 from acoustrap.core import (
     DEFAULT_OCTAHEDRON_DIAMETER,
     MAX_ELEMENTS,
@@ -368,7 +367,6 @@ SECTIONS["control"] = ControlConfig(hold_ticks=1)  # so that frame_budget=2 hold
 DIRECT = {
     "scenario": SimScenario(ParticleState(Vec3(25.0, 25.0, 45.0))),
     "particle": ParticleState(Vec3(25.0, 25.0, 45.0)),
-    "camera": build_camera_pair(VisionConfig())[0],
     "octahedral_trap": OctahedralTrap(Vec3(25.0, 25.0, 40.0)),
 }
 BOUNDED = [
@@ -435,6 +433,5 @@ def test_readme_bounds_table_matches_declared_ranges():
     section = readme.split("### Configuration bounds\n", 1)[1].split("\n#", 1)[0]
     rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
     documented = {setting.strip(" `"): bounds.strip(" `") for setting, bounds, _unit in rows}
-    internal = ("camera", "octahedral_trap")
-    declared = {f"{s}.{name}": str(bounds) for s, name, bounds in BOUNDED if s not in internal}
+    declared = {f"{s}.{name}": str(bounds) for s, name, bounds in BOUNDED if s != "octahedral_trap"}
     assert documented == declared

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -714,3 +715,12 @@ def test_batch_traps_at_any_scale(scale):
     scenarios = make_batch_scenarios(config.workspace, 6, base_seed=3, timing=config.timing)
     result = run_batch(scenarios, TrapWorld.from_config(config), jobs=1)
     assert [r.outcome for r in result.reports] == ["trapped"] * 6
+
+
+def test_world_survives_pickle_and_compares_equal():
+    # a world goes to the pool's workers by pickle; its cameras are plain
+    # numbers that share the configuration's vision settings
+    world = TrapWorld.from_config(SimulatorConfig())
+    copy = pickle.loads(pickle.dumps(world))
+    assert copy == world and hash(copy) == hash(world)
+    assert all(cam.vision is copy.config.vision for cam in copy.cameras)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acoustrap.calibration import build_camera_pair
+from acoustrap.calibration import build_camera_pair, localize
 from acoustrap.config import Background, SimulatorConfig, VisionConfig
 from acoustrap.core import ParticleState, Vec3
 from acoustrap.errors import ConfigurationError
@@ -41,6 +41,12 @@ STATE = ParticleState(position=CENTER)
 D_PX = STATE.diameter_um * CAM_H.pixel_scale
 
 
+def _with_sensor(cam, **settings):
+    """``cam`` with these ``VisionConfig`` settings for its sensor; its rows
+    and anchor, and so its projection, stay those of ``cam``."""
+    return dataclasses.replace(cam, vision=dataclasses.replace(cam.vision, **settings))
+
+
 @pytest.fixture(scope="module")
 def bg():
     return background_image(CAM_H)
@@ -57,6 +63,25 @@ class TestProjection:
         du_um = CAM_H.rows_of_j @ np.array([0.0, 1000.0, 0.0])
         assert (u1 - u0, v1 - v0) == pytest.approx(tuple(du_um))
 
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0])
+    def test_projection_is_left_to_right_in_python_floats(self, scale):
+        # bit for bit, so that no BLAS kernel's fused multiply-adds or
+        # summation order reach a projected pixel; localize inverts it
+        cameras = build_camera_pair(VisionConfig(scale=scale))
+        rng = np.random.default_rng(30)
+        for p in rng.uniform([6.5, 10.0, 25.0], [43.5, 40.0, 55.0], size=(2000, 3)).tolist():
+            world = Vec3(*p)
+            pixels = []
+            for cam in cameras:
+                a = cam.ref_world
+                d = ((world.x - a.x) * 1e3, (world.y - a.y) * 1e3, (world.z - a.z) * 1e3)
+                expected = tuple(
+                    r[0] * d[0] + r[1] * d[1] + r[2] * d[2] + ref for r, ref in zip(cam.rows_of_j, cam.ref_pixel)
+                )
+                pixels.append(project(cam, world))
+                assert pixels[-1] == expected, (cam, world)
+            assert localize(cameras, *pixels).distance_to(world) < 1e-9
+
     def test_pixel_scale_halves_with_scale(self):
         full_h, _ = build_camera_pair(VisionConfig(scale=1.0))
         assert CAM_H.pixel_scale == pytest.approx(full_h.pixel_scale * 0.25)
@@ -69,7 +94,7 @@ class TestProjection:
 
 class TestRenderFrame:
     def test_deterministic_given_seed(self):
-        cam = dataclasses.replace(CAM_H, noise_sigma=3.0)
+        cam = _with_sensor(CAM_H, noise_sigma=3.0)
         a = render_frame(cam, STATE, seed=42)
         b = render_frame(cam, STATE, seed=42)
         c = render_frame(cam, STATE, seed=43)
@@ -86,41 +111,40 @@ class TestRenderFrame:
         frame = render_frame(CAM_H, STATE, seed=0)
         u, v = project(CAM_H, CENTER)
         assert frame.pixels[int(round(v)), int(round(u))] == pytest.approx(
-            CAM_H.particle_level, abs=1.0
+            CAM_H.vision.particle_level, abs=1.0
         )
         # background untouched away from the disc
         assert frame.pixels[5, 5] == bg[5, 5]
 
     def test_disc_crossing_border_renders_partially(self, bg):
         # centre on the last column: the sensor shows the part of the disc
-        # that a sensor 20 px wider shows on the same columns
+        # that a sensor 20 px wider (and 17 px taller, at a vision scale
+        # of 0.2582) shows on the same pixels
         w, h = CAM_H.image_size
         particle = _particle_at(CAM_H, (w - 1.0, h / 2))
         frame = render_frame(CAM_H, particle, seed=0)
-        wider = render_frame(dataclasses.replace(CAM_H, image_size=(w + 20, h)), particle, seed=0)
-        assert np.array_equal(frame.pixels, wider.pixels[:, :w])
+        larger = _with_sensor(CAM_H, scale=0.2582)
+        assert larger.image_size == (w + 20, h + 17)
+        wider = render_frame(larger, particle, seed=0)
+        assert np.array_equal(frame.pixels, wider.pixels[:h, :w])
         assert np.sum(frame.pixels[:, -1] < bg[:, -1] - 1.0) >= 5
         assert np.sum(wider.pixels[:, w:] < bg[0, 0] - 1.0) >= 5
 
     def test_noise_free_render_matches_float_image(self):
         # a frame rounds its float image once; the reference builds that
         # image over the whole sensor, disc coverage included
-        cam = dataclasses.replace(
-            CAM_H, background=Background(kind="gradient", level=240.0, du=40.0, dv=-30.0)
-        )
+        cam = _with_sensor(CAM_H, background=Background(kind="gradient", level=240.0, du=40.0, dv=-30.0))
         w, h = cam.image_size
         for pos in (CENTER, CENTER + Vec3(0.13, -0.21, 0.05), CENTER + Vec3(0.0, -19.2, 0.0)):
             frame = render_frame(cam, ParticleState(position=pos), seed=0)
             u0, v0 = project(cam, pos)
             vv, uu = np.mgrid[0:h, 0:w].astype(float)
             coverage = np.clip(D_PX / 2.0 - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
-            img = background_image(cam) * (1.0 - coverage) + cam.particle_level * coverage
+            img = background_image(cam) * (1.0 - coverage) + cam.vision.particle_level * coverage
             assert np.array_equal(frame.pixels, np.clip(np.rint(img), 0, 255).astype(np.uint8))
 
     def test_gradient_background(self):
-        cam = dataclasses.replace(
-            CAM_H, background=Background(kind="gradient", level=150.0, du=30.0, dv=-20.0)
-        )
+        cam = _with_sensor(CAM_H, background=Background(kind="gradient", level=150.0, du=30.0, dv=-20.0))
         bg = background_image(cam)
         assert bg[0, -1] - bg[0, 0] == pytest.approx(30.0, abs=1.0)
         assert bg[-1, 0] - bg[0, 0] == pytest.approx(-20.0, abs=1.0)
@@ -147,7 +171,7 @@ class TestExtractFeature:
         assert obs.major_px >= obs.minor_px
 
     def test_deterministic_given_seed(self, bg):
-        cam = dataclasses.replace(CAM_H, noise_sigma=5.0)
+        cam = _with_sensor(CAM_H, noise_sigma=5.0)
         frame = render_frame(cam, STATE, seed=9)
         a = extract_feature(frame, bg, D_PX, CFG.vision)
         b = extract_feature(frame, bg, D_PX, CFG.vision)
@@ -179,10 +203,8 @@ class TestExtractFeature:
             extract_feature(frame, bg[:-1, :], D_PX, CFG.vision)
 
     def test_survives_gradient_background_and_noise(self):
-        cam = dataclasses.replace(
-            CAM_H,
-            noise_sigma=5.0,
-            background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0),
+        cam = _with_sensor(
+            CAM_H, noise_sigma=5.0, background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0)
         )
         bg = background_image(cam)
         for k in range(5):
@@ -197,7 +219,7 @@ class TestExtractFeature:
     def test_background_past_white_is_clipped(self, du):
         # a background past 255 gray levels used to wrap round in int16, or
         # fail the cast, and hide a particle the sensor records against white
-        cam = dataclasses.replace(CAM_H, background=Background(kind="gradient", level=200.0, du=du))
+        cam = _with_sensor(CAM_H, background=Background(kind="gradient", level=200.0, du=du))
         frame = render_frame(cam, STATE, seed=0)
         obs = extract_feature(frame, background_image(cam), D_PX, CFG.vision)
         assert obs.valid, obs.reason
@@ -228,13 +250,14 @@ class TestExtractFeature:
 
 
 # Windowed extraction is checked against the full frame on a small sensor,
-# so that 200 full-frame extractions per case stay fast. The camera scale
-# and particle size are the default ones; the sides (158 x 131 px) are not
-# multiples of the 4 px search block or the 3 px window stride, nor is the
-# height one of the 16-row noise band, so crops clamped at every sensor
-# edge, the noise band cut by the sensor edge and the unsearched border
-# are exercised.
-SMALL = (158, 131)
+# so that 200 full-frame extractions per case stay fast: the sensor of
+# vision scale 0.0642, 157 x 131 px. The camera keeps the default rows, so
+# the particle images at its default size; the sides are not multiples of
+# the 4 px search block or the 3 px window stride, nor is the height one
+# of the 16-row noise band, so crops clamped at every sensor edge, the
+# noise band cut by the sensor edge and the unsearched border are
+# exercised.
+SMALL_SCALE = 0.0642
 
 
 def _particle_at(cam, uv):
@@ -246,9 +269,10 @@ def _particle_at(cam, uv):
 @pytest.mark.parametrize("sigma", [0.0, 5.0])
 @pytest.mark.parametrize("index", [0, 1], ids=["camera_h", "camera_v"])
 def test_windowed_extraction_matches_full_frame(sigma, index):
-    cam = dataclasses.replace(CAM_V if index else CAM_H, image_size=SMALL, noise_sigma=sigma)
+    cam = _with_sensor(CAM_V if index else CAM_H, scale=SMALL_SCALE, noise_sigma=sigma)
     bg = background_image(cam)
     w, h = cam.image_size
+    assert (w, h) == (157, 131)
     d = STATE.diameter_um * cam.pixel_scale
     rng = np.random.default_rng(7 + index)
     held = 0
@@ -287,7 +311,7 @@ def test_crop_binarizes_as_full_frame(sigma):
     # Box sums are exact, so a pixel half a binarization window inside the
     # crop edges sees the same box, and the same verdict, as in the full
     # frame.
-    cam = dataclasses.replace(CAM_H, noise_sigma=sigma)
+    cam = _with_sensor(CAM_H, noise_sigma=sigma)
     bg = np.rint(background_image(cam)).astype(np.int16)
     offset = CFG.vision.binarize_offset
     r = _binarize_window(D_PX) // 2
@@ -314,8 +338,8 @@ def _off_sensor(rng, w, h):
 def test_noise_patch_is_not_a_particle(sigma):
     # with the binarization offset of 10 gray levels, a noise patch passed
     # as a particle in about 50 of 60 such frames at sigma 8 and 60 of 60 at 12
-    cam = dataclasses.replace(CAM_H, noise_sigma=sigma)
     vision = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    cam = dataclasses.replace(CAM_H, vision=vision)
     bg = background_image(cam)
     w, h = cam.image_size
     rng = np.random.default_rng(int(sigma))
@@ -331,8 +355,8 @@ def test_noise_patch_is_not_a_particle(sigma):
 def test_offset_floor_leaves_low_noise_alone(sigma):
     # 2 sigma stays at or below the offset of 10, so extraction is what it
     # was without the floor (config noise_sigma 0), and the digests hold
-    cam = dataclasses.replace(CAM_H, noise_sigma=sigma)
     floored = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    cam = dataclasses.replace(CAM_H, vision=floored)
     bg = background_image(cam)
     w, h = cam.image_size
     rng = np.random.default_rng(int(sigma))
@@ -352,7 +376,7 @@ class TestWindows:
         crop = render_frame(CAM_H, particle, seed=0, window=corner)
         full = render_frame(CAM_H, particle, seed=0)
         assert np.array_equal(crop.pixels, full.pixels[corner.slices])
-        assert crop.pixels[-1, -1] == pytest.approx(CAM_H.particle_level, abs=1.0)
+        assert crop.pixels[-1, -1] == pytest.approx(CAM_H.vision.particle_level, abs=1.0)
         assert crop.pixels[-5, -1] > crop.pixels[-1, -1]
 
     def test_window_must_fit_sensor(self):
@@ -668,8 +692,8 @@ def test_extraction_matches_the_former_kernels(monkeypatch, sigma, background):
     from acoustrap import vision
 
     scene = Background(kind="gradient", level=170.0, du=25.0, dv=15.0) if background == "gradient" else Background()
-    cam = dataclasses.replace(CAM_H, noise_sigma=sigma, background=scene)
-    config = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    config = dataclasses.replace(CFG.vision, noise_sigma=sigma, background=scene)
+    cam = dataclasses.replace(CAM_H, vision=config)
     bg = background_image(cam)
     recorded = np.rint(bg).astype(np.int16)
     n = _binarize_window(D_PX)
@@ -707,10 +731,10 @@ def test_recorded_background_extracts_as_the_float_one(sigma, background):
     # the loop hands extraction the 8-bit background, the CLI and these
     # tests the float one, which extraction rounds and clips itself
     scene = Background(kind="gradient", level=170.0, du=25.0, dv=15.0) if background == "gradient" else Background()
-    cam = dataclasses.replace(CAM_H, noise_sigma=sigma, background=scene)
-    config = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    config = dataclasses.replace(CFG.vision, noise_sigma=sigma, background=scene)
+    cam = dataclasses.replace(CAM_H, vision=config)
     bg, recorded = background_image(cam), background_pixels(cam)
-    assert background_pixels(dataclasses.replace(cam, noise_sigma=1.0)) is recorded
+    assert background_pixels(_with_sensor(cam, noise_sigma=1.0)) is recorded
     assert recorded.dtype == np.uint8 and not recorded.flags.writeable
     assert np.array_equal(recorded, np.rint(np.clip(bg, 0, 255)))
     rng = np.random.default_rng(int(sigma) + 17 * (background == "gradient"))
@@ -727,14 +751,6 @@ def test_recorded_background_extracts_as_the_float_one(sigma, background):
     for wrong in (recorded[:-1], bg[:-1]):
         with pytest.raises(ConfigurationError, match=r"background shape \(511, 612\) does not match frame \(512, 612\)"):
             extract_feature(full, wrong, D_PX, config)
-
-
-def test_camera_gray_levels_bounded():
-    for name in ("noise_sigma", "particle_level"):
-        for value in (-1.0, 255.5, 1e308, float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError, match=rf"camera.{name} must be within \[0, 255\]"):
-                dataclasses.replace(CAM_H, **{name: value})
-        assert getattr(dataclasses.replace(CAM_H, **{name: 255.0}), name) == 255.0
 
 
 class TestSensorNoise:
