@@ -31,7 +31,6 @@ reports. Feature extraction draws no random numbers.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import json
 import math
 import os
@@ -207,7 +206,10 @@ class TrapReport:
         return self.outcome == "trapped"
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
+        # the fields as they are: every value is a JSON scalar or a tuple of
+        # them, but the frames, so no deep copy as in ``dataclasses.asdict``
+        doc = {**vars(self), "frames": [vars(frame) for frame in self.frames]}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _as_tuple(v: Vec3 | None) -> tuple[float, float, float] | None:

@@ -7,9 +7,9 @@ rows in pixel per micrometer, in Python floats as ``localize`` inverts
 it. A camera is plain numbers, and its sensor (image size, noise,
 background, particle gray level) is its ``vision``. Rendering draws the
 particle as an anti-aliased dark disc over the configured background and
-adds seeded Gaussian sensor noise: each frame has one counter-based
-stream, and each fixed band of sensor rows draws its iid pixels from a
-counter range of its own, column by column.
+adds seeded Gaussian sensor noise, a pure function of the frame's key and
+of each pixel's sensor (row, column): an integer hash of the three picks
+the pixel's value from a table of N(0, 1) quantiles.
 
 Extraction follows the bench pipeline: subtraction of the 8-bit
 background (``background_pixels``), adaptive binarization against a
@@ -32,15 +32,18 @@ disc.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import Background, VisionConfig
-from .core import ParticleState, Vec3, _cos_sin, _dot
+from .core import ParticleState, Vec3, _dot
 from .errors import ConfigurationError
 
 
@@ -177,8 +180,8 @@ def background_image(camera: CameraModel) -> np.ndarray:
 def _background_pixels(image_size: tuple[int, int], background: Background) -> np.ndarray:
     img = _background(image_size, background)
     pixels = np.empty(img.shape, dtype=np.uint8)
-    for r in range(0, img.shape[0], _BAND):  # a band at a time: no float copy of the frame
-        pixels[r : r + _BAND] = _to_pixels(img[r : r + _BAND].copy())
+    for r in range(0, img.shape[0], 16):  # 16 rows at a time: no float copy of the frame
+        pixels[r : r + 16] = _to_pixels(img[r : r + 16].copy())
     pixels.flags.writeable = False
     return pixels
 
@@ -190,50 +193,91 @@ def background_pixels(camera: CameraModel) -> np.ndarray:
     return _background_pixels(camera.image_size, camera.vision.background)
 
 
-# Rows per sensor band, counted from row 0. A band reads its pixels
-# column by column, so a crop's columns are one run of the band's
-# uniforms; a multiple of 4, so that a run starts on a Philox block and
-# on a Box-Muller pair. Of 8 and 16 rows, 16 draws the closed loop's
-# crops' noise faster.
-_BAND = 16
+# splitmix64's finalizer multipliers and Weyl increment. A frame's noise
+# key folds into one 64-bit word (``_fold_key``), and pixel (r, c) hashes
+# key + r * _GAMMA + c * _COL_STEP modulo 2^64, another odd Weyl constant
+# per column: no two pixels of the native 2448x2050 sensor share a hash
+# input. The top 16 bits of the hash pick the pixel's N(0, 1) quantile,
+# and the table of 65,536 reaches +-4.33 sigma.
+_M64 = (1 << 64) - 1
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_GAMMA, _COL_STEP = 0x9E3779B97F4A7C15, 0xD1B54A32D192ED03
+_QUANTILE_BITS = 16
+
+
+def _mix64(x: int) -> int:
+    """splitmix64's finalizer: a bijection of 64-bit words in which every
+    output bit depends on every input bit."""
+    x = (x ^ x >> 30) * _MIX[0] & _M64
+    x = (x ^ x >> 27) * _MIX[1] & _M64
+    return x ^ x >> 31
+
+
+def _fold_key(seed: int | tuple[int, ...]) -> int:
+    """The noise key as one 64-bit word; an int S is the key (S,). Each
+    word folds in its 64-bit limbs, lowest first, each plus _GAMMA so that
+    (0,) and (0, 0) fold apart, and a word of two or more limbs then its
+    limb count, so that it does not fold as the tuple of its limbs."""
+    folded = 0
+    for word in seed if isinstance(seed, tuple) else (seed,):
+        word = operator.index(word)
+        if word < 0:
+            raise ConfigurationError(f"noise key words must be non-negative integers, got {seed}")
+        limbs = 0
+        while True:
+            folded = _mix64((folded + (word & _M64) + _GAMMA) & _M64)
+            word >>= 64
+            limbs += 1
+            if not word:
+                break
+        if limbs > 1:
+            folded = _mix64(folded ^ limbs)
+    return folded
+
+
+@lru_cache(maxsize=1)
+def _normal_quantiles() -> np.ndarray:
+    """N(0, 1) at the midpoints of 2^_QUANTILE_BITS equal-probability bins,
+    read-only: the stdlib's ``NormalDist.inv_cdf`` over the lower half, a
+    value at a time into the one array, mirrored into the upper half. Its
+    bits come from libm, not from numpy's SIMD dispatch."""
+    n = 1 << _QUANTILE_BITS
+    half = n // 2
+    midpoints = map(operator.truediv, range(1, n, 2), itertools.repeat(2 * n, half))  # (2k + 1) / 2n
+    lower = map(NormalDist().inv_cdf, midpoints)
+    table = np.fromiter(itertools.chain(lower, itertools.repeat(0.0, half)), float, n)
+    np.negative(table[half - 1 :: -1], out=table[half:])
+    table.flags.writeable = False
+    return table
 
 
 def _sensor_noise(sigma: float, seed: int | tuple[int, ...], window: Window) -> np.ndarray:
-    """Sensor noise over ``window``: iid N(0, sigma^2) pixels.
+    """Sensor noise over ``window``: N(0, sigma^2) pixels, each a function
+    of the frame's noise key and its own sensor (row, column) alone.
 
-    ``seed`` is the frame's noise key: the entropy, then the frame's name
-    (an int S is the key (S,)). ``SeedSequence(key[0], spawn_key=key[1:])``
-    keys one Philox stream per frame. Band i, sensor rows [i * _BAND,
-    (i + 1) * _BAND), reads its uniforms from counter (0, i, 0, 0) on,
-    column by column, so columns [c0, c1) are the run from counter
-    (c0 * _BAND / 4, i, 0, 0): a window draws only its own columns of the
-    bands it covers, and equals that slice of the full noise. Rows 2m and
-    2m + 1 of a column take the uniform pair (u1, u2) through Box-Muller:
-    sigma sqrt(-2 log(1 - u1)) (cos 2 pi u2, sin 2 pi u2).
+    ``seed`` is the frame's noise key (``_fold_key``): the entropy, then
+    the frame's name. Pixel (r, c) takes sigma times the quantile of
+    ``_normal_quantiles`` that the top 16 bits of _mix64(key + r * _GAMMA
+    + c * _COL_STEP) pick; the finalizer's last step leaves those bits as
+    they are, so it is skipped. Integer arithmetic is exact on every SIMD
+    target, and a window equals that slice of the full noise.
     """
-    entropy, *name = seed if isinstance(seed, tuple) else (seed,)
-    # keyed on the sequence's generate_state(2, np.uint64), at counter 0
-    bits = np.random.Philox(np.random.SeedSequence(entropy, spawn_key=name))
-    rng = np.random.Generator(bits)
-    state = bits.state  # with an empty buffer, so setting it starts a block
-    counter = state["state"]["counter"]
-    counter[0] = window.c0 * _BAND // 4
-    i0, i1 = window.r0 // _BAND, -(-window.r1 // _BAND)
-    cols = window.c1 - window.c0
-    u = np.empty((i1 - i0, cols, _BAND // 2, 2))  # u[b, c, m]: (u1, u2) of rows 2m, 2m + 1
-    for i in range(i0, i1):
-        counter[1] = i
-        bits.state = state
-        rng.random(out=u[i - i0])
-    radius = np.log1p(-u[..., 0])
-    radius *= -2.0 * sigma * sigma
-    np.sqrt(radius, out=radius)
-    cos, sin = _cos_sin(np.pi * u[..., 1])
-    z = np.empty((i1 - i0, _BAND // 2, 2, cols))  # z[b, m, k, c]: row 2m + k of band b
-    np.multiply(radius, cos, out=z[:, :, 0].transpose(0, 2, 1))
-    np.multiply(radius, sin, out=z[:, :, 1].transpose(0, 2, 1))
-    r = window.r0 - i0 * _BAND
-    return z.reshape(-1, cols)[r : r + window.r1 - window.r0]
+    rows = np.arange(window.r0, window.r1, dtype=np.uint64)
+    rows *= _GAMMA
+    rows += _fold_key(seed)
+    cols = np.arange(window.c0, window.c1, dtype=np.uint64)
+    cols *= _COL_STEP
+    x = np.add.outer(rows, cols)  # modulo 2^64, as every step below
+    t = x >> 30
+    x ^= t
+    x *= _MIX[0]
+    np.right_shift(x, 27, out=t)
+    x ^= t
+    x *= _MIX[1]
+    x >>= 64 - _QUANTILE_BITS
+    noise = _normal_quantiles().take(x.view(np.int64))
+    noise *= sigma
+    return noise
 
 
 def render_frame(
@@ -248,9 +292,9 @@ def render_frame(
     the particle diameter times the camera's pixel scale, over two; one
     crossing the image border is rendered partially. ``seed`` keys the
     noise (``_sensor_noise``). With a ``window`` only that crop of the
-    sensor is drawn, noise included: the crop's columns of the sensor
-    bands it covers, nothing more. Its pixels equal the same slice of the
-    full frame: the float image is rounded once, pixel by pixel.
+    sensor is drawn, noise included. Its pixels equal the same slice of the
+    full frame: each pixel's noise depends on its own sensor position, and
+    the float image is rounded once, pixel by pixel.
     """
     w, h = camera.image_size
     if window is None:

@@ -570,21 +570,21 @@ def test_pool_workers_end_with_the_interpreter(tmp_path, ending, returncode):
 # and the four runtime failure modes. It was re-recorded once when the
 # trap_geometry outcome became a check on the trap world, over the same
 # 16 reports as before: no report byte moved.
+# Both pins, and every TRAFFIC pin, were re-recorded when the pair inverse
+# that ``localize`` applies came to be computed in Python floats instead
+# of by LAPACK's pinv, whose bits differ between the CPU kernels OpenBLAS
+# selects: localizations, trap positions and deviations moved by at most
+# 1.5e-14 mm, and no outcome changed (10 of 16 and 10 of 12 trapped). The
+# pins now hold on every such kernel.
 # The noisy pin covers the same batch at ``vision.noise_sigma=5``; it was
-# last re-recorded when each frame's noise came to be drawn by Box-Muller
-# from one Philox stream per frame, a counter range per band of sensor
-# rows, which changed every noisy pixel: the observed pixels,
-# localizations, trap positions and deviations of all 12 reports moved,
-# and 10 trapped where 8 had: two scenarios that had failed as left_fov
-# now trap.
-# Both pins, and every TRAFFIC pin, were last re-recorded when the pair
-# inverse that ``localize`` applies came to be computed in Python floats
-# instead of by LAPACK's pinv, whose bits differ between the CPU kernels
-# OpenBLAS selects: localizations, trap positions and deviations moved by
-# at most 1.5e-14 mm, and no outcome changed (10 of 16 and 10 of 12
-# trapped). The pins now hold on every such kernel.
+# last re-recorded when each pixel's noise came to be a quantile picked by
+# a hash of the frame key and the pixel's sensor row and column, which
+# changed every noisy pixel: the observed pixels (frames[].observed_h and
+# observed_v), localizations, trap positions and deviations of all 12
+# reports moved, and no outcome, failure reason, time or frame count did:
+# 10 of 12 trapped before and after.
 NOISE_FREE_DIGEST = "02581a493ff4d70b0dbd89f68315573a10bf89caa87d9c64138782c76aada90a"
-NOISY_DIGEST = "50e51779ed21c9587cebd4fd73e3548dfb09548be4d39c61027ba307a1543ebf"
+NOISY_DIGEST = "406c4dce4f1b6201a6bedc8a528f622c855270cba41164272ac205c4022cd19c"
 
 
 def _digest(reports) -> str:
@@ -669,17 +669,17 @@ def test_noisy_reports_match_golden_digest():
 # jitter and 5% dropout. The gradient runs at sigma 5, so that its
 # binarization sees noise on a sloped background. A change that moves one
 # on purpose re-records it once and says which fields moved. The two noisy
-# pins were re-recorded with the per-band Philox noise: every report's
-# observed pixels, localizations, trap position and deviation moved, and
-# 18 of 20 still trap in each.
+# pins were last re-recorded with the hashed noise: every report's observed
+# pixels, localizations, trap position and deviation moved, no outcome
+# did, and 18 of 20 trap in each, as before.
 TRAFFIC = {
     "sigma_12": (
         VisionConfig(noise_sigma=12.0),
-        "f82ad3124c55f84b95f7d86d03cd7cc67a3e96ae946edcdf04956a7b3d198121",
+        "1c918974e21d6a708caf9e89454c3c53a5e554671f95c9e89de40465a88a7b77",
     ),
     "gradient": (
         VisionConfig(noise_sigma=5.0, background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0)),
-        "be970e2e1419d54d452ec2e388e52333c4aeb6c0208bc740480bd04e5a140982",
+        "d1cb42078b9a09f4bc7ae331dd217fbb81ff3e7c0ba111c9da6efbbb707f058e",
     ),
     "scale_0.5": (
         VisionConfig(scale=0.5),

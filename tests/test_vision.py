@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,12 +17,16 @@ from acoustrap.vision import (
     Window,
     _area_floor,
     _axes,
-    _BAND,
     _best_window,
     _binarize,
     _binarize_window,
     _close3,
+    _COL_STEP,
+    _fold_key,
+    _GAMMA,
     _largest_blob,
+    _mix64,
+    _normal_quantiles,
     _patch_half,
     _sensor_noise,
     _stride,
@@ -253,10 +259,8 @@ class TestExtractFeature:
 # so that 200 full-frame extractions per case stay fast: the sensor of
 # vision scale 0.0642, 157 x 131 px. The camera keeps the default rows, so
 # the particle images at its default size; the sides are not multiples of
-# the 4 px search block or the 3 px window stride, nor is the height one
-# of the 16-row noise band, so crops clamped at every sensor edge, the
-# noise band cut by the sensor edge and the unsearched border are
-# exercised.
+# the 4 px search block or the 3 px window stride, so crops clamped at
+# every sensor edge and the unsearched border are exercised.
 SMALL_SCALE = 0.0642
 
 
@@ -754,12 +758,15 @@ def test_recorded_background_extracts_as_the_float_one(sigma, background):
 
 
 class TestSensorNoise:
-    """The per-band noise field against iid N(0, sigma^2) pixels."""
+    """The hashed noise field against iid N(0, sigma^2) pixels."""
 
     SIGMA = 5.0
-    # neither side is a multiple of the band height
+    # neither side is a multiple of 16 or 64 rows
     SIZE = (611, 513)
     FULL = Window(0, 0, *SIZE)
+    # sha256 of the float64 bytes of the noise of key (2024, 0, 3, 1) at
+    # sigma 5 over sensor columns [100, 116) and rows [200, 208)
+    PINNED_SHA256 = "993d628c149acfdb1967fa03d9f7b6d9845aa077710445c3f55427ba0dc9e1b6"
 
     def _variance_is_sigma2(self, x):
         # sum(x^2) / sigma^2 is chi-square with x.size degrees of freedom;
@@ -778,25 +785,22 @@ class TestSensorNoise:
         assert self._variance_is_sigma2(noise)
         assert abs(float(noise.mean())) < 5.0 * self.SIGMA / math.sqrt(noise.size)
         for a in (noise, noise.T):  # along rows, then along columns
-            # neighbours anywhere
-            assert self._uncorrelated(a[:, :-1], a[:, 1:])
-            # pixels one band height apart: down a column they lie in
-            # adjacent bands, which draw different counter ranges
-            assert self._uncorrelated(a[:, :-_BAND], a[:, _BAND:])
-        # the neighbours on either side of a band border
-        n = (noise.shape[0] - 1) // _BAND
-        assert self._uncorrelated(noise[_BAND - 1 :: _BAND][:n], noise[_BAND::_BAND][:n])
+            # neighbours, and pixels 16 and 64 apart: a hash input that
+            # repeated with a short period in either axis would show here
+            for lag in (1, 16, 64):
+                assert self._uncorrelated(a[:, :-lag], a[:, lag:]), lag
 
     def test_shape_is_gaussian(self):
         # a variance of sigma^2 alone passes a wrongly scaled or wrongly
-        # paired transform too
+        # built quantile table too
         z = np.abs(_sensor_noise(self.SIGMA, 2025, self.FULL)) / self.SIGMA
         for k in (1, 2, 3):  # 31.73%, 4.55% and 0.27% of N(0, 1) lie beyond
             p = math.erfc(k / math.sqrt(2.0))
             share = float(np.mean(z > k))
             assert abs(share - p) < 5.0 * math.sqrt(p * (1.0 - p) / z.size), (k, share, p)
-        # Box-Muller pair-mates, rows 2m and 2m + 1 of a column, share the
-        # radius; their squares are independent all the same
+        # rows 2m and 2m + 1 of a column are uncorrelated, and so are their
+        # squares: pixels that shared hash bits could pass the first but
+        # not the second
         rows = z.shape[0] // 2 * 2
         assert self._uncorrelated(z[0:rows:2] ** 2, z[1:rows:2] ** 2)
 
@@ -809,3 +813,68 @@ class TestSensorNoise:
             r0, r1 = sorted(rng.choice(h + 1, 2, replace=False))
             win = Window(int(c0), int(r0), int(c1), int(r1))
             assert np.array_equal(_sensor_noise(self.SIGMA, 7, win), full[win.slices]), win
+
+    def test_pixels_match_python_int_reference(self):
+        # the vectorized hash against splitmix64 in Python ints, pixel by
+        # pixel, and the table against the stdlib's quantiles
+        table = _normal_quantiles()
+        n = table.size
+        assert n == 2**16 and np.array_equal(table, -table[::-1])
+        normal = NormalDist()
+        for k in (0, 1, 4095, 20_000, n // 2 - 1, n // 2, n - 1):
+            assert table[k] == normal.inv_cdf((k + 0.5) / n), k
+        assert table[-1] == pytest.approx(4.3249, abs=1e-4)  # the tails' truncation
+        win = Window(590, 480, 611, 513)
+        for key in (0, (2024, 0, 17, 1), (2**64 + 3, 5)):
+            noise = _sensor_noise(self.SIGMA, key, win)
+            folded = _fold_key(key)
+            for r in range(win.r0, win.r1):
+                for c in range(win.c0, win.c1):
+                    h = _mix64((folded + r * _GAMMA + c * _COL_STEP) % 2**64)
+                    assert noise[r - win.r0, c - win.c0] == self.SIGMA * table[h >> 48], (key, r, c)
+
+    def test_noise_is_pinned(self):
+        # a change to the hash, the key fold or the table changes every
+        # noisy frame; it must fail here, not only in the report digests
+        noise = _sensor_noise(self.SIGMA, (2024, 0, 3, 1), Window(100, 200, 116, 208))
+        assert hashlib.sha256(noise.tobytes()).hexdigest() == self.PINNED_SHA256
+
+    @pytest.mark.parametrize(
+        "other", [(2024, 0, 9, 1), (2024, 0, 8, 0), (2025, 0, 8, 1)], ids=["tick", "camera", "seed"]
+    )
+    def test_keys_one_word_apart_are_uncorrelated(self, other):
+        # the loop keys tick k's frame on camera c (seed, 0, k, c)
+        base = _sensor_noise(self.SIGMA, (2024, 0, 8, 1), self.FULL)
+        noise = _sensor_noise(self.SIGMA, other, self.FULL)
+        assert self._uncorrelated(base, noise)
+        assert self._uncorrelated(base[:, :-1], noise[:, 1:])  # nor shifted by a column
+        assert self._uncorrelated(base[:-1], noise[1:])  # nor by a row
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**63, 2**64 + 1])
+    def test_int_seed_is_the_one_word_key(self, seed):
+        win = Window(3, 5, 70, 40)
+        assert np.array_equal(_sensor_noise(self.SIGMA, seed, win), _sensor_noise(self.SIGMA, (seed,), win))
+        cam, particle = _with_sensor(CAM_H, noise_sigma=self.SIGMA), ParticleState(position=CENTER)
+        assert np.array_equal(render_frame(cam, particle, seed).pixels, render_frame(cam, particle, (seed,)).pixels)
+
+    def test_key_words_past_64_bits_stay_distinct(self):
+        # --seed has no upper bound: a word of 2^64 or more folds all of
+        # its limbs, and not as the tuple of its limbs
+        keys = [(5,), (2**64 + 5,), (5, 1), (2**64,), (0,), (0, 0), (2**128 + 5,), (5, 0, 1), (2**200, 0, 3, 1)]
+        win = Window(0, 0, 64, 64)
+        noises = [_sensor_noise(self.SIGMA, key, win) for key in keys]
+        for i in range(len(keys)):
+            for j in range(i):
+                assert not np.array_equal(noises[i], noises[j]), (keys[i], keys[j])
+                assert self._uncorrelated(noises[i], noises[j]), (keys[i], keys[j])
+        cam = _with_sensor(CAM_H, noise_sigma=self.SIGMA)
+        frame = render_frame(cam, ParticleState(position=CENTER), (2**200, 0, 3, 1))
+        assert frame.pixels.shape == (512, 612)
+
+    def test_key_words_are_non_negative_ints(self):
+        for key in (-1, (3, -1)):
+            with pytest.raises(ConfigurationError, match="noise key words must be non-negative integers"):
+                _sensor_noise(self.SIGMA, key, Window(0, 0, 8, 8))
+        with pytest.raises(TypeError):
+            _sensor_noise(self.SIGMA, (2.5,), Window(0, 0, 8, 8))
+
