@@ -172,9 +172,11 @@ def containment(position: Vec3, trap: TrapSpec, tol: float) -> bool:
     return position.distance_to(trap_anchor(trap)) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRecord:
-    """Per-tick log entry of a scenario run."""
+    """Per-tick log entry of a scenario run. Slotted: a batch keeps every
+    report's frames, and a frame then carries no attribute dict, also after
+    a pool worker's pickle."""
 
     index: int
     t: float
@@ -206,10 +208,11 @@ class TrapReport:
         return self.outcome == "trapped"
 
     def to_json(self) -> str:
-        # the fields as they are: every value is a JSON scalar or a tuple of
-        # them, but the frames, so no deep copy as in ``dataclasses.asdict``
-        doc = {**vars(self), "frames": [vars(frame) for frame in self.frames]}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        # the fields as they are: every value but the frames is a JSON
+        # scalar or a tuple of them, so nothing is deep-copied as
+        # ``dataclasses.asdict`` would
+        frames = [{name: getattr(frame, name) for name in FrameRecord.__slots__} for frame in self.frames]
+        return json.dumps({**vars(self), "frames": frames}, sort_keys=True, separators=(",", ":"))
 
 
 def _as_tuple(v: Vec3 | None) -> tuple[float, float, float] | None:
