@@ -193,12 +193,10 @@ def background_pixels(camera: CameraModel) -> np.ndarray:
     return _background_pixels(camera.image_size, camera.vision.background)
 
 
-# splitmix64's finalizer multipliers and Weyl increment. A frame's noise
-# key folds into one 64-bit word (``_fold_key``), and pixel (r, c) hashes
-# key + r * _GAMMA + c * _COL_STEP modulo 2^64, another odd Weyl constant
-# per column: no two pixels of the native 2448x2050 sensor share a hash
-# input. The top 16 bits of the hash pick the pixel's N(0, 1) quantile,
-# and the table of 65,536 reaches +-4.33 sigma.
+# splitmix64's finalizer multipliers and Weyl increment, which also steps
+# the pixel hash per sensor row; _COL_STEP, another odd Weyl constant,
+# steps it per column, so that no two pixels of the native 2448x2050
+# sensor share a hash input (``_sensor_noise``).
 _M64 = (1 << 64) - 1
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _GAMMA, _COL_STEP = 0x9E3779B97F4A7C15, 0xD1B54A32D192ED03
@@ -238,9 +236,10 @@ def _fold_key(seed: int | tuple[int, ...]) -> int:
 @lru_cache(maxsize=1)
 def _normal_quantiles() -> np.ndarray:
     """N(0, 1) at the midpoints of 2^_QUANTILE_BITS equal-probability bins,
-    read-only: the stdlib's ``NormalDist.inv_cdf`` over the lower half, a
-    value at a time into the one array, mirrored into the upper half. Its
-    bits come from libm, not from numpy's SIMD dispatch."""
+    read-only, so it ends at +-4.33: the stdlib's ``NormalDist.inv_cdf``
+    over the lower half, a value at a time into the one array, mirrored
+    into the upper half. Its bits come from libm, not from numpy's SIMD
+    dispatch."""
     n = 1 << _QUANTILE_BITS
     half = n // 2
     midpoints = map(operator.truediv, range(1, n, 2), itertools.repeat(2 * n, half))  # (2k + 1) / 2n
