@@ -33,6 +33,7 @@ from __future__ import annotations
 import atexit
 import json
 import math
+import operator
 import os
 import threading
 import time
@@ -176,7 +177,8 @@ def containment(position: Vec3, trap: TrapSpec, tol: float) -> bool:
 class FrameRecord:
     """Per-tick log entry of a scenario run. Slotted: a batch keeps every
     report's frames, and a frame then carries no attribute dict, also after
-    a pool worker's pickle."""
+    a pool worker's pickle. It pickles as its field tuple, which the
+    constructor takes back."""
 
     index: int
     t: float
@@ -186,6 +188,12 @@ class FrameRecord:
     observed_v: tuple[float, float] | None = None
     localized: tuple[float, float, float] | None = None
     contained: bool | None = None
+
+    def __reduce__(self):
+        return FrameRecord, _frame_fields(self)
+
+
+_frame_fields = operator.attrgetter(*FrameRecord.__slots__)
 
 
 @dataclass(frozen=True)
@@ -469,13 +477,14 @@ def run_batch(scenarios: Sequence[SimScenario], world: TrapWorld, jobs: int = 1)
     Its workers fork at the first pooled call and are reused by later calls
     of the same worker count (``_worker_pool``), so module state changed
     after that fork, for example by a test's monkeypatch, is not seen by
-    them. A scenario's exception reaches the caller and cancels the
-    scenarios not yet started; the pool stays. A worker that dies during
-    the call breaks the pool: ``BrokenProcessPool`` reaches the caller and
-    the pool is dropped. One that died between calls is found when the next
-    batch is submitted, and that batch runs on a fresh pool. The workers
-    end when the interpreter exits, and within a second of this process
-    being killed.
+    them. Each worker runs one contiguous share of the scenarios, sent as
+    one task, and returns its reports as one result. A scenario's
+    exception reaches the caller, and the shares already running finish;
+    the pool stays. A worker that dies during the call breaks the pool:
+    ``BrokenProcessPool`` reaches the caller and the pool is dropped. One
+    that died between calls is found when the next batch is submitted, and
+    that batch runs on a fresh pool. The workers end when the interpreter
+    exits, and within a second of this process being killed.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -485,10 +494,16 @@ def run_batch(scenarios: Sequence[SimScenario], world: TrapWorld, jobs: int = 1)
         return BatchResult([run_trap_loop(s, world) for s in scenarios])
     from concurrent.futures.process import BrokenProcessPool
 
-    # Four chunks per worker send fewer, larger messages than one scenario
-    # per task and still balance the load.
+    # One contiguous share per worker: one task and one result message
+    # each. The executor's manager and feeder threads pickle and route
+    # every message, and on a 2-core machine they compete with the workers
+    # for the cores: 40-scenario batches on 2 workers took 71, 65, 63, 60
+    # and 57 ms (medians of 40) at 1, 2, 5, 10 and 20 scenarios a task,
+    # against 83 ms serially, while those threads used 13, 11, 5, 6 and
+    # 3 ms of CPU a batch. Shares stay contiguous, so callers that
+    # interleave scenario kinds give each worker both.
     tasks = [(s, world) for s in scenarios]
-    chunksize = max(1, len(tasks) // (4 * workers))
+    chunksize = math.ceil(len(tasks) / workers)
     try:
         # map submits every chunk before it returns, so a pool that a worker
         # death broke while it sat idle raises here, and the batch reruns

@@ -18,7 +18,8 @@ morphological closing. The middle two count with exact integer box
 sums: products with cached band matrices over rows and then columns,
 which also replicate the edges. The centre and axes then come from
 the intensity-weighted first and second moments of the largest blob, the
-axes in closed form; extraction draws no random numbers.
+axes in closed form and only when read; extraction draws no random
+numbers.
 
 A frame may be a crop of the sensor (a tracking ``Window``): it carries
 its origin, and extraction reports sensor pixels. A crop's pixels, noise
@@ -35,8 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -129,22 +130,39 @@ class ImageFrame:
 class FeatureObservation:
     """Sub-pixel particle observation from one camera.
 
-    ``major_px``/``minor_px`` are the full ellipse axis lengths. When
-    ``valid`` is False the coordinates are NaN and ``reason`` names the
-    stage that gave up.
+    ``major_px``/``minor_px`` are the full ellipse axis lengths, computed
+    on first read: the closed loop reads only u and v. When ``valid`` is
+    False the coordinates and axes are NaN and ``reason`` names the stage
+    that gave up. Observations compare by centre, validity and reason.
     """
 
     u: float
     v: float
-    major_px: float
-    minor_px: float
     valid: bool
     reason: str | None = None
+    # what the axes are computed from: the blob's columns and rows, its
+    # centre in the same frame, its weights and their sum
+    _blob: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _axis_lengths(self) -> tuple[float, float]:
+        if self._blob is None:
+            return math.nan, math.nan
+        cols, rows, u, v, weights, mass = self._blob
+        return _axes(cols - u, rows - v, weights, mass)
+
+    @property
+    def major_px(self) -> float:
+        return self._axis_lengths[0]
+
+    @property
+    def minor_px(self) -> float:
+        return self._axis_lengths[1]
 
 
 def _invalid(reason: str) -> FeatureObservation:
     nan = float("nan")
-    return FeatureObservation(nan, nan, nan, nan, False, reason)
+    return FeatureObservation(nan, nan, False, reason)
 
 
 @lru_cache(maxsize=8)
@@ -163,7 +181,9 @@ def _background(image_size: tuple[int, int], background: Background) -> np.ndarr
 def _to_pixels(img: np.ndarray) -> np.ndarray:
     """8-bit gray levels of a float image; rounds and clips ``img`` in place."""
     np.rint(img, out=img)
-    return np.clip(img, 0, 255, out=img).astype(np.uint8)
+    np.maximum(img, 0.0, out=img)
+    np.minimum(img, 255.0, out=img)
+    return img.astype(np.uint8)
 
 
 def background_image(camera: CameraModel) -> np.ndarray:
@@ -310,7 +330,10 @@ def render_frame(
     if c1 > c0 and r1 > r0:
         uu = np.arange(c0, c1, dtype=float)[None, :]
         vv = np.arange(r0, r1, dtype=float)[:, None]
-        coverage = np.clip(radius - np.hypot(uu - u0, vv - v0) + 0.5, 0.0, 1.0)
+        coverage = radius - np.hypot(uu - u0, vv - v0)
+        coverage += 0.5
+        np.maximum(coverage, 0.0, out=coverage)
+        np.minimum(coverage, 1.0, out=coverage)
         disc = img[r0 - window.r0 : r1 - window.r0, c0 - window.c0 : c1 - window.c0]
         disc *= 1.0 - coverage
         disc += camera.vision.particle_level * coverage
@@ -533,10 +556,9 @@ def extract_feature(
 
     u = float(weights @ cols) / mass
     v = float(weights @ rows) / mass
-    major, minor = _axes(cols - u, rows - v, weights, mass)
     # integer offsets first, so a crop reports the full frame's floats
     ou, ov = frame.origin
-    return FeatureObservation(u + (cc0 + ou), v + (cr0 + ov), major, minor, True, None)
+    return FeatureObservation(u + (cc0 + ou), v + (cr0 + ov), True, None, (cols, rows, u, v, weights, mass))
 
 
 def _tracking_margin(expected_diameter_px: float) -> int:

@@ -15,6 +15,7 @@ import pytest
 from acoustrap import control
 from acoustrap.config import Background, ControlConfig, SimulatorConfig, TrapConfig, VisionConfig, WorkspaceConfig
 from acoustrap.control import (
+    FrameRecord,
     LoopState,
     SimScenario,
     TrapWorld,
@@ -503,6 +504,22 @@ class TestWorkerPool:
         assert control._worker_pool(2) is not pool
         assert not _worker_pids(2) & pids
 
+    @pytest.mark.parametrize("count,jobs,share", [(5, 2, 3), (7, 3, 3)])
+    def test_uneven_shares_return_the_serial_reports(self, config, world, monkeypatch, count, jobs, share):
+        # one contiguous share per worker, the last one shorter
+        scenarios = make_batch_scenarios(config.workspace, count, base_seed=101, pixel_noise_sigma=1.0, dropout_prob=0.05)
+        serial = [r.to_json() for r in run_batch(scenarios, world, jobs=1).reports]
+        pool, shares = control._worker_pool(jobs), []
+        pool_map = pool.map
+
+        def map_recording_shares(fn, tasks, chunksize):
+            shares.append(chunksize)
+            return pool_map(fn, tasks, chunksize=chunksize)
+
+        monkeypatch.setattr(pool, "map", map_recording_shares)
+        assert [r.to_json() for r in run_batch(scenarios, world, jobs=jobs).reports] == serial
+        assert shares == [share]
+
     def test_worker_error_reaches_the_caller_and_keeps_the_pool(self, scenarios, world, serial):
         run_batch(scenarios, world, jobs=2)
         pool, pids = control._worker_pool(2), _worker_pids(2)
@@ -658,6 +675,18 @@ def test_dispatch_synthesizes_no_hologram(monkeypatch):
     assert _digest(reports) == NOISE_FREE_DIGEST
 
 
+def test_loop_computes_no_ellipse_axes(monkeypatch):
+    # the loop reads an observation's centre only, so its axes are never
+    # computed
+    from acoustrap import vision
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loop computed an observation's axes")
+
+    monkeypatch.setattr(vision, "_axes", refuse)
+    assert _digest(_batch_reports(VisionConfig(noise_sigma=5.0))) == NOISY_DIGEST
+
+
 def test_noisy_reports_match_golden_digest():
     reports = _batch_reports(VisionConfig(noise_sigma=5.0))
     assert len(reports) == 12
@@ -715,6 +744,23 @@ def test_batch_traps_at_any_scale(scale):
     scenarios = make_batch_scenarios(config.workspace, 6, base_seed=3, timing=config.timing)
     result = run_batch(scenarios, TrapWorld.from_config(config), jobs=1)
     assert [r.outcome for r in result.reports] == ["trapped"] * 6
+
+
+def test_reports_survive_pickle_with_frames_as_field_tuples():
+    # reports come back from the pool's workers by pickle: each frame as
+    # the tuple of its fields, which may be None, and again without an
+    # attribute dict
+    reports = _batch_reports(VisionConfig(noise_sigma=5.0)) + _failure_mode_reports()
+    copies = pickle.loads(pickle.dumps(reports))
+    assert [r.to_json() for r in copies] == [r.to_json() for r in reports]
+    frames = [f for r in copies for f in r.frames]
+    assert frames == [f for r in reports for f in r.frames]
+    assert not any(hasattr(f, "__dict__") for f in frames)
+    for name in FrameRecord.__slots__:
+        if name not in ("index", "t", "state", "particle"):
+            assert any(getattr(f, name) is None for f in frames), name
+    frame = frames[-1]
+    assert frame.__reduce_ex__(pickle.DEFAULT_PROTOCOL) == (FrameRecord, tuple(getattr(frame, n) for n in FrameRecord.__slots__))
 
 
 def test_world_survives_pickle_and_compares_equal():

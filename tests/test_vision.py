@@ -30,6 +30,7 @@ from acoustrap.vision import (
     _patch_half,
     _sensor_noise,
     _stride,
+    _to_pixels,
     _window_sums,
     background_image,
     background_pixels,
@@ -106,6 +107,15 @@ class TestRenderFrame:
         c = render_frame(cam, STATE, seed=43)
         assert np.array_equal(a.pixels, b.pixels)
         assert not np.array_equal(a.pixels, c.pixels)
+
+    def test_pixels_round_then_clip(self):
+        # the in-place bounds against np.clip, at and past both ends and on
+        # the ties that np.rint rounds to even
+        img = np.array([-np.inf, -0.5, 0.49, 0.5, 1.5, 254.5, 255.5, np.inf])
+        want = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+        got = _to_pixels(img.copy())
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert list(got) == [0, 0, 0, 0, 2, 254, 255, 255]
 
     def test_frame_is_readonly_uint8(self):
         frame = render_frame(CAM_H, STATE, seed=0)
@@ -727,6 +737,45 @@ def test_extraction_matches_the_former_kernels(monkeypatch, sigma, background):
     for frame, window, obs in cases:
         slow = extract_feature(frame, bg[window.slices], D_PX, config)
         assert _same_observation(obs, slow), (window, obs, slow)
+
+
+def _eager_axes(frame, background, config):
+    """The reference for the axes an observation computes when read: the
+    extraction's stages again, with ``_axes`` applied to the blob at once,
+    as extraction did before the axes were deferred."""
+    diff = np.abs(np.subtract(frame.pixels, background, dtype=float))
+    offset = config.binarize_offset
+    if config.noise_sigma > 0:
+        offset = max(offset, 2.0 * config.noise_sigma)
+    fg = _binarize(diff, D_PX, offset)
+    r0, c0, size = _best_window(fg, D_PX, config.min_foreground_fraction)
+    half = _patch_half(D_PX)
+    rc, cc = r0 + size // 2, c0 + size // 2
+    cr0, cc0 = max(rc - half, 0), max(cc - half, 0)
+    rows, cols = np.nonzero(_largest_blob(_close3(fg[cr0 : rc + half + 1, cc0 : cc + half + 1])))
+    weights = diff[rows + cr0, cols + cc0]
+    mass = float(weights.sum())
+    u, v = float(weights @ cols) / mass, float(weights @ rows) / mass
+    return _axes(cols - u, rows - v, weights, mass)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 5.0, 12.0])
+def test_axes_read_late_equal_the_eager_ones(sigma):
+    config = dataclasses.replace(CFG.vision, noise_sigma=sigma)
+    cam = dataclasses.replace(CAM_H, vision=config)
+    recorded = background_pixels(cam)
+    rng = np.random.default_rng(23 + int(sigma))
+    valid = 0
+    for seed in range(4):
+        for particle, window in _seeded_crops(cam, rng):
+            frame = render_frame(cam, particle, seed, window)
+            obs = extract_feature(frame, recorded[window.slices], D_PX, config)
+            if not obs.valid:
+                assert math.isnan(obs.major_px) and math.isnan(obs.minor_px)
+                continue
+            valid += 1
+            assert (obs.major_px, obs.minor_px) == _eager_axes(frame, recorded[window.slices], config), window
+    assert valid >= 10
 
 
 @pytest.mark.parametrize("background", ["flat", "gradient"])
