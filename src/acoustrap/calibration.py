@@ -28,7 +28,7 @@ from .core import MAX_ARRAY_LENGTH_MM, MediumConfig, TransducerArray, Vec3, _dot
 from .errors import CalibrationError, ConfigurationError
 from .field import pressure_at_points
 from .hologram import make_focus_hologram
-from .vision import CameraModel, project
+from .vision import CameraModel, KeyedDraws, project
 
 ROW_ORDER = ("u_h", "v_h", "u_v", "v_v")
 
@@ -209,7 +209,7 @@ def acquire_reference(
     scan_extent: float = 2.0,
     scan_step: float = 0.2,
     pixel_noise_sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
+    noise_key: int | tuple[int, ...] | None = None,
 ) -> ReferencePoint:
     """Simulate acquiring one calibration pose.
 
@@ -218,9 +218,9 @@ def acquire_reference(
     to the best of the six axis neighbours at ``scan_step`` (mm) while that
     raises |p|, else halve the step, until it is below 1 um. Leaving the
     cube of span ``scan_extent`` (mm) around the command raises
-    CalibrationError. The peak is projected through both cameras,
-    optionally with pixel noise drawn from ``rng``, which must then be given
-    and at most the larger side of the cameras' sensor.
+    CalibrationError. The peak is projected through both cameras, plus
+    ``pixel_noise_sigma`` (at most the sensor's larger side) times normal
+    draws 0-3 of row 0 of ``noise_key``: (u, v) of camera h, then of v.
     """
     if not (scan_step > 0 and scan_extent > 0 and np.isfinite([scan_step, scan_extent]).all()):
         raise ConfigurationError("scan extent and step must be finite and > 0")
@@ -230,8 +230,8 @@ def acquire_reference(
             f"pixel_noise_sigma must be >= 0 and at most the sensor's {sensor_px} px,"
             f" got {pixel_noise_sigma}"
         )
-    if pixel_noise_sigma > 0 and rng is None:
-        raise ConfigurationError("pixel_noise_sigma > 0 needs a seeded rng, so that reruns agree")
+    if pixel_noise_sigma > 0 and noise_key is None:
+        raise ConfigurationError("pixel_noise_sigma > 0 needs a noise_key, so that reruns agree")
     holo = make_focus_hologram(array, commanded_focus, medium)
     peak = command = commanded_focus.as_array()
     peak_mag = abs(pressure_at_points(array, holo, peak[None], medium)[0])
@@ -250,13 +250,11 @@ def acquire_reference(
                 f"|p| peak search left the {scan_extent} mm cube around {commanded_focus}"
             )
     world = Vec3(*peak.tolist())
-    cam_h, cam_v = cameras
-    uv_h = np.array(project(cam_h, world))
-    uv_v = np.array(project(cam_v, world))
+    pixels = [x for cam in cameras for x in project(cam, world)]
     if pixel_noise_sigma > 0:
-        uv_h = uv_h + rng.normal(0.0, pixel_noise_sigma, 2)
-        uv_v = uv_v + rng.normal(0.0, pixel_noise_sigma, 2)
-    return ReferencePoint(world, (float(uv_h[0]), float(uv_h[1])), (float(uv_v[0]), float(uv_v[1])))
+        draws = KeyedDraws(noise_key)
+        pixels = [x + pixel_noise_sigma * draws.normal(0, col) for col, x in enumerate(pixels)]
+    return ReferencePoint(world, tuple(pixels[:2]), tuple(pixels[2:]))
 
 
 # Most poses one reference lattice may hold (10x10x10); each costs a compass search.

@@ -256,14 +256,13 @@ def cmd_calibrate(args, config: SimulatorConfig) -> int:
     poses = lattice_points(config.workspace.center, args.lattice, args.spacing)
     _check_in_tank(config, "every lattice pose", poses)
     out = _out_dir(args)
-    rng = np.random.default_rng(args.seed)
     # acquire at native resolution, so that the file is native like the factory one
     cameras = build_camera_pair(dataclasses.replace(config.vision, scale=1.0))
     ref_set = ReferenceSet(tuple(
         acquire_reference(
-            config.array, config.medium, point, cameras, pixel_noise_sigma=args.noise_px, rng=rng
+            config.array, config.medium, point, cameras, pixel_noise_sigma=args.noise_px, noise_key=(args.seed, 4, i)
         )
-        for point in poses
+        for i, point in enumerate(poses)
     ))
     # each pose against the first: world motion in um, pixel motion in ROW_ORDER
     first = ref_set.points[0]
@@ -313,7 +312,7 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         raise GeometryError(
             f"the particle leaves the tank: frame 0 at {start}, frame {args.frames - 1} at {end}"
         )
-    # frame k of camera c is keyed (seed, k, c), whatever --camera selects
+    # frame k of camera c is keyed (seed, 0, k, c), as in the loop, whatever --camera selects
     cameras = {"h": (0, cam_h), "v": (1, cam_v)}
     outputs = []
     records = []
@@ -326,7 +325,7 @@ def cmd_vision(args, config: SimulatorConfig) -> int:
         for k in range(args.frames):
             t = k / config.timing.camera_fps
             state = step_particle(particle, t)
-            frame = render_frame(cam, state, (args.seed, k, c))
+            frame = render_frame(cam, state, (args.seed, 0, k, c))
             name = f"frame_{label}_{k:03d}.pgm"
             save_pgm(out / name, frame.pixels)
             outputs.append(name)
@@ -702,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run trapping scenarios")
     sim.add_argument("--scenario", default=None, help="YAML file describing one scenario")
     sim.add_argument("--batch", type=int, default=1, help="number of scenarios (default 1)")
-    sim.add_argument("--noise-px", type=float, default=0.0, help="feature jitter sigma, px")
+    sim.add_argument("--noise-px", type=float, default=0.0, help="feature jitter sigma, rendered-sensor px")
     sim.add_argument("--dropout", type=float, default=0.0, help="per-camera dropout probability")
     sim.add_argument("--contrast", choices=["positive", "negative"], default="positive")
     sim.add_argument("--diameter-um", type=float, default=400.0)

@@ -21,11 +21,11 @@ velocity is zeroed. No hologram is synthesized: ``TrapWorld`` checks once,
 when it is built, that a focus and a cage hologram exist for every point
 of the workspace, and every dispatched trap lies in it.
 
-Determinism: tick k's frame on camera c (h 0, v 1) draws its noise from
-the key (scenario seed, 0, k, c) alone (``render_frame``). Jitter and
-dropouts come from streams keyed (seed, 2) and (seed, 3), drawn a fixed
-amount per acquiring tick, so a scenario reproduces byte-identical
-reports. Feature extraction draws no random numbers.
+Determinism: every random number is a ``KeyedDraws`` draw, a function of
+its key, row and column alone, so reports rerun byte-identical. Tick k's
+frame on camera c (h 0, v 1) has the noise key (scenario seed, 0, k, c),
+and its (u, v) jitter and dropout uniform are columns 2c, 2c + 1 and
+4 + c of row k of (seed, 2). Batch scenario i is row i of (base seed, 1).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .vision import background_image  # noqa: F401
 from .prediction import TrackSample, confirm_track, predict_position
 from .vision import (
     CameraModel,
-    FeatureObservation,
+    KeyedDraws,
     background_pixels,
     extract_feature,
     project,
@@ -98,7 +98,9 @@ def _step_state(current: LoopState, target: LoopState) -> LoopState:
 class SimScenario:
     """One reproducible trapping attempt.
 
-    ``pixel_noise_sigma`` jitters the extracted feature coordinates (px);
+    ``pixel_noise_sigma`` jitters the extracted feature coordinates, in
+    rendered-sensor px (1 px at the default ``vision.scale`` 0.25 is 4
+    native px), bounded by the native sensor's longer side at any scale;
     ``dropout_prob`` is the chance a camera misses the particle on a tick.
     ``target_override`` places the trap at a fixed point instead of the
     predicted one.
@@ -254,8 +256,7 @@ class _Attempt:
                 f"a particle at position {_as_tuple(p)} mm with velocity {_as_tuple(v)} mm/s leaves"
                 f" the float range within control.frame_budget={budget} frames at timing.camera_fps={fps}"
             )
-        keys = (np.random.SeedSequence(scenario.seed, spawn_key=(i,)) for i in (2, 3))
-        self.jitter_rng, self.dropout_rng = map(np.random.default_rng, keys)
+        self.draws = KeyedDraws((scenario.seed, 2))
         self.particle = scenario.particle
         self.state = LoopState.ACQUIRING
         self.reason: str | None = None
@@ -299,12 +300,7 @@ class _Attempt:
         if not self.config.workspace.contains(self.particle.position):
             self.to(LoopState.FAILED, "detection_starvation")
             return None, None, None
-        jitter = self.jitter_rng.normal(0.0, self.scenario.pixel_noise_sigma, size=(2, 2))
-        dropped = [self.dropout_rng.uniform() < self.scenario.dropout_prob for _ in self.cameras]
-        observed = []
-        for c, (camera, drop, (du, dv)) in enumerate(zip(self.cameras, dropped, jitter)):
-            obs = None if drop else self.observe(camera, (self.scenario.seed, 0, k, c))
-            observed.append(None if obs is None else (obs.u + du, obs.v + dv))
+        observed = [self.observe(k, c) for c in range(len(self.cameras))]
         if None in observed:
             return observed[0], observed[1], None
         loc = localize(self.world.cameras, observed[0], observed[1])
@@ -313,19 +309,24 @@ class _Attempt:
             self.dispatch(t, predict_position(list(self.samples), self.scenario.timing).predicted)
         return observed[0], observed[1], _as_tuple(loc)
 
-    def observe(self, camera: tuple, key: tuple[int, ...]) -> FeatureObservation | None:
-        """Render one camera and extract the particle; None for a miss.
-        Only a crop is rendered and searched: the tracking window around
-        the particle's projection, where the frame draws its disc. The
-        observation counts only when that crop holds it (``window_holds``).
-        """
-        cam, background, expected_px = camera
+    def observe(self, k: int, c: int) -> tuple[float, float] | None:
+        """Camera ``c``'s jittered observation on tick ``k``, None for a
+        dropout or a miss; only the tracking window around the particle's
+        projection is rendered and searched, and it must hold the particle."""
+        draws, sigma, p = self.draws, self.scenario.pixel_noise_sigma, self.scenario.dropout_prob
+        if p > 0 and draws.uniform(k, 4 + c) < p:
+            return None
+        cam, background, expected_px = self.cameras[c]
         window = tracking_window(cam.image_size, project(cam, self.particle.position), expected_px)
         if window is None:
             return None
-        frame = render_frame(cam, self.particle, key, window)
+        frame = render_frame(cam, self.particle, (self.scenario.seed, 0, k, c), window)
         obs = extract_feature(frame, background[window.slices], expected_px, self.config.vision)
-        return obs if window_holds(obs, window, cam.image_size, expected_px) else None
+        if not window_holds(obs, window, cam.image_size, expected_px):
+            return None
+        if sigma:
+            return obs.u + sigma * draws.normal(k, 2 * c), obs.v + sigma * draws.normal(k, 2 * c + 1)
+        return obs.u, obs.v
 
     def dispatch(self, t: float, predicted: Vec3) -> None:
         """Place the trap at the target and schedule the switch-on."""
@@ -408,37 +409,32 @@ def make_batch_scenarios(
 
     Starts are drawn from the central half of the workspace footprint and
     an upper band of its height, so every particle is visible to both
-    cameras and has room to fall during acquisition.
+    cameras and has room to fall during acquisition. Scenario i is row i of
+    the key (``base_seed``, 1): three start uniforms, then the seed, word >> 2.
     """
     if n < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {n}")
-    lo, hi = workspace.min_corner, workspace.max_corner
-    x_lo = workspace.center.x - workspace.extent.x * 0.25
-    x_hi = workspace.center.x + workspace.extent.x * 0.25
-    y_lo = workspace.center.y - workspace.extent.y * 0.25
-    y_hi = workspace.center.y + workspace.extent.y * 0.25
-    z_lo = workspace.center.z + workspace.extent.z * 0.10
-    z_hi = workspace.center.z + workspace.extent.z * 0.27
-    scenarios = []
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)))
-        position = Vec3(
-            float(rng.uniform(x_lo, x_hi)),
-            float(rng.uniform(y_lo, y_hi)),
-            float(rng.uniform(z_lo, z_hi)),
+    draws, c, e = KeyedDraws((base_seed, 1)), workspace.center, workspace.extent
+    box = (
+        (c.x - e.x * 0.25, c.x + e.x * 0.25),
+        (c.y - e.y * 0.25, c.y + e.y * 0.25),
+        (c.z + e.z * 0.10, c.z + e.z * 0.27),
+    )
+    return [
+        SimScenario(
+            particle=ParticleState(
+                Vec3(*(lo + (hi - lo) * draws.uniform(i, col) for col, (lo, hi) in enumerate(box))),
+                Vec3(0.0, 0.0, -fall_speed),
+                diameter_um,
+                contrast,
+            ),
+            pixel_noise_sigma=pixel_noise_sigma,
+            dropout_prob=dropout_prob,
+            seed=draws.word(i, 3) >> 2,
+            timing=timing,
         )
-        scenarios.append(
-            SimScenario(
-                particle=ParticleState(
-                    position, Vec3(0.0, 0.0, -fall_speed), diameter_um, contrast
-                ),
-                pixel_noise_sigma=pixel_noise_sigma,
-                dropout_prob=dropout_prob,
-                seed=int(rng.integers(2**62)),
-                timing=timing,
-            )
-        )
-    return scenarios
+        for i in range(n)
+    ]
 
 
 @dataclass

@@ -7,9 +7,9 @@ rows in pixel per micrometer, in Python floats as ``localize`` inverts
 it. A camera is plain numbers, and its sensor (image size, noise,
 background, particle gray level) is its ``vision``. Rendering draws the
 particle as an anti-aliased dark disc over the configured background and
-adds seeded Gaussian sensor noise, a pure function of the frame's key and
-of each pixel's sensor (row, column): an integer hash of the three picks
-the pixel's value from a table of N(0, 1) quantiles.
+adds seeded Gaussian sensor noise: each pixel's is the normal draw of
+the frame's key at its sensor (row, column), a ``KeyedDraws`` draw, as is
+every random number of the package.
 
 Extraction follows the bench pipeline: subtraction of the 8-bit
 background (``background_pixels``), adaptive binarization against a
@@ -232,7 +232,7 @@ def _mix64(x: int) -> int:
 
 
 def _fold_key(seed: int | tuple[int, ...]) -> int:
-    """The noise key as one 64-bit word; an int S is the key (S,). Each
+    """A random key as one 64-bit word; an int S is the key (S,). Each
     word folds in its 64-bit limbs, lowest first, each plus _GAMMA so that
     (0,) and (0, 0) fold apart, and a word of two or more limbs then its
     limb count, so that it does not fold as the tuple of its limbs."""
@@ -240,14 +240,10 @@ def _fold_key(seed: int | tuple[int, ...]) -> int:
     for word in seed if isinstance(seed, tuple) else (seed,):
         word = operator.index(word)
         if word < 0:
-            raise ConfigurationError(f"noise key words must be non-negative integers, got {seed}")
-        limbs = 0
-        while True:
-            folded = _mix64((folded + (word & _M64) + _GAMMA) & _M64)
-            word >>= 64
-            limbs += 1
-            if not word:
-                break
+            raise ConfigurationError(f"random key words must be non-negative integers, got {seed}")
+        limbs = max(1, -(-word.bit_length() // 64))
+        for shift in range(0, 64 * limbs, 64):
+            folded = _mix64((folded + (word >> shift & _M64) + _GAMMA) & _M64)
         if limbs > 1:
             folded = _mix64(folded ^ limbs)
     return folded
@@ -270,17 +266,30 @@ def _normal_quantiles() -> np.ndarray:
     return table
 
 
-def _sensor_noise(sigma: float, seed: int | tuple[int, ...], window: Window) -> np.ndarray:
-    """Sensor noise over ``window``: N(0, sigma^2) pixels, each a function
-    of the frame's noise key and its own sensor (row, column) alone.
+class KeyedDraws:
+    """Every random number of the package: draw (row, col) of ``key`` has
+    the word _mix64(folded key + row * _GAMMA + col * _COL_STEP). A normal
+    draw is the ``_normal_quantiles`` entry its top 16 bits pick, and a
+    uniform one its top 53 bits over 2^53, in [0, 1)."""
 
-    ``seed`` is the frame's noise key (``_fold_key``): the entropy, then
-    the frame's name. Pixel (r, c) takes sigma times the quantile of
-    ``_normal_quantiles`` that the top 16 bits of _mix64(key + r * _GAMMA
-    + c * _COL_STEP) pick; the finalizer's last step leaves those bits as
-    they are, so it is skipped. Integer arithmetic is exact on every SIMD
-    target, and a window equals that slice of the full noise.
-    """
+    def __init__(self, key: int | tuple[int, ...]) -> None:
+        self.key = _fold_key(key)
+
+    def word(self, row: int, col: int) -> int:
+        return _mix64((self.key + row * _GAMMA + col * _COL_STEP) & _M64)
+
+    def normal(self, row: int, col: int) -> float:
+        return _normal_quantiles().item(self.word(row, col) >> (64 - _QUANTILE_BITS))
+
+    def uniform(self, row: int, col: int) -> float:
+        return (self.word(row, col) >> 11) * 2.0**-53
+
+
+def _sensor_noise(sigma: float, seed: int | tuple[int, ...], window: Window) -> np.ndarray:
+    """Sensor noise over ``window``: sigma times ``KeyedDraws(seed).normal``
+    at each pixel's sensor (row, column), in numpy uint64, exact on every
+    SIMD target; a window is that slice of the full noise. The finalizer's
+    last step leaves the top 16 bits as they are, so it is skipped."""
     rows = np.arange(window.r0, window.r1, dtype=np.uint64)
     rows *= _GAMMA
     rows += _fold_key(seed)
@@ -506,9 +515,9 @@ def extract_feature(
 ) -> FeatureObservation:
     """Locate the particle in a frame against a known background.
 
-    ``background`` is a gray-level array of the frame's shape: 8-bit, as
-    ``background_pixels`` records it, or another dtype, which is first
-    rounded and clipped to 8 bits like a rendered frame. The centre
+    ``background`` is the frame's 8-bit gray levels without the particle,
+    as ``background_pixels`` records it or ``load_frame_pgm`` reads it; an
+    array of another dtype or shape raises ConfigurationError. The centre
     is the background-difference-weighted mean of the largest closed
     blob, and the axes are four standard deviations along the principal
     directions of its weighted covariance (the diameter, for a uniform
@@ -520,11 +529,9 @@ def extract_feature(
             f"expected_diameter_px must exceed 3 and fit the frame, got {expected_diameter_px}"
         )
     bg = np.asarray(background)
-    if bg.dtype != np.uint8:  # the background as the sensor records it
-        bg = _to_pixels(np.array(bg, dtype=float))
-    if bg.shape != frame.pixels.shape:
+    if bg.dtype != np.uint8 or bg.shape != frame.pixels.shape:
         raise ConfigurationError(
-            f"background shape {bg.shape} does not match frame {frame.pixels.shape}"
+            f"background must be uint8 of the frame's shape {frame.pixels.shape}, got {bg.dtype} {bg.shape}"
         )
     diff = np.abs(np.subtract(frame.pixels, bg, dtype=float))
     # below 2 sigma of the sensor noise, the offset lets clusters of noise

@@ -42,7 +42,7 @@ from acoustrap.hologram import (
 )
 from acoustrap.prediction import TrackSample, predict_position
 from acoustrap.vision import (
-    background_image,
+    background_pixels,
     extract_feature,
     project,
     render_frame,
@@ -271,7 +271,7 @@ def test_criterion_08_deviation_scale(noisy_batch, verdict):
 
 def test_criterion_09_feature_extraction(config, cameras, verdict):
     cam_h, _ = cameras
-    background = background_image(cam_h)
+    background = background_pixels(cam_h)
     d_px = 400.0 * cam_h.pixel_scale
 
     worst = 0.0

@@ -28,7 +28,7 @@ from acoustrap.core import MediumConfig, TransducerArray, Vec3
 from acoustrap.errors import CalibrationError, ConfigurationError
 from acoustrap.field import pressure_at_points
 from acoustrap.hologram import make_focus_hologram
-from acoustrap.vision import project
+from acoustrap.vision import KeyedDraws, project
 
 # factory sensitivity values, pixel per micrometer, rows in ROW_ORDER
 FACTORY_J = np.array(
@@ -320,17 +320,22 @@ class TestAcquireReference:
         assert (u, v) == pytest.approx(ref.pixel_h, abs=1e-6)
 
     def test_noise_injects_into_pixels(self, cameras):
+        # (u, v) of camera h, then v: sigma times the normal draws of the
+        # noise key, row 0, columns 0-3
         arr, med = TransducerArray(), MediumConfig()
         focus = Vec3(25.0, 25.0, 40.0)
-        a = acquire_reference(
-            arr, med, focus, cameras, scan_extent=0.5, scan_step=0.25,
-            pixel_noise_sigma=1.0, rng=np.random.default_rng(1),
+        clean = acquire_reference(arr, med, focus, cameras, scan_extent=0.5, scan_step=0.25)
+        a, b = (
+            acquire_reference(
+                arr, med, focus, cameras, scan_extent=0.5, scan_step=0.25,
+                pixel_noise_sigma=1.5, noise_key=(seed, 4, 0),
+            )
+            for seed in (1, 2)
         )
-        b = acquire_reference(
-            arr, med, focus, cameras, scan_extent=0.5, scan_step=0.25,
-            pixel_noise_sigma=1.0, rng=np.random.default_rng(2),
-        )
-        assert a.pixel_h != b.pixel_h
+        assert a.pixel_h != b.pixel_h and a.world == b.world == clean.world
+        draws = KeyedDraws((1, 4, 0))
+        noisy = [x + 1.5 * draws.normal(0, col) for col, x in enumerate(clean.pixel_h + clean.pixel_v)]
+        assert a.pixel_h + a.pixel_v == tuple(noisy)
 
     @staticmethod
     def _grid_peak(arr, med, focus, around, step=0.005, half=0.03):
@@ -384,9 +389,9 @@ class TestAcquireReference:
                 scan_extent=extent, scan_step=step,
             )
 
-    def test_noise_without_rng_rejected(self, cameras):
-        # an unseeded generator would give different pixels on every call
-        with pytest.raises(ConfigurationError, match="seeded rng"):
+    def test_noise_without_key_rejected(self, cameras):
+        # the noise is named by its key, so that reruns agree
+        with pytest.raises(ConfigurationError, match="needs a noise_key"):
             acquire_reference(
                 TransducerArray(), MediumConfig(), Vec3(25.0, 25.0, 40.0), cameras,
                 pixel_noise_sigma=1.0,

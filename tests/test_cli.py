@@ -25,11 +25,11 @@ from acoustrap.cli import (
     main,
 )
 from acoustrap.config import SimulatorConfig, VisionConfig, config_from_dict
-from acoustrap.core import MediumConfig, TransducerArray, Vec3, wavelength
+from acoustrap.core import MediumConfig, ParticleState, TransducerArray, Vec3, wavelength
 from acoustrap.errors import ConfigurationError
 from acoustrap.formats import load_hologram_csv, load_pgm, save_pgm
 from acoustrap.hologram import make_focus_hologram, make_octahedral_hologram
-from acoustrap.vision import project
+from acoustrap.vision import KeyedDraws, project, render_frame
 
 
 def run_cli(*argv):
@@ -267,6 +267,22 @@ class TestCalibrateCommand:
         assert err.count("\n") == 1 and "at most the sensor's 2448 px" in err
         assert not (tmp_path / "calibration.json").exists()
 
+    def test_pose_noise_is_keyed_by_seed_and_pose(self, tmp_path):
+        # pose i's pixels are the clean ones plus sigma times the normal
+        # draws of the key (--seed, 4, i), row 0: u and v of camera h,
+        # then of v
+        for name, extra in (("clean", ()), ("noisy", ("--noise-px", "0.5", "--seed", "3"))):
+            assert run_cli("calibrate", "--lattice", "2,2,2", *extra, "--out-dir", str(tmp_path / name)) == 0
+        _, clean = load_calibration(tmp_path / "clean" / "calibration.json")
+        _, noisy = load_calibration(tmp_path / "noisy" / "calibration.json")
+        assert len(noisy.points) == 8
+        for i, (c, n) in enumerate(zip(clean.points, noisy.points)):
+            draws = KeyedDraws((3, 4, i))
+            assert n.world == c.world
+            assert n.pixel_h + n.pixel_v == tuple(
+                x + 0.5 * draws.normal(0, col) for col, x in enumerate(c.pixel_h + c.pixel_v)
+            )
+
     def test_bad_lattice_is_config_error(self, tmp_path):
         # parsed by argparse now: a usage error, still exit code 2
         with pytest.raises(SystemExit) as exc:
@@ -320,7 +336,8 @@ class TestVisionCommand:
         assert abs(obs["v"] - match["v"]) < 0.5
 
     def test_noisy_frames_do_not_depend_on_the_other_camera(self, tmp_path):
-        # frame k of camera c draws its noise from the key (seed, k, c)
+        # frame k of camera c draws its noise from the key (seed, 0, k, c),
+        # as the loop's frame k does
         frames = {}
         for camera in ("v", "both"):
             out = tmp_path / camera
@@ -332,6 +349,10 @@ class TestVisionCommand:
             frames[camera] = {p.name: p.read_bytes() for p in out.glob("frame_v_*.pgm")}
         assert sorted(frames["v"]) == ["frame_v_000.pgm", "frame_v_001.pgm"]
         assert frames["v"] == frames["both"]
+        cam_v = build_camera_pair(VisionConfig(noise_sigma=5.0))[1]
+        for k in range(2):
+            frame = render_frame(cam_v, ParticleState(Vec3(25.0, 25.0, 40.0)), (3, 0, k, 1))
+            assert np.array_equal(load_pgm(tmp_path / "v" / f"frame_v_00{k}.pgm"), frame.pixels)
         # and the two cameras draw different noise over the flat background
         h, v = (load_pgm(tmp_path / "both" / f"frame_{c}_000.pgm") for c in "hv")
         assert not np.array_equal(h[:8], v[:8])

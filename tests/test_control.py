@@ -30,7 +30,16 @@ from acoustrap.control import (
 from acoustrap.core import Contrast, ParticleState, TimingConfig, TransducerArray, Vec3, wavelength
 from acoustrap.errors import AcoustrapError, ConfigurationError
 from acoustrap.hologram import FocusTrap, OctahedralTrap, make_focus_hologram, make_octahedral_hologram
-from acoustrap.vision import Window, project, render_frame, tracking_window
+from acoustrap.vision import (
+    KeyedDraws,
+    Window,
+    background_pixels,
+    extract_feature,
+    project,
+    render_frame,
+    tracking_window,
+    window_holds,
+)
 
 
 def falling_particle(start=Vec3(25.0, 25.0, 50.0), speed=10.0, contrast=Contrast.POSITIVE):
@@ -258,17 +267,17 @@ class TestFailureModes:
 
 
 def _undropped_cameras(scenario: SimScenario, report) -> list[tuple[int, int]]:
-    """(tick, camera) of every camera not dropped on a tick that acquires,
-    replayed from the scenario's dropout stream (keyed (seed, 3), two draws
-    per such tick). A tick that finds the particle outside the workspace
-    draws nothing."""
-    dropout = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(3,)))
+    """(tick, camera) of every camera not dropped on a tick that acquires:
+    camera c misses tick k when the uniform draw of the key (seed, 2), row
+    k, column 4 + c is below the dropout probability. A tick that finds the
+    particle outside the workspace observes nothing."""
+    draws = KeyedDraws((scenario.seed, 2))
     undropped, state = [], "acquiring"
     for k, frame in enumerate(report.frames):
         last = k == len(report.frames) - 1
         starved = last and frame.state == "failed" and report.failure_reason == "detection_starvation"
         if state == "acquiring" and not starved:
-            undropped += [(k, c) for c in range(2) if dropout.uniform() >= scenario.dropout_prob]
+            undropped += [(k, c) for c in range(2) if draws.uniform(k, 4 + c) >= scenario.dropout_prob]
         state = frame.state
     return undropped
 
@@ -307,7 +316,10 @@ class TestTrackingWindow:
 
     def test_noisy_frames_render_again_from_the_report(self, monkeypatch):
         # tick k's frame on camera c is a function of (seed, 0, k, c), the
-        # particle the report logs at tick k and the scenario's particle
+        # particle the report logs at tick k and the scenario's particle;
+        # the observation the report logs is that frame's extraction plus
+        # sigma times the normal draws of the key (seed, 2), row k,
+        # columns 2c and 2c + 1
         from acoustrap import control
 
         world = TrapWorld.from_config(SimulatorConfig(vision=VisionConfig(noise_sigma=5.0)))
@@ -322,21 +334,29 @@ class TestTrackingWindow:
         scenarios = make_batch_scenarios(
             world.config.workspace, 4, base_seed=11, pixel_noise_sigma=1.0, dropout_prob=0.2
         ) + make_batch_scenarios(world.config.workspace, 2, base_seed=12, contrast=Contrast.NEGATIVE)
-        checked = 0
+        checked = held = 0
         for scenario in scenarios:
             renders.clear()
             report = run_trap_loop(scenario, world)
             ticks = _undropped_cameras(scenario, report)
             assert len(renders) == len(ticks) > 0
-            p = scenario.particle
+            p, draws, sigma = scenario.particle, KeyedDraws((scenario.seed, 2)), scenario.pixel_noise_sigma
             for (camera, window, frame), (k, c) in zip(renders, ticks):
                 assert camera is world.cameras[c]
                 particle = ParticleState(Vec3(*report.frames[k].particle), p.velocity, p.diameter_um, p.contrast)
                 again = render_frame(camera, particle, (scenario.seed, 0, k, c), window)
                 assert again.origin == frame.origin
                 assert np.array_equal(again.pixels, frame.pixels)
+                d = p.diameter_um * camera.pixel_scale
+                obs = extract_feature(again, background_pixels(camera)[window.slices], d, world.config.vision)
+                logged = (report.frames[k].observed_h, report.frames[k].observed_v)[c]
+                if window_holds(obs, window, camera.image_size, d):
+                    assert logged == (obs.u + sigma * draws.normal(k, 2 * c), obs.v + sigma * draws.normal(k, 2 * c + 1))
+                    held += 1
+                else:
+                    assert logged is None
                 checked += 1
-        assert checked > 30
+        assert checked > 30 and held > 20
 
 
 class TestBatches:
@@ -359,6 +379,39 @@ class TestBatches:
     def test_batch_size_validated(self, config):
         with pytest.raises(ConfigurationError):
             make_batch_scenarios(config.workspace, 0, base_seed=1)
+
+    def test_scenario_i_is_row_i_of_the_batch_key(self, config):
+        # three start uniforms, then the seed from the top 62 bits of the
+        # word of column 3; so a batch is the start of any longer one
+        ws = config.workspace
+        scenarios = make_batch_scenarios(ws, 8, base_seed=31)
+        assert make_batch_scenarios(ws, 5, base_seed=31) == scenarios[:5]
+        lo = (ws.center.x - ws.extent.x * 0.25, ws.center.y - ws.extent.y * 0.25, ws.center.z + ws.extent.z * 0.10)
+        hi = (ws.center.x + ws.extent.x * 0.25, ws.center.y + ws.extent.y * 0.25, ws.center.z + ws.extent.z * 0.27)
+        draws = KeyedDraws((31, 1))
+        for i, s in enumerate(scenarios):
+            p = s.particle.position
+            assert (p.x, p.y, p.z) == tuple(a + (b - a) * draws.uniform(i, col) for col, (a, b) in enumerate(zip(lo, hi)))
+            assert s.seed == draws.word(i, 3) >> 2 < 2**62
+        assert len({s.seed for s in scenarios}) == 8
+
+    def test_negative_base_seed_rejected(self, config):
+        with pytest.raises(ConfigurationError, match=r"non-negative integers, got \(-1, 1\)"):
+            make_batch_scenarios(config.workspace, 3, base_seed=-1)
+
+    def test_loop_draws_nothing_without_jitter_or_dropout(self, config, world, monkeypatch):
+        # at sigma 0 and dropout 0 the loop needs no draw: its reports are
+        # the same when every keyed draw fails
+        scenarios = make_batch_scenarios(config.workspace, 3, base_seed=5)
+        reports = [run_trap_loop(s, world) for s in scenarios]
+        assert any(f.observed_h is not None for r in reports for f in r.frames)
+        expected = [r.to_json() for r in reports]
+
+        def no_draw(self, row, col):
+            raise AssertionError(f"draw ({row}, {col})")
+
+        monkeypatch.setattr(KeyedDraws, "word", no_draw)
+        assert [run_trap_loop(s, world).to_json() for s in scenarios] == expected
 
     def test_parallel_matches_sequential(self, config, world):
         scenarios = make_batch_scenarios(
@@ -600,8 +653,14 @@ def test_pool_workers_end_with_the_interpreter(tmp_path, ending, returncode):
 # observed_v), localizations, trap positions and deviations of all 12
 # reports moved, and no outcome, failure reason, time or frame count did:
 # 10 of 12 trapped before and after.
-NOISE_FREE_DIGEST = "02581a493ff4d70b0dbd89f68315573a10bf89caa87d9c64138782c76aada90a"
-NOISY_DIGEST = "406c4dce4f1b6201a6bedc8a528f622c855270cba41164272ac205c4022cd19c"
+# Both pins, and every TRAFFIC pin, were last re-recorded when every draw
+# of the loop and the batch came to be a keyed draw (``KeyedDraws``):
+# the batch starts and scenario seeds, the jitter and the dropouts all
+# moved, so every field of every batch report did. The four failure-mode
+# reports draw nothing and did not move. 12 of 16 trapped (was 10) and
+# 12 of 12 (was 10): the batch's two left_fov failures are gone.
+NOISE_FREE_DIGEST = "332ee2a496a3f523b67ab51536336571f1b011b1ab6115e2f58c92de7a814554"
+NOISY_DIGEST = "b34d5feb3f3af0cdd5fcf4397199e5b09b1c5535ebcd63f3fa8216a8279702a4"
 
 
 def _digest(reports) -> str:
@@ -698,21 +757,23 @@ def test_noisy_reports_match_golden_digest():
 # jitter and 5% dropout. The gradient runs at sigma 5, so that its
 # binarization sees noise on a sloped background. A change that moves one
 # on purpose re-records it once and says which fields moved. The two noisy
-# pins were last re-recorded with the hashed noise: every report's observed
+# pins were re-recorded with the hashed noise: every report's observed
 # pixels, localizations, trap position and deviation moved, no outcome
-# did, and 18 of 20 trap in each, as before.
+# did, and 18 of 20 trap in each, as before. All three were last
+# re-recorded with the keyed draws, as the golden digests: every field
+# of every report moved, and 20 of 20 trap in each (was 18, 18 and 20).
 TRAFFIC = {
     "sigma_12": (
         VisionConfig(noise_sigma=12.0),
-        "1c918974e21d6a708caf9e89454c3c53a5e554671f95c9e89de40465a88a7b77",
+        "b0425ba08ea1d279966e72acb91910af29e837499e9dab20efd61ac70cc60f10",
     ),
     "gradient": (
         VisionConfig(noise_sigma=5.0, background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0)),
-        "d1cb42078b9a09f4bc7ae331dd217fbb81ff3e7c0ba111c9da6efbbb707f058e",
+        "623d70c52a14911222dbf7143119bf5d4480c80ed054565f4c6467f583c290be",
     ),
     "scale_0.5": (
         VisionConfig(scale=0.5),
-        "dd905cf56455eaf534381b0ed23c926ea676f67f18fca317d590e2b97d7e6ab5",
+        "c0f2e0e987fc4367e58503e6d8d923e9fd1a05a9686fc52fdeda436d7960ea7a",
     ),
 }
 

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -11,9 +13,11 @@ from acoustrap.calibration import build_camera_pair, localize
 from acoustrap.config import Background, SimulatorConfig, VisionConfig
 from acoustrap.core import ParticleState, Vec3
 from acoustrap.errors import ConfigurationError
+from acoustrap import vision
 from acoustrap.vision import (
     _TILE,
     ImageFrame,
+    KeyedDraws,
     Window,
     _area_floor,
     _axes,
@@ -56,7 +60,7 @@ def _with_sensor(cam, **settings):
 
 @pytest.fixture(scope="module")
 def bg():
-    return background_image(CAM_H)
+    return background_pixels(CAM_H)
 
 
 class TestProjection:
@@ -222,7 +226,7 @@ class TestExtractFeature:
         cam = _with_sensor(
             CAM_H, noise_sigma=5.0, background=Background(kind="gradient", level=170.0, du=25.0, dv=15.0)
         )
-        bg = background_image(cam)
+        bg = background_pixels(cam)
         for k in range(5):
             pos = CENTER + Vec3(0.11 * k - 0.2, 0.07 * k, 0.0)
             frame = render_frame(cam, ParticleState(position=pos), seed=100 + k)
@@ -237,7 +241,7 @@ class TestExtractFeature:
         # fail the cast, and hide a particle the sensor records against white
         cam = _with_sensor(CAM_H, background=Background(kind="gradient", level=200.0, du=du))
         frame = render_frame(cam, STATE, seed=0)
-        obs = extract_feature(frame, background_image(cam), D_PX, CFG.vision)
+        obs = extract_feature(frame, background_pixels(cam), D_PX, CFG.vision)
         assert obs.valid, obs.reason
         assert math.dist((obs.u, obs.v), project(cam, CENTER)) <= 0.2
 
@@ -254,8 +258,8 @@ class TestExtractFeature:
         b = -du * np.sin(tilt) + dv * np.cos(tilt)
         inside = (a / (major / 2)) ** 2 + (b / (minor / 2)) ** 2 <= 1.0
         coverage = inside.reshape(128, 8, 128, 8).mean(axis=(1, 3))
-        bg = np.full((128, 128), 180.0)
-        pixels = np.rint(bg * (1.0 - coverage) + 40.0 * coverage).astype(np.uint8)
+        bg = np.full((128, 128), 180, dtype=np.uint8)
+        pixels = np.rint(180.0 * (1.0 - coverage) + 40.0 * coverage).astype(np.uint8)
 
         obs = extract_feature(ImageFrame(pixels), bg, np.sqrt(major * minor), CFG.vision)
         assert obs.valid, obs.reason
@@ -284,7 +288,7 @@ def _particle_at(cam, uv):
 @pytest.mark.parametrize("index", [0, 1], ids=["camera_h", "camera_v"])
 def test_windowed_extraction_matches_full_frame(sigma, index):
     cam = _with_sensor(CAM_V if index else CAM_H, scale=SMALL_SCALE, noise_sigma=sigma)
-    bg = background_image(cam)
+    bg = background_pixels(cam)
     w, h = cam.image_size
     assert (w, h) == (157, 131)
     d = STATE.diameter_um * cam.pixel_scale
@@ -354,7 +358,7 @@ def test_noise_patch_is_not_a_particle(sigma):
     # as a particle in about 50 of 60 such frames at sigma 8 and 60 of 60 at 12
     vision = dataclasses.replace(CFG.vision, noise_sigma=sigma)
     cam = dataclasses.replace(CAM_H, vision=vision)
-    bg = background_image(cam)
+    bg = background_pixels(cam)
     w, h = cam.image_size
     rng = np.random.default_rng(int(sigma))
     for seed in range(12):
@@ -371,7 +375,7 @@ def test_offset_floor_leaves_low_noise_alone(sigma):
     # was without the floor (config noise_sigma 0), and the digests hold
     floored = dataclasses.replace(CFG.vision, noise_sigma=sigma)
     cam = dataclasses.replace(CAM_H, vision=floored)
-    bg = background_image(cam)
+    bg = background_pixels(cam)
     w, h = cam.image_size
     rng = np.random.default_rng(int(sigma))
     for seed in range(6):
@@ -708,8 +712,8 @@ def test_extraction_matches_the_former_kernels(monkeypatch, sigma, background):
     scene = Background(kind="gradient", level=170.0, du=25.0, dv=15.0) if background == "gradient" else Background()
     config = dataclasses.replace(CFG.vision, noise_sigma=sigma, background=scene)
     cam = dataclasses.replace(CAM_H, vision=config)
-    bg = background_image(cam)
-    recorded = np.rint(bg).astype(np.int16)
+    bg = background_pixels(cam)
+    recorded = bg.astype(np.int16)
     n = _binarize_window(D_PX)
     offset = max(config.binarize_offset, 2.0 * sigma)
     rng = np.random.default_rng(int(sigma) + 17 * (background == "gradient"))
@@ -781,8 +785,9 @@ def test_axes_read_late_equal_the_eager_ones(sigma):
 @pytest.mark.parametrize("background", ["flat", "gradient"])
 @pytest.mark.parametrize("sigma", [0.0, 5.0])
 def test_recorded_background_extracts_as_the_float_one(sigma, background):
-    # the loop hands extraction the 8-bit background, the CLI and these
-    # tests the float one, which extraction rounds and clips itself
+    # extraction takes 8-bit backgrounds only; a crop of the recorded one
+    # is the same crop of the float one rounded and clipped as a rendered
+    # frame is, and extracts alike
     scene = Background(kind="gradient", level=170.0, du=25.0, dv=15.0) if background == "gradient" else Background()
     config = dataclasses.replace(CFG.vision, noise_sigma=sigma, background=scene)
     cam = dataclasses.replace(CAM_H, vision=config)
@@ -794,16 +799,18 @@ def test_recorded_background_extracts_as_the_float_one(sigma, background):
     for seed in range(3):
         for particle, window in _seeded_crops(cam, rng):
             frame = render_frame(cam, particle, seed, window)
+            rounded = np.clip(np.rint(bg[window.slices]), 0, 255).astype(np.uint8)
             a = extract_feature(frame, recorded[window.slices], D_PX, config)
-            b = extract_feature(frame, bg[window.slices], D_PX, config)
+            b = extract_feature(frame, rounded, D_PX, config)
             assert _same_observation(a, b), (window, a, b)
         w, h = cam.image_size
         full = render_frame(cam, _particle_at(cam, rng.uniform([60.0, 60.0], [w - 60.0, h - 60.0])), seed)
-        a, b = (extract_feature(full, image, D_PX, config) for image in (recorded, bg))
-        assert a.valid and _same_observation(a, b), (a, b)
-    for wrong in (recorded[:-1], bg[:-1]):
-        with pytest.raises(ConfigurationError, match=r"background shape \(511, 612\) does not match frame \(512, 612\)"):
-            extract_feature(full, wrong, D_PX, config)
+        assert extract_feature(full, recorded, D_PX, config).valid
+    for other in (bg, bg.astype(np.int16), recorded.astype(bool)):
+        with pytest.raises(ConfigurationError, match=rf"background must be uint8 .*got {other.dtype} \(512, 612\)$"):
+            extract_feature(full, other, D_PX, config)
+    with pytest.raises(ConfigurationError, match=r"shape \(512, 612\), got uint8 \(511, 612\)$"):
+        extract_feature(full, recorded[:-1], D_PX, config)
 
 
 class TestSensorNoise:
@@ -922,8 +929,90 @@ class TestSensorNoise:
 
     def test_key_words_are_non_negative_ints(self):
         for key in (-1, (3, -1)):
-            with pytest.raises(ConfigurationError, match="noise key words must be non-negative integers"):
+            with pytest.raises(ConfigurationError, match="random key words must be non-negative integers"):
                 _sensor_noise(self.SIGMA, key, Window(0, 0, 8, 8))
         with pytest.raises(TypeError):
             _sensor_noise(self.SIGMA, (2.5,), Window(0, 0, 8, 8))
 
+
+
+class TestKeyedDraws:
+    """The keyed draw that every random number of the package comes from."""
+
+    KEYS = [2024, (7, 2), (3, 4, 11), (2**64 + 3, 1)]
+
+    @pytest.mark.parametrize("key", KEYS, ids=["int", "loop", "pose", "wide"])
+    def test_normal_draw_is_the_sensor_noise_pixel(self, key):
+        # draw (row, col) is the noise of the pixel at sensor (row, col):
+        # over the loop's six columns of 50 ticks, and far out
+        draws, sigma = KeyedDraws(key), 5.0
+        noise = _sensor_noise(sigma, key, Window(0, 0, 6, 50))
+        for r in range(50):
+            for c in range(6):
+                assert sigma * draws.normal(r, c) == noise[r, c], (r, c)
+        for r, c in ((2049, 2447), (10**6, 3), (5, 10**6)):
+            assert sigma * draws.normal(r, c) == _sensor_noise(sigma, key, Window(c, r, c + 1, r + 1))[0, 0]
+
+    def test_words_and_uniforms_match_python_int_reference(self, monkeypatch):
+        for key in self.KEYS:
+            draws, folded = KeyedDraws(key), _fold_key(key)
+            for r, c in ((0, 0), (1, 4), (99, 5), (2**40, 3)):
+                word = _mix64((folded + r * _GAMMA + c * _COL_STEP) % 2**64)
+                assert draws.word(r, c) == word
+                assert draws.uniform(r, c) == Fraction(word >> 11, 2**53)
+        # the ends: 0 and the largest double below 1
+        for word, uniform in ((0, 0.0), (2**64 - 1, 1.0 - 2.0**-53)):
+            monkeypatch.setattr(KeyedDraws, "word", lambda self, row, col: word)
+            assert KeyedDraws(0).uniform(0, 0) == uniform
+
+    def test_uniforms_are_flat_and_uncorrelated(self):
+        draws = KeyedDraws((2024, 2))
+        u = np.array([[draws.uniform(r, c) for c in (4, 5)] for r in range(4000)])
+        n = u.size
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert abs(float(u.mean()) - 0.5) < 5.0 * math.sqrt(1.0 / 12.0 / n)
+        for count in np.bincount((u * 10).astype(int).ravel(), minlength=10):  # deciles
+            assert abs(count - n / 10) < 5.0 * math.sqrt(n * 0.1 * 0.9)
+        # the two columns of a row, and a column's neighbouring rows
+        for a, b in ((u[:, 0], u[:, 1]), (u[:-1, 0], u[1:, 0]), (u[:-1, 1], u[1:, 1])):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(a.size)
+
+
+def _numpy_random_uses(source: str) -> list[str]:
+    """Where ``source`` reaches numpy.random: an import of it, or the
+    attribute ``random`` of a name that numpy is imported as."""
+    tree = ast.parse(source)
+    numpy_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses += [alias.name for alias in node.names if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if node.module.startswith("numpy.random") or any(alias.name == "random" for alias in node.names):
+                uses.append(f"from {node.module}")
+        elif isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+                uses.append(f"line {node.lineno}: {node.value.id}.random")
+    return uses
+
+
+def test_package_draws_nothing_from_numpy_random():
+    # every random number comes from KeyedDraws and the sensor noise hash
+    modules = sorted(Path(vision.__file__).parent.glob("*.py"))
+    assert len(modules) >= 12
+    for path in modules:
+        assert _numpy_random_uses(path.read_text()) == [], path.name
+    for source in (
+        "import numpy as np\nnp.random.default_rng(1)",
+        "import numpy\nx = numpy.random",
+        "import numpy.random",
+        "from numpy.random import default_rng",
+        "from numpy import random",
+    ):
+        assert _numpy_random_uses(source), source
