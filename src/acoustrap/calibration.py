@@ -16,6 +16,7 @@ run in Python floats, ``project`` and pinv(J) with its product alike.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -26,9 +27,13 @@ import numpy as np
 from .config import VisionConfig
 from .core import MAX_ARRAY_LENGTH_MM, MediumConfig, TransducerArray, Vec3, _dot
 from .errors import CalibrationError, ConfigurationError
-from .field import pressure_at_points
-from .hologram import make_focus_hologram
+from .field import pressure_and_gradient_at_points
+from .hologram import PhaseHologram, make_focus_hologram
 from .vision import CameraModel, KeyedDraws, project
+
+# Unused here, but perfbench/tracing.py patches it at this lookup site
+# (``PATCHES``) and fails when the name is missing.
+from .field import pressure_at_points  # noqa: F401
 
 ROW_ORDER = ("u_h", "v_h", "u_v", "v_v")
 
@@ -36,8 +41,18 @@ ROW_ORDER = ("u_h", "v_h", "u_v", "v_v")
 # the largest are rejected as not spanning 3-D.
 _RANK_TOL = 1e-9
 
-# The peak search stops once its step falls below this, mm (1 um).
+# The peak search gives up once its trust radius falls below this, mm (1 um).
 _MIN_SCAN_STEP = 1e-3
+
+# A step of the peak search shorter than this, mm, is taken unchecked and ends it.
+_MIN_NEWTON_STEP = 1e-6
+
+# Forward-difference offset of the peak search's Hessian, mm.
+_HESSIAN_STEP = 1e-5
+
+# The peak search's one kernel call per iteration: the point and its three
+# forward-difference neighbours.
+_PROBE_OFFSETS = np.vstack([np.zeros(3), _HESSIAN_STEP * np.eye(3)])
 
 # Largest reference pixel coordinate a calibration file may hold: far past
 # the 2448 px native sensor, and far from overflowing a centroid.
@@ -153,6 +168,19 @@ def calibrate_jacobian(pairs) -> CalibrationResult:
     return CalibrationResult(JacobianMatrix(solution.T), rms)
 
 
+def _cofactors(a) -> list[list[float]]:
+    """Cofactors of the 3x3 matrix ``a`` in Python floats: a's inverse is
+    their transpose over det a = a[0] . cof[0]."""
+    return [
+        [
+            a[(p + 1) % 3][(q + 1) % 3] * a[(p + 2) % 3][(q + 2) % 3]
+            - a[(p + 1) % 3][(q + 2) % 3] * a[(p + 2) % 3][(q + 1) % 3]
+            for q in range(3)
+        ]
+        for p in range(3)
+    ]
+
+
 @lru_cache(maxsize=8)
 def _pair_inverse(rows_h: tuple, rows_v: tuple) -> tuple[tuple[float, ...], ...]:
     """(3, 4) pseudo-inverse (J^T J)^-1 J^T of a pair's stacked rows J, each
@@ -163,14 +191,7 @@ def _pair_inverse(rows_h: tuple, rows_v: tuple) -> tuple[tuple[float, ...], ...]
     j = [*rows_h, *rows_v]
     columns = list(zip(*j))
     a = [[_dot(p, q) for q in columns] for p in columns]  # J^T J
-    cof = [
-        [
-            a[(p + 1) % 3][(q + 1) % 3] * a[(p + 2) % 3][(q + 2) % 3]
-            - a[(p + 1) % 3][(q + 2) % 3] * a[(p + 2) % 3][(q + 1) % 3]
-            for q in range(3)
-        ]
-        for p in range(3)
-    ]
+    cof = _cofactors(a)
     det = _dot(a[0], cof[0])
     inv = [[cof[q][p] / det for q in range(3)] for p in range(3)]  # the adjugate over det
     return tuple(tuple(_dot(row, j_row) for j_row in j) for row in inv)
@@ -200,6 +221,42 @@ def localize(
     return cam_h.ref_world + Vec3(x, y, z)
 
 
+def _probe(
+    array: TransducerArray, holo: PhaseHologram, point: np.ndarray, medium: MediumConfig
+) -> tuple[float, list[float], list[list[float]]]:
+    """f = |p / A|^2 at ``point``, A the emission amplitude, its gradient
+    2 Re(conj(p) grad p) / A^2 and its Hessian from forward differences of
+    that gradient, in one 4-point kernel call; Python floats. f is |p|^2 of
+    a unit drive, so squaring overflows nowhere that |p| stays finite. An
+    overflow shows as a non-finite value, not as a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, grad = pressure_and_gradient_at_points(array, holo, point + _PROBE_OFFSETS, medium)
+        p, grad = p / array.emission_amplitude, grad / array.emission_amplitude
+        g = (2 * (p.real[:, None] * grad.real + p.imag[:, None] * grad.imag)).tolist()
+    d = [[(b - a) / _HESSIAN_STEP for a, b in zip(g[0], row)] for row in g[1:]]
+    hess = [[0.5 * (d[i][j] + d[j][i]) for j in range(3)] for i in range(3)]
+    mag = abs(complex(p[0]))
+    return mag * mag, g[0], hess
+
+
+def _ascent_step(g: list[float], hess: list[list[float]], radius: float) -> list[float]:
+    """The Newton step -H^-1 g toward the maximum, solved through the
+    cofactors of -H, or the gradient's direction where -H is not positive
+    definite (Sylvester's leading minors), the step is not finite or it does
+    not ascend; either clipped to ``radius``."""
+    a = [[-x for x in row] for row in hess]
+    cof = _cofactors(a)
+    det = _dot(a[0], cof[0])
+    step = [0.0, 0.0, 0.0]
+    if a[0][0] > 0 and cof[2][2] > 0 and det > 0:  # -H positive definite
+        step = [_dot([cof[q][p] for q in range(3)], g) / det for p in range(3)]  # (-H)^-1 g
+    length = math.hypot(*step)
+    if not (math.isfinite(length) and _dot(step, g) > 0):
+        step, length = g, math.hypot(*g)
+    scale = min(1.0, radius / length) if length > 0 else 0.0
+    return [scale * x for x in step]
+
+
 def acquire_reference(
     array: TransducerArray,
     medium: MediumConfig,
@@ -214,13 +271,20 @@ def acquire_reference(
     """Simulate acquiring one calibration pose.
 
     Focuses the array on ``commanded_focus`` and finds the |p| peak, where
-    a captured bead would settle, by a compass search from the command: move
-    to the best of the six axis neighbours at ``scan_step`` (mm) while that
-    raises |p|, else halve the step, until it is below 1 um. Leaving the
-    cube of span ``scan_extent`` (mm) around the command raises
-    CalibrationError. The peak is projected through both cameras, plus
-    ``pixel_noise_sigma`` (at most the sensor's larger side) times normal
-    draws 0-3 of row 0 of ``noise_key``: (u, v) of camera h, then of v.
+    a captured bead would settle, by a safeguarded Newton ascent on |p|^2
+    from the command. Each iteration is one 4-point kernel call: the
+    closed-form gradient at the point and at three neighbours 1e-5 mm away,
+    whose differences give the Hessian. The step is the Newton step, or the
+    gradient's direction where that does not ascend, clipped to a trust
+    radius that starts at ``scan_step`` (mm). A trial point is kept only if
+    |p| rises there, else the radius halves; below 1 um the best point found
+    is the peak. A step under 1e-6 mm is taken unchecked and ends the
+    search. On the default lattice that is 3 calls a pose. |p| or its
+    gradient overflowing, or leaving the cube of span ``scan_extent`` (mm)
+    around the command, raises CalibrationError. The peak is projected through both
+    cameras, plus ``pixel_noise_sigma`` (at most the sensor's larger side)
+    times normal draws 0-3 of row 0 of ``noise_key``: (u, v) of camera h,
+    then of v.
     """
     if not (scan_step > 0 and scan_extent > 0 and np.isfinite([scan_step, scan_extent]).all()):
         raise ConfigurationError("scan extent and step must be finite and > 0")
@@ -233,23 +297,32 @@ def acquire_reference(
     if pixel_noise_sigma > 0 and noise_key is None:
         raise ConfigurationError("pixel_noise_sigma > 0 needs a noise_key, so that reruns agree")
     holo = make_focus_hologram(array, commanded_focus, medium)
-    peak = command = commanded_focus.as_array()
-    peak_mag = abs(pressure_at_points(array, holo, peak[None], medium)[0])
-    compass = np.vstack([np.eye(3), -np.eye(3)])
-    step = scan_step
-    while step >= _MIN_SCAN_STEP:
-        around = peak + step * compass
-        mags = np.abs(pressure_at_points(array, holo, around, medium))
-        best = int(np.argmax(mags))
-        if not mags[best] > peak_mag:
-            step /= 2
-            continue
-        peak, peak_mag = around[best], mags[best]
-        if np.max(np.abs(peak - command)) > scan_extent / 2:
+    command = commanded_focus.as_array().tolist()
+    peak = command
+    radius = float(scan_step)
+    value, g, hess = _probe(array, holo, np.array(peak), medium)
+    while radius >= _MIN_SCAN_STEP:
+        if not all(map(math.isfinite, [value, *g])):
+            raise CalibrationError(
+                f"|p| or its gradient overflows near {commanded_focus}; there is no peak to search"
+            )
+        step = _ascent_step(g, hess, radius)
+        trial = [x + s for x, s in zip(peak, step)]
+        last = math.hypot(*step) < _MIN_NEWTON_STEP
+        if not last:
+            trial_value, trial_g, trial_hess = _probe(array, holo, np.array(trial), medium)
+            if not trial_value > value:
+                radius /= 2
+                continue
+            value, g, hess = trial_value, trial_g, trial_hess
+        peak = trial
+        if max(abs(x - c) for x, c in zip(peak, command)) > scan_extent / 2:
             raise CalibrationError(
                 f"|p| peak search left the {scan_extent} mm cube around {commanded_focus}"
             )
-    world = Vec3(*peak.tolist())
+        if last:
+            break
+    world = Vec3(*peak)
     pixels = [x for cam in cameras for x in project(cam, world)]
     if pixel_noise_sigma > 0:
         draws = KeyedDraws(noise_key)
@@ -257,7 +330,7 @@ def acquire_reference(
     return ReferencePoint(world, tuple(pixels[:2]), tuple(pixels[2:]))
 
 
-# Most poses one reference lattice may hold (10x10x10); each costs a compass search.
+# Most poses one reference lattice may hold (10x10x10); each costs a peak search.
 MAX_LATTICE_POINTS = 1000
 
 

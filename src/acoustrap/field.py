@@ -30,7 +30,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def _field(
         phases, magnitudes = np.arctan2(im, re), np.hypot(re, im)
     evaluate = partial(
         _field_chunk,
-        centers=grid.reshape(-1, 3),
+        basis=_centers_and_ones(array) if gradient else None,
         axes=(axes[0], axes[1], grid[0, 0, 2]),
         phases=phases,
         magnitudes=magnitudes,
@@ -181,6 +181,17 @@ def _field(
     return p, grad
 
 
+@lru_cache(maxsize=8)
+def _centers_and_ones(array: TransducerArray) -> np.ndarray:
+    """The element centres with a column of ones, (elements, 4), read-only
+    and built once per array like the centres: the gradient's one matrix
+    product sums its coefficients g as g @ c and sum(g) together."""
+    centers = array.element_centers()
+    basis = np.column_stack([centers, np.ones(len(centers))])
+    basis.flags.writeable = False
+    return basis
+
+
 def _fold_axis(v: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Fold one array axis, element coordinates ``axis``, for points whose
     coordinates on it are ``v``: (class of each element, one member's
@@ -200,7 +211,7 @@ def _fold_axis(v: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _field_chunk(
     pts: np.ndarray,
     *,
-    centers: np.ndarray,
+    basis: np.ndarray | None,
     axes: tuple[np.ndarray, np.ndarray, float],
     phases: np.ndarray,
     magnitudes: np.ndarray | None,
@@ -216,8 +227,8 @@ def _field_chunk(
     given, scales each term: element i then stands for a folded class with
     drive magnitudes_i * exp(j * phi_i). The element positions form a grid:
     x from ``axes[0]`` by row, y from ``axes[1]`` by column, all at
-    z = ``axes[2]``; ``centers`` lists them for the gradient, which never
-    folds."""
+    z = ``axes[2]``; ``basis`` lists them, each with a trailing 1, for the
+    gradient, which never folds."""
     # |r - c| = sqrt((dx² + dy²) + dz²) in this order, which the digests pin
     dx2, dy2 = (np.subtract.outer(pts[:, a], axes[a]) for a in (0, 1))
     if piston is not None:
@@ -256,7 +267,7 @@ def _field_chunk(
     np.multiply(t_im, inv_d, out=g_im)
     g_im += t_re * k
     g_im *= -inv_d  # Im[T (-1/d^2 - jk/d)] / A
-    sums = g.reshape(2 * pts.shape[0], -1) @ np.column_stack([centers, np.ones(len(centers))])
+    sums = g.reshape(2 * pts.shape[0], -1) @ basis
     sums_re, sums_im = np.split(sums, 2)
     grad = (pts * sums_re[:, 3:] - sums_re[:, :3]) + 1j * (pts * sums_im[:, 3:] - sums_im[:, :3])
     return p, amplitude * grad
@@ -296,6 +307,17 @@ def pressure_at_points(
     """Complex pressure at each row of ``points`` (N, 3), array units."""
     p, _ = _field(array, hologram, _as_points(points), medium, directivity=directivity)
     return p
+
+
+def pressure_and_gradient_at_points(
+    array: TransducerArray,
+    hologram: PhaseHologram,
+    points: np.ndarray,
+    medium: MediumConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex pressure (N,) at each row of ``points`` (N, 3) and its
+    gradient (N, 3) per mm, in closed form and without piston directivity."""
+    return _field(array, hologram, _as_points(points), medium, gradient=True)
 
 
 # Slice plane names map to (horizontal axis, vertical axis, fixed axis).
@@ -515,7 +537,7 @@ def gorkov_potential_at_points(
         raise GeometryError(
             f"point lies closer to a tank wall than the particle radius ({radius_mm:.4g} mm)"
         )
-    p, grad = _field(array, hologram, pts, medium, gradient=True)
+    p, grad = pressure_and_gradient_at_points(array, hologram, pts, medium)
 
     f1, f2 = CONTRAST_COEFFS[particle.contrast]
     volume = 4.0 / 3.0 * math.pi * radius_mm**3

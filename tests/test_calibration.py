@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from acoustrap.calibration import (
     lattice_points,
     load_calibration,
     localize,
+    _ascent_step,
     _pair_inverse,
     save_calibration,
 )
 from acoustrap.config import SimulatorConfig, VisionConfig
 from acoustrap.core import MediumConfig, TransducerArray, Vec3
 from acoustrap.errors import CalibrationError, ConfigurationError
-from acoustrap.field import pressure_at_points
+from acoustrap.field import pressure_and_gradient_at_points, pressure_at_points
 from acoustrap.hologram import make_focus_hologram
 from acoustrap.vision import KeyedDraws, project
 
@@ -356,19 +358,83 @@ class TestAcquireReference:
             # the focal shift: the bead settles below the commanded focus
             assert focus.z - 0.1 < ref.world.z < focus.z - 0.04
 
+    # peaks that a compass search (best of six axis neighbours, step halved
+    # from 0.2 mm while at least 1 um) found for poses 0, 7, 13 and 23 of the
+    # default 2x3x4 lattice
+    COMPASS_PEAKS = {
+        0: (24.0015625, 23.0015625, 36.94375),
+        7: (24.0015625, 25.0, 42.921875),
+        13: (25.9984375, 23.0015625, 38.9359375),
+        23: (25.9984375, 26.996875, 42.9203125),
+    }
+
+    def test_search_ends_where_no_axis_neighbour_is_higher(self, cameras):
+        # the compass search's own stopping rule at its 1 um resolution
+        arr, med = TransducerArray(), MediumConfig()
+        poses = lattice_points(Vec3(25.0, 25.0, 40.0), (2, 3, 4), 2.0)
+        neighbours = np.vstack([np.zeros(3), 1e-3 * np.eye(3), -1e-3 * np.eye(3)])
+        for index, compass_peak in self.COMPASS_PEAKS.items():
+            focus = poses[index]
+            peak = acquire_reference(arr, med, focus, cameras).world.as_array()
+            mags = np.abs(pressure_at_points(arr, make_focus_hologram(arr, focus, med), peak + neighbours, med))
+            assert mags[1:].max() <= mags[0], index
+            assert np.abs(peak - compass_peak).max() <= 2e-3, index
+
     def test_search_evaluates_few_kernel_points(self, cameras, monkeypatch):
         from acoustrap import calibration
 
         sizes = []
 
-        def counting(array, holo, pts, medium, **kwargs):
+        def counting(array, holo, pts, medium):
             sizes.append(len(pts))
-            return pressure_at_points(array, holo, pts, medium, **kwargs)
+            return pressure_and_gradient_at_points(array, holo, pts, medium)
 
-        monkeypatch.setattr(calibration, "pressure_at_points", counting)
+        monkeypatch.setattr(calibration, "pressure_and_gradient_at_points", counting)
         acquire_reference(TransducerArray(), MediumConfig(), Vec3(24.0, 23.0, 37.0), cameras)
-        assert max(sizes) <= 6
-        assert sum(sizes) <= 200
+        assert max(sizes) <= 4
+        assert sum(sizes) <= 16
+
+    def test_step_is_newton_where_the_hessian_is_negative_definite(self):
+        hess = [[-2.0, 0.0, 0.0], [0.0, -4.0, 0.0], [0.0, 0.0, -1.0]]
+        assert _ascent_step([1.0, 1.0, 1.0], hess, 5.0) == pytest.approx([0.5, 0.25, 1.0], rel=1e-15)
+        # clipped to the trust radius, in the same direction
+        clipped = _ascent_step([1.0, 1.0, 1.0], hess, 0.1)
+        assert math.hypot(*clipped) == pytest.approx(0.1) and clipped == pytest.approx([0.0436, 0.0218, 0.0873], abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "g, hess",
+        [
+            # indefinite: the Newton step (2, -1, 0) climbs, but toward a saddle
+            ([2.0, 1.0, 0.0], [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+            # positive definite: the Newton step descends
+            ([2.0, 1.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            # the cofactors overflow to inf - inf
+            ([2.0, 1.0, 0.0], [[-1e200, 0.0, 0.0], [0.0, -1e200, 0.0], [0.0, 0.0, -1e200]]),
+        ],
+        ids=["indefinite", "minimum", "overflow"],
+    )
+    def test_step_falls_back_to_the_gradient(self, g, hess):
+        step = _ascent_step(g, hess, 0.1)
+        assert step == pytest.approx([0.1 * 2 / math.sqrt(5), 0.1 / math.sqrt(5), 0.0], rel=1e-15)
+
+    def test_drive_frequency_near_overflow_ends_without_warning(self, cameras):
+        # at 1e308 Hz the wavelength is 1.5e-302 mm: |p| varies like noise and
+        # the Hessian's cofactors overflow; the search still returns a point
+        # in its cube
+        focus = Vec3(25.0, 25.0, 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ref = acquire_reference(TransducerArray(frequency=1e308), MediumConfig(), focus, cameras)
+        assert np.abs((ref.world - focus).as_array()).max() <= 1.0
+        assert np.isfinite(ref.pixel_h + ref.pixel_v).all()
+
+    def test_overflowing_pressure_raises_without_warning(self, cameras):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CalibrationError, match="overflows near"):
+                acquire_reference(
+                    TransducerArray(emission_amplitude=1e308), MediumConfig(), Vec3(25.0, 25.0, 40.0), cameras
+                )
 
     def test_search_leaving_the_cube_raises(self, cameras):
         with pytest.raises(CalibrationError, match="peak search left"):
