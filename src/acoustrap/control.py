@@ -35,12 +35,15 @@ import json
 import math
 import operator
 import os
+import struct
 import threading
 import time
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -177,10 +180,7 @@ def containment(position: Vec3, trap: TrapSpec, tol: float) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class FrameRecord:
-    """Per-tick log entry of a scenario run. Slotted: a batch keeps every
-    report's frames, and a frame then carries no attribute dict, also after
-    a pool worker's pickle. It pickles as its field tuple, which the
-    constructor takes back."""
+    """Per-tick log entry of a scenario run, as ``FrameLog`` decodes it."""
 
     index: int
     t: float
@@ -191,16 +191,82 @@ class FrameRecord:
     localized: tuple[float, float, float] | None = None
     contained: bool | None = None
 
+
+# A frame's float64 values, in order: t, particle (3), observed_h (2),
+# observed_v (2), localized (3) and contained (1.0 or 0.0). NaN stands for
+# None: no value the loop logs is NaN.
+_FRAME_VALUES = struct.Struct("12d")
+_NAN = math.nan
+_STATE_NAMES = tuple(state.value for state in LoopState)
+_STATE_CODES = {state: code for code, state in enumerate(LoopState)}
+
+
+class FrameLog(Sequence):
+    """A run's frames, packed in one immutable buffer: each frame's twelve
+    float64 values (``_FRAME_VALUES``, native byte order), then one
+    ``_STATE_CODES`` byte per frame. A frame's index is its position.
+
+    Indexing decodes one ``FrameRecord``; slices decode a tuple of them.
+    A log compares, hashes and pickles as its bytes, so a batch of reports
+    holds no per-frame object, also after a pool worker's pickle."""
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self, buffer: bytes) -> None:
+        if len(buffer) % (_FRAME_VALUES.size + 1):
+            raise ValueError(f"a frame log of {len(buffer)} bytes holds no whole number of frames")
+        self._buffer = bytes(buffer)
+
+    def __len__(self) -> int:
+        return len(self._buffer) // (_FRAME_VALUES.size + 1)
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return tuple(FrameRecord(*self._fields(k)) for k in range(*i.indices(n)))
+        k = operator.index(i)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"frame index {i} out of range for {n} frames")
+        return FrameRecord(*self._fields(k))
+
+    def _fields(self, k: int) -> tuple:
+        """Frame ``k``'s field values, in ``FrameRecord``'s order."""
+        t, x, y, z, hu, hv, vu, vv, lx, ly, lz, contained = _FRAME_VALUES.unpack_from(
+            self._buffer, k * _FRAME_VALUES.size
+        )
+        return (
+            k,
+            t,
+            _STATE_NAMES[self._buffer[len(self) * _FRAME_VALUES.size + k]],
+            (x, y, z),
+            None if hu != hu else (hu, hv),
+            None if vu != vu else (vu, vv),
+            None if lx != lx else (lx, ly, lz),
+            None if contained != contained else contained == 1.0,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FrameLog):
+            return NotImplemented
+        return self._buffer == other._buffer
+
+    def __hash__(self) -> int:
+        return hash(self._buffer)
+
     def __reduce__(self):
-        return FrameRecord, _frame_fields(self)
+        return FrameLog, (self._buffer,)
+
+    def __repr__(self) -> str:
+        return f"FrameLog(<{len(self)} frames>)"
 
 
-_frame_fields = operator.attrgetter(*FrameRecord.__slots__)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrapReport:
-    """Outcome of one scenario run; serializes deterministically."""
+    """Outcome of one scenario run; serializes deterministically. Slotted,
+    so a batch's reports carry no attribute dict; a report pickles as its
+    field tuple, which the constructor takes back."""
 
     outcome: str
     failure_reason: str | None
@@ -211,18 +277,25 @@ class TrapReport:
     trap_position: tuple[float, float, float] | None
     particle_at_activation: tuple[float, float, float] | None
     deviation_mm: float | None
-    frames: tuple[FrameRecord, ...]
+    frames: FrameLog
 
     @property
     def trapped(self) -> bool:
         return self.outcome == "trapped"
 
+    def __reduce__(self):
+        return TrapReport, _report_fields(self)
+
     def to_json(self) -> str:
         # the fields as they are: every value but the frames is a JSON
         # scalar or a tuple of them, so nothing is deep-copied as
         # ``dataclasses.asdict`` would
-        frames = [{name: getattr(frame, name) for name in FrameRecord.__slots__} for frame in self.frames]
-        return json.dumps({**vars(self), "frames": frames}, sort_keys=True, separators=(",", ":"))
+        report = dict(zip(TrapReport.__slots__, _report_fields(self)))
+        report["frames"] = [dict(zip(FrameRecord.__slots__, self.frames._fields(k))) for k in range(len(self.frames))]
+        return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
+_report_fields = operator.attrgetter(*TrapReport.__slots__)
 
 
 def _as_tuple(v: Vec3 | None) -> tuple[float, float, float] | None:
@@ -360,18 +433,22 @@ def run_trap_loop(scenario: SimScenario, world: TrapWorld) -> TrapReport:
     if scenario.timing != world.config.timing:
         raise ConfigurationError("scenario.timing must equal the configuration's timing section")
     run = _Attempt(scenario, world)
-    frames: list[FrameRecord] = []
+    values, states = array("d"), bytearray()
     for k in range(world.config.control.frame_budget):
         t = k / scenario.timing.camera_fps
         run.advance(t)
-        observed, contained = (None, None, None), None
+        observed_h = observed_v = localized = contained = None
         if run.state is LoopState.ACQUIRING:
-            observed = run.acquire(k, t)
+            observed_h, observed_v, localized = run.acquire(k, t)
         elif run.state is LoopState.VERIFYING:
             contained = run.verify(t)
-        frames.append(
-            FrameRecord(k, t, run.state.value, _as_tuple(run.particle.position), *observed, contained)
-        )
+        p = run.particle.position
+        values.extend((t, p.x, p.y, p.z))
+        values.extend(observed_h or (_NAN, _NAN))
+        values.extend(observed_v or (_NAN, _NAN))
+        values.extend(localized or (_NAN, _NAN, _NAN))
+        values.append(_NAN if contained is None else contained)
+        states.append(_STATE_CODES[run.state])
         if run.state in (LoopState.TRAPPED, LoopState.FAILED):
             break
 
@@ -384,12 +461,12 @@ def run_trap_loop(scenario: SimScenario, world: TrapWorld) -> TrapReport:
         failure_reason=reason,
         trap_type="focus" if scenario.particle.contrast is Contrast.NEGATIVE else "octahedral",
         seed=scenario.seed,
-        time_to_trap=frames[-1].t if trapped else None,
+        time_to_trap=t if trapped else None,
         activation_time=run.activation_t,
         trap_position=_as_tuple(trap_anchor(run.trap)) if run.trap is not None else None,
         particle_at_activation=_as_tuple(run.particle_at_activation),
         deviation_mm=run.deviation,
-        frames=tuple(frames),
+        frames=FrameLog(values.tobytes() + states),
     )
 
 

@@ -210,6 +210,13 @@ MAX_ELEMENTS = 10_000
 # Longest aperture side and largest origin coordinate (1 km): keeps phases finite.
 MAX_ARRAY_LENGTH_MM = 1e6
 
+# Largest per-element source strength: keeps |p|^2 finite. Each of at most
+# MAX_ELEMENTS terms has magnitude at most A / MIN_SOURCE_DISTANCE (1e-9
+# mm, nearer points are rejected; the piston factor is at most 1), so in
+# the worst coherent sum |p| <= 1e4 * A / 1e-9 = 1e13 * A. |p|^2 stays
+# finite while |p| < sqrt(float max) = 1.34e154, that is for A < 1.34e141.
+MAX_EMISSION_AMPLITUDE = 1e140
+
 
 @dataclass(frozen=True)
 class TransducerArray:
@@ -235,7 +242,7 @@ class TransducerArray:
     pitch: float = within(1.0, gt=0.0)
     frequency: float = within(2.3e6, gt=0.0)
     origin: Vec3 = within(Vec3(0.0, 0.0, 0.0), -MAX_ARRAY_LENGTH_MM, MAX_ARRAY_LENGTH_MM)
-    emission_amplitude: float = within(1.0, gt=0.0)
+    emission_amplitude: float = within(1.0, hi=MAX_EMISSION_AMPLITUDE, gt=0.0)
 
     def __post_init__(self) -> None:
         for name in ("rows", "cols"):

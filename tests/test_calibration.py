@@ -432,8 +432,13 @@ class TestAcquireReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(CalibrationError, match="overflows near"):
+                # the largest amplitude keeps |p| finite, not a gradient that
+                # scales with a wavenumber of 1.4e304 per mm
                 acquire_reference(
-                    TransducerArray(emission_amplitude=1e308), MediumConfig(), Vec3(25.0, 25.0, 40.0), cameras
+                    TransducerArray(emission_amplitude=1e140),
+                    MediumConfig(sound_speed=1e-300),
+                    Vec3(25.0, 25.0, 40.0),
+                    cameras,
                 )
 
     def test_search_leaving_the_cube_raises(self, cameras):

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,34 @@ class TestFieldCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+
+    def test_overflowing_amplitude_is_config_error(self, tmp_path, capsys, focus_csv):
+        # it used to write inf pressures after RuntimeWarnings and exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(
+                "field", "--hologram", str(focus_csv), "--set", "array.emission_amplitude=1e308",
+                "--out-dir", str(tmp_path / "f"),
+            )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "array.emission_amplitude must be within (0, 1e+140], got 1e+308" in err
+
+    def test_largest_amplitude_writes_finite_pressures(self, tmp_path, focus_csv):
+        # the window holds the focus, where the terms add nearly coherently
+        out = tmp_path / "f"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(
+                "field", "--hologram", str(focus_csv), "--plane", "xoz", "--offset", "25",
+                "--bounds", "24,26,39,41", "--resolution", "0.1", "--set", "array.emission_amplitude=1e140",
+                "--out-dir", str(out),
+            )
+        assert rc == 0
+        table = np.loadtxt(out / "slice.csv", delimiter=",")
+        assert np.isfinite(table).all() and table[:, 4].max() > 1e141
+        assert load_pgm(out / "slice.pgm").max() == 65535
 
     def test_bad_bounds_usage_error(self, tmp_path, focus_csv):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from acoustrap import control
 from acoustrap.config import Background, ControlConfig, SimulatorConfig, TrapConfig, VisionConfig, WorkspaceConfig
 from acoustrap.control import (
+    FrameLog,
     FrameRecord,
     LoopState,
     SimScenario,
@@ -807,21 +810,119 @@ def test_batch_traps_at_any_scale(scale):
     assert [r.outcome for r in result.reports] == ["trapped"] * 6
 
 
-def test_reports_survive_pickle_with_frames_as_field_tuples():
-    # reports come back from the pool's workers by pickle: each frame as
-    # the tuple of its fields, which may be None, and again without an
+def test_reports_survive_pickle_with_frames_as_one_buffer():
+    # reports come back from the pool's workers by pickle: each report as
+    # its field tuple, its frames as one buffer, and again without an
     # attribute dict
     reports = _batch_reports(VisionConfig(noise_sigma=5.0)) + _failure_mode_reports()
-    copies = pickle.loads(pickle.dumps(reports))
+    data = pickle.dumps(reports)
+    assert b"FrameRecord" not in data
+    copies = pickle.loads(data)
     assert [r.to_json() for r in copies] == [r.to_json() for r in reports]
-    frames = [f for r in copies for f in r.frames]
-    assert frames == [f for r in reports for f in r.frames]
-    assert not any(hasattr(f, "__dict__") for f in frames)
-    for name in FrameRecord.__slots__:
-        if name not in ("index", "t", "state", "particle"):
+    assert copies == reports
+    assert [hash(r) for r in copies] == [hash(r) for r in reports]
+    assert not any(hasattr(r, "__dict__") or hasattr(r.frames, "__dict__") for r in copies)
+    assert [list(r.frames) for r in copies] == [list(r.frames) for r in reports]
+
+
+class TestFrameLog:
+    """A report's frames, packed in one buffer and decoded on reading."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return _batch_reports(VisionConfig(noise_sigma=5.0)) + _failure_mode_reports()
+
+    def test_frames_decode_as_the_report_json_writes_them(self, reports):
+        for report in reports:
+            written = json.loads(report.to_json())["frames"]
+            assert len(report.frames) == len(written)
+            for k, frame in enumerate(report.frames):
+                assert json.loads(json.dumps(dataclasses.asdict(frame))) == written[k]
+                assert frame.index == k
+
+    def test_every_optional_field_is_none_somewhere(self, reports):
+        frames = [f for r in reports for f in r.frames]
+        for name in ("observed_h", "observed_v", "localized", "contained"):
             assert any(getattr(f, name) is None for f in frames), name
-    frame = frames[-1]
-    assert frame.__reduce_ex__(pickle.DEFAULT_PROTOCOL) == (FrameRecord, tuple(getattr(frame, n) for n in FrameRecord.__slots__))
+            assert any(getattr(f, name) is not None for f in frames), name
+        assert {f.contained for f in frames} == {True, False, None}
+        assert {f.state for f in frames} == {state.value for state in LoopState}
+
+    def test_indices_slices_and_len(self, noiseless_report):
+        frames = noiseless_report.frames
+        decoded = list(frames)
+        n = len(frames)
+        assert n == len(decoded) > 3
+        assert frames[-1] == decoded[-1] == frames[n - 1]
+        assert frames[-n] == decoded[0]
+        assert frames[1:4] == tuple(decoded[1:4])
+        assert frames[::-2] == tuple(decoded[::-2])
+        assert frames[n:] == ()
+        assert [f.index for f in frames[2:]] == list(range(2, n))
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                frames[bad]
+        with pytest.raises(TypeError):
+            frames[1.0]
+        assert frames.index(decoded[2]) == 2 and decoded[2] in frames
+
+    def test_packed_values_come_back_as_logged(self):
+        values = array("d", [0.5, 1.0, -0.0, 3.25] + [math.nan] * 8)
+        values += array("d", [0.25, 4.0, 5.0, 6.0, 1.5, 2.5, -7.0, 8.0, 1e-300, -2.0, 3.0, 0.0])
+        values += array("d", [1e300] * 11 + [1.0])
+        states = bytearray(control._STATE_CODES[s] for s in (LoopState.ACQUIRING, LoopState.VERIFYING, LoopState.TRAPPED))
+        log = FrameLog(values.tobytes() + states)
+        assert list(log) == [
+            FrameRecord(0, 0.5, "acquiring", (1.0, -0.0, 3.25)),
+            FrameRecord(1, 0.25, "verifying", (4.0, 5.0, 6.0), (1.5, 2.5), (-7.0, 8.0), (1e-300, -2.0, 3.0), False),
+            FrameRecord(2, 1e300, "trapped", (1e300,) * 3, (1e300,) * 2, (1e300,) * 2, (1e300,) * 3, True),
+        ]
+        assert math.copysign(1.0, log[0].particle[1]) == -1.0
+        assert FrameLog(bytes(log._buffer)) == log
+        with pytest.raises(ValueError, match="no whole number of frames"):
+            FrameLog(log._buffer[:-1])
+
+    def test_logs_compare_and_hash_by_their_bytes(self, reports):
+        # NaN stands for None in the buffer, and equal bytes are equal logs
+        copies = pickle.loads(pickle.dumps(reports))
+        for report, copy in zip(reports, copies):
+            assert copy.frames == report.frames and hash(copy.frames) == hash(report.frames)
+            assert copy.frames is not report.frames
+        assert reports[0].frames != reports[1].frames
+        assert reports[0].frames != list(reports[0].frames)
+
+    def test_pooled_reports_equal_the_serial_ones(self, config, world, monkeypatch):
+        # the reports cross the real pool as field tuples and buffers
+        monkeypatch.setattr(control, "usable_cpus", lambda: 2)
+        scenarios = make_batch_scenarios(config.workspace, 6, base_seed=99, pixel_noise_sigma=1.0, dropout_prob=0.05)
+        serial = run_batch(scenarios, world, jobs=1).reports
+        pooled = run_batch(scenarios, world, jobs=2).reports
+        assert pooled == serial
+        assert [hash(r) for r in pooled] == [hash(r) for r in serial]
+        assert [r.to_json() for r in pooled] == [r.to_json() for r in serial]
+
+    def test_unpickled_reports_hold_a_bounded_number_of_bytes(self):
+        # a pooled batch's reports, as the caller holds them: one buffer of
+        # frames each, no per-frame object (about 2.1 KB a report at about
+        # 16 frames; frames of boxed floats took about 5.8 KB)
+        import tracemalloc
+
+        config = SimulatorConfig(vision=VisionConfig(noise_sigma=5.0))
+        world = TrapWorld.from_config(config)
+        scenarios = []
+        for contrast in (Contrast.POSITIVE, Contrast.NEGATIVE):
+            scenarios += make_batch_scenarios(
+                config.workspace, 20, base_seed=11, pixel_noise_sigma=1.0, dropout_prob=0.05, contrast=contrast
+            )
+        data = pickle.dumps([run_trap_loop(s, world) for s in scenarios])
+        tracemalloc.start()
+        try:
+            copies = pickle.loads(data)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(copies) == 40
+        assert held / len(copies) < 3000
 
 
 def test_world_survives_pickle_and_compares_equal():
